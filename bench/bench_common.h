@@ -79,32 +79,6 @@ class BenchContext {
  public:
   BenchContext(const std::string& name, int argc, char** argv) {
     report_.bench = name;
-    // Record the *resolved* override, not the raw env string: unknown
-    // values silently mean kAuto and must be labeled as such.
-    switch (faulty::EnvInjectorStrategy()) {
-      case faulty::FaultInjector::Strategy::kSkipAhead:
-        report_.injector_strategy = "skip-ahead";
-        break;
-      case faulty::FaultInjector::Strategy::kPerOp:
-        report_.injector_strategy = "per-op";
-        break;
-      default:
-        report_.injector_strategy = "auto";
-        break;
-    }
-    switch (faulty::EnvEngine()) {
-      case faulty::Engine::kBlock:
-        report_.engine = "block";
-        break;
-      case faulty::Engine::kScalar:
-        report_.engine = "scalar";
-        break;
-      default:
-        report_.engine = "auto";  // resolves to block at dispatch time
-        break;
-    }
-    // Unset (kAuto) maps to "" and is omitted from the report.
-    report_.rng = faulty::RngModeName(faulty::EnvRngMode());
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--trials=", 0) == 0) {
@@ -251,9 +225,6 @@ class BenchContext {
       telemetry::MetricsContext context;
       context.bench = report_.bench;
       context.threads = report_.threads;
-      context.injector_strategy = report_.injector_strategy;
-      context.engine = report_.engine;
-      context.rng = report_.rng;
       try {
         telemetry::WriteMetricsJson(options_.metrics_path, context);
         std::cout << "[metrics json written: " << options_.metrics_path << "]\n";

@@ -71,6 +71,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -172,10 +173,7 @@ int RunList(bool fingerprints) {
     std::cout << "\n    trials: " << spec.fixed_trials
               << " fixed / budget " << spec.max_trials << ", ci "
               << spec.ci_half_width << ", seed " << spec.base_seed
-              << "\n    model: "
-              << (spec.model.temporal == faulty::Temporal::kAuto
-                      ? "transient (auto)"
-                      : faulty::TemporalName(spec.model.temporal))
+              << "\n    model: " << faulty::TemporalName(spec.model.temporal)
               << ", classes " << faulty::OpClassesName(spec.model.op_classes);
     if (spec.guard.Active()) {
       std::cout << ", guard flops=" << spec.guard.max_flops
@@ -245,9 +243,9 @@ bool ApplySpecFlag(campaign::CampaignSpec* spec, const std::string& arg) {
       Die(e.what());
     }
   } else if (arg.rfind("--model=", 0) == 0) {
-    const faulty::Temporal t = faulty::ParseTemporal(arg.substr(8));
-    if (t == faulty::Temporal::kAuto) Die("unknown --model: " + arg.substr(8));
-    spec->model.temporal = t;
+    const std::optional<faulty::Temporal> t = faulty::ParseTemporal(arg.substr(8));
+    if (!t) Die("unknown --model: " + arg.substr(8));
+    spec->model.temporal = *t;
   } else if (arg.rfind("--op-classes=", 0) == 0) {
     try {
       spec->model.op_classes = faulty::ParseOpClasses(arg.substr(13));
@@ -397,9 +395,6 @@ int RunCampaignCommand(bool resume, const std::string& target,
   harness::PerfReport report;
   report.bench = "campaign_" + cli.spec.name;
   report.threads = harness::ResolveThreadCount(cli.runner.threads);
-  report.injector_strategy = "auto";
-  report.engine = "auto";
-  report.rng = faulty::RngModeName(faulty::EnvRngMode());
   report.wall_seconds = wall;
   harness::PerfSection section;
   section.name = cli.runner.adaptive ? "adaptive" : "fixed";
@@ -428,9 +423,6 @@ int RunCampaignCommand(bool resume, const std::string& target,
     telemetry::MetricsContext context;
     context.bench = report.bench;
     context.threads = report.threads;
-    context.injector_strategy = report.injector_strategy;
-    context.engine = report.engine;
-    context.rng = report.rng;
     try {
       telemetry::WriteMetricsJson(cli.metrics_path, context);
       std::cout << "[metrics json written: " << cli.metrics_path << "]\n";

@@ -103,8 +103,8 @@ opt::CgResult SolveLsqCg(const LsqProblem& problem, const opt::CgOptions& option
 }
 
 // Per-solve fault configuration for the tiled engine, built from a trial's
-// FaultEnvironment — same resolution a WithFaultyFpu scope performs (shared
-// bit tables, env-var fault-model override).
+// FaultEnvironment — the same injector a WithFaultyFpu scope would build
+// (shared bit tables, model, test-oracle strategy and engine).
 inline linalg::TileFaultConfig TileConfigFromEnv(const core::FaultEnvironment& env) {
   linalg::TileFaultConfig cfg;
   cfg.inject = env.fault_rate > 0.0;
@@ -113,8 +113,7 @@ inline linalg::TileFaultConfig TileConfigFromEnv(const core::FaultEnvironment& e
   cfg.seed = env.seed;
   cfg.strategy = env.strategy;
   cfg.engine = env.engine;
-  cfg.rng = env.rng;
-  cfg.model = faulty::ResolveFaultModel(env.model);
+  cfg.model = env.model;
   return cfg;
 }
 

@@ -1,7 +1,12 @@
 #include "campaign/spec.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,13 +25,33 @@ std::string Trim(const std::string& s) {
   throw std::runtime_error("spec line " + std::to_string(line) + ": " + what);
 }
 
-long ParseLong(int line, const std::string& key, const std::string& value) {
+// Integers must fit their field: strtol/strtoull saturate or wrap silently,
+// and a value that does not survive FormatSpec would change the spec's
+// fingerprint between a run and its resume.
+int ParseInt(int line, const std::string& key, const std::string& value) {
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0') {
     Fail(line, "malformed integer for '" + key + "': " + value);
   }
-  return parsed;
+  if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    Fail(line, "integer out of range for '" + key + "': " + value);
+  }
+  return static_cast<int>(parsed);
+}
+
+std::uint64_t ParseU64(int line, const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+  // strtoull negates a leading '-' (after any whitespace); digits only.
+  if (value[0] < '0' || value[0] > '9' || *end != '\0') {
+    Fail(line, "malformed unsigned integer for '" + key + "': " + value);
+  }
+  if (errno == ERANGE) Fail(line, "integer out of range for '" + key + "': " + value);
+  return static_cast<std::uint64_t>(parsed);
 }
 
 double ParseDouble(int line, const std::string& key, const std::string& value) {
@@ -87,6 +112,7 @@ CampaignSpec ParseSpec(std::istream& is) {
   CampaignSpec spec;
   spec.fault_rates.clear();
   bool saw_rates = false;
+  std::set<std::string> seen;
   std::string line;
   int line_no = 0;
   while (std::getline(is, line)) {
@@ -100,6 +126,11 @@ CampaignSpec ParseSpec(std::istream& is) {
     const std::string key = Trim(line.substr(0, eq));
     const std::string value = Trim(line.substr(eq + 1));
     if (value.empty()) Fail(line_no, "empty value for '" + key + "'");
+    // Last-wins would let a stray line silently override a spec; only the
+    // series list is built from repeated lines.
+    if (key != "series" && !seen.insert(key).second) {
+      Fail(line_no, "duplicate key '" + key + "'");
+    }
     if (key == "name") {
       spec.name = value;
     } else if (key == "app") {
@@ -110,17 +141,17 @@ CampaignSpec ParseSpec(std::istream& is) {
       spec.fault_rates = ParseRateList(line_no, value);
       saw_rates = true;
     } else if (key == "trials") {
-      spec.fixed_trials = static_cast<int>(ParseLong(line_no, key, value));
+      spec.fixed_trials = ParseInt(line_no, key, value);
     } else if (key == "budget") {
-      spec.max_trials = static_cast<int>(ParseLong(line_no, key, value));
+      spec.max_trials = ParseInt(line_no, key, value);
     } else if (key == "min_trials") {
-      spec.min_trials = static_cast<int>(ParseLong(line_no, key, value));
+      spec.min_trials = ParseInt(line_no, key, value);
     } else if (key == "batch") {
-      spec.batch = static_cast<int>(ParseLong(line_no, key, value));
+      spec.batch = ParseInt(line_no, key, value);
     } else if (key == "ci") {
       spec.ci_half_width = ParseDouble(line_no, key, value);
     } else if (key == "seed") {
-      spec.base_seed = static_cast<std::uint64_t>(ParseLong(line_no, key, value));
+      spec.base_seed = ParseU64(line_no, key, value);
     } else if (key == "bit_model") {
       spec.bit_model = ParseBitModel(line_no, value);
     } else if (key == "shard") {
@@ -132,12 +163,12 @@ CampaignSpec ParseSpec(std::istream& is) {
         Fail(line_no, e.what());
       }
     } else if (key == "model") {
-      const faulty::Temporal temporal = faulty::ParseTemporal(value);
-      if (temporal == faulty::Temporal::kAuto) {
+      const std::optional<faulty::Temporal> temporal = faulty::ParseTemporal(value);
+      if (!temporal) {
         Fail(line_no, "unknown model '" + value +
                           "' (transient|stuck|burst|intermittent)");
       }
-      spec.model.temporal = temporal;
+      spec.model.temporal = *temporal;
     } else if (key == "op_classes") {
       try {
         spec.model.op_classes = faulty::ParseOpClasses(value);
@@ -147,15 +178,15 @@ CampaignSpec ParseSpec(std::istream& is) {
     } else if (key == "stuck_mean") {
       spec.model.stuck_mean_ops = ParseDouble(line_no, key, value);
     } else if (key == "burst_width") {
-      spec.model.burst_width_max = static_cast<int>(ParseLong(line_no, key, value));
+      spec.model.burst_width_max = ParseInt(line_no, key, value);
     } else if (key == "window_mean") {
       spec.model.window_mean_ops = ParseDouble(line_no, key, value);
     } else if (key == "window_rate") {
       spec.model.window_rate = ParseDouble(line_no, key, value);
     } else if (key == "guard_flops") {
-      spec.guard.max_flops = static_cast<std::uint64_t>(ParseLong(line_no, key, value));
+      spec.guard.max_flops = ParseU64(line_no, key, value);
     } else if (key == "guard_iters") {
-      spec.guard.max_iterations = static_cast<int>(ParseLong(line_no, key, value));
+      spec.guard.max_iterations = ParseInt(line_no, key, value);
     } else if (key == "guard_bailout") {
       if (value == "1" || value == "true") {
         spec.guard.nonfinite_bailout = true;
@@ -258,9 +289,10 @@ std::string FormatSpec(const CampaignSpec& spec) {
   }
   // Model and guard keys are emitted only when non-default: pre-model specs
   // keep their historical canonical form, so their fingerprints — and every
-  // journal recorded against them — stay valid.
+  // journal recorded against them — stay valid.  An explicit `model =
+  // transient` is the default stream and canonicalizes away with it.
   const faulty::FaultModel defaults;
-  if (spec.model.temporal != faulty::Temporal::kAuto) {
+  if (spec.model.temporal != defaults.temporal) {
     os << "model = " << faulty::TemporalName(spec.model.temporal) << "\n";
   }
   if (spec.model.op_classes != faulty::kOpClassDefault) {

@@ -67,10 +67,9 @@ struct CampaignSpec {
   int shard_count = 1;
 
   // Fault-model axis (faulty/fault_model.h): temporal behavior, op-class
-  // mask, and the per-model law parameters.  The default (kAuto temporal,
-  // arith+cmp classes) reproduces the historical transient injector; specs
-  // that set `model` pin the temporal behavior explicitly and are immune to
-  // the ROBUSTIFY_FAULT_MODEL override.
+  // mask, and the per-model law parameters.  The default (transient,
+  // arith+cmp classes) reproduces the historical injector.  Nothing outside
+  // the spec changes the fault stream, so the fingerprint covers it.
   faulty::FaultModel model;
 
   // Guarded trial executor (core/guard.h): per-trial flop/iteration budget
@@ -85,8 +84,9 @@ struct CampaignSpec {
 //
 // One `key = value` pair per line; '#' starts a comment; unknown keys are
 // errors (a typoed key silently falling back to a default would produce a
-// plausible-but-wrong campaign).  `series` may repeat, one series name per
-// line (names contain commas, e.g. "SGD+AS,LS", so no list syntax).  Keys:
+// plausible-but-wrong campaign), and so are repeated keys.  Only `series`
+// may repeat, one series name per line (names contain commas, e.g.
+// "SGD+AS,LS", so no list syntax).  Keys:
 //   name, app, rates (comma-separated), trials (fixed budget),
 //   budget (adaptive cap), min_trials, batch, ci (half-width fraction),
 //   seed, bit_model (bimodal|uniform|msb|lsb), series, shard (i/N),

@@ -13,7 +13,6 @@
 
 #include "core/guard.h"
 #include "faulty/bit_distribution.h"
-#include "faulty/block_engine.h"
 #include "faulty/fault_injector.h"
 #include "faulty/real.h"
 #include "telemetry/telemetry.h"
@@ -24,21 +23,14 @@ struct FaultEnvironment {
   double fault_rate = 0.0;  // probability a given FP op is corrupted
   std::uint64_t seed = 1;   // drives the injector LFSR (and trial inputs)
   faulty::BitModel bit_model = faulty::BitModel::kBimodal;
-  // kAuto defers to ROBUSTIFY_INJECTOR, else skip-ahead; set explicitly to
-  // pin a trial to one implementation (strategy A/B tests, the rate-0
-  // golden-CSV determinism test).
-  faulty::FaultInjector::Strategy strategy = faulty::FaultInjector::Strategy::kAuto;
-  // Kernel engine for the scope: kAuto defers to ROBUSTIFY_ENGINE, else the
-  // block engine; pin to kScalar to run the per-scalar equivalence oracle
-  // (same fault stream bit-for-bit — tests/test_block_engine.cpp).
-  faulty::Engine engine = faulty::Engine::kAuto;
-  // Per-fault RNG draw layout: kAuto defers to ROBUSTIFY_RNG, else split;
-  // pin to kFused/kSplit for the statistical A/B tests.
-  faulty::RngMode rng = faulty::RngMode::kAuto;
+  // Test oracles only: the per-op Bernoulli injector (statistically, not
+  // bitwise, equivalent — tests/test_statistical.cpp) and the per-scalar
+  // kernel engine (bit-identical — tests/test_block_engine.cpp).  Campaigns
+  // always run the defaults.
+  faulty::FaultInjector::Strategy strategy = faulty::FaultInjector::Strategy::kSkipAhead;
+  faulty::Engine engine = faulty::Engine::kBlock;
   // What a scheduled fault does (temporal model + op-class mask).  The
-  // default — temporal kAuto, resolved here through ROBUSTIFY_FAULT_MODEL,
-  // else transient — reproduces the historical injector bit-for-bit; pin
-  // model.temporal explicitly to make a trial immune to the env override.
+  // default transient model reproduces the historical injector bit-for-bit.
   faulty::FaultModel model;
   // Per-trial budget caps and divergence bailout (inactive by default —
   // behaviorally invisible).  Armed by the trial executor
@@ -116,13 +108,11 @@ auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
   // per trial was measurable across a sweep's thousands of trials).
   faulty::FaultInjector injector(env.fault_rate,
                                  faulty::SharedBitDistribution(env.bit_model),
-                                 env.seed, faulty::ResolveFaultModel(env.model),
-                                 env.strategy, env.rng);
+                                 env.seed, env.model, env.strategy, env.engine);
   detail::TrialFaultSession& session = detail::tls_trial_session;
   if (session.active) injector.AdoptWindow(session.window);
   if constexpr (std::is_void_v<decltype(fn())>) {
     {
-      faulty::EngineScope engine_scope(env.engine);
       detail::FaultScope scope(&injector);
       std::forward<Fn>(fn)();
     }
@@ -142,7 +132,6 @@ auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
         detail::CountScopeTelemetry(final_stats);
       }
     };
-    faulty::EngineScope engine_scope(env.engine);
     detail::FaultScope scope(&injector);
     Finalizer finalize{injector, stats, session};
     return std::forward<Fn>(fn)();

@@ -57,20 +57,6 @@ class BitDistribution {
                : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
   }
 
-  // Fused-draw variant (ROBUSTIFY_RNG=fused): samples from the 32 bits the
-  // injector carved out of a word shared with the gap draw.  The 26-bit
-  // residual compares against the top 26 bits of the 58-bit thresholds —
-  // probabilities quantized at 2^-26, held to the same chi-square gates as
-  // sample() by tests/test_statistical.cpp.
-  int sample_fused(std::uint32_t u) const {
-    const int slot = static_cast<int>(u >> 26);
-    const std::uint32_t r = u & ((1u << 26) - 1);
-    return r < static_cast<std::uint32_t>(
-                   stay_threshold_[static_cast<std::size_t>(slot)] >> 32)
-               ? slot
-               : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
-  }
-
  private:
   void Normalize();
   void BuildAliasTable();

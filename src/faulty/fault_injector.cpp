@@ -1,60 +1,14 @@
 #include "faulty/fault_injector.h"
 
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace robustify::faulty {
 
-// ROBUSTIFY_INJECTOR=skip|perop forces a strategy for every kAuto injector
-// (measurement and A/B testing knob; the perop CI leg keeps the oracle from
-// rotting).  Read once per process.
-FaultInjector::Strategy EnvInjectorStrategy() {
-  static const FaultInjector::Strategy cached = [] {
-    const char* env = std::getenv("ROBUSTIFY_INJECTOR");
-    if (env != nullptr) {
-      const std::string value(env);
-      if (value == "skip" || value == "skipahead" || value == "skip-ahead") {
-        return FaultInjector::Strategy::kSkipAhead;
-      }
-      if (value == "perop" || value == "per-op") {
-        return FaultInjector::Strategy::kPerOp;
-      }
-    }
-    return FaultInjector::Strategy::kAuto;
-  }();
-  return cached;
-}
-
-// ROBUSTIFY_RNG=fused|split pins the per-fault draw layout for every kAuto
-// scope (split remains the default).  Read once per process.
-RngMode EnvRngMode() {
-  static const RngMode cached = [] {
-    const char* env = std::getenv("ROBUSTIFY_RNG");
-    if (env != nullptr) {
-      const std::string value(env);
-      if (value == "fused") return RngMode::kFused;
-      if (value == "split") return RngMode::kSplit;
-    }
-    return RngMode::kAuto;
-  }();
-  return cached;
-}
-
-const char* RngModeName(RngMode mode) {
-  switch (mode) {
-    case RngMode::kFused: return "fused";
-    case RngMode::kSplit: return "split";
-    case RngMode::kAuto: break;
-  }
-  return "";
-}
-
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
-                             std::uint64_t seed, Strategy strategy, RngMode rng)
+                             std::uint64_t seed, Strategy strategy, Engine engine)
     : bits_(&bits), rng_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
   if (fault_rate <= 0.0) {
     threshold_ = 0;
@@ -68,17 +22,11 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
 
   bulk_profitable_ = fault_rate < kBulkProfitableMaxRate;
 
-  if (strategy == Strategy::kAuto) strategy = EnvInjectorStrategy();
   // Skip-ahead covers the whole rate range (the gap sampler's alias table
   // keeps the per-fault cost flat even at rate 0.5); per-op exists only as
   // the explicitly requested reference oracle.
   per_op_ = strategy == Strategy::kPerOp;
-
-  if (rng == RngMode::kAuto) rng = EnvRngMode();
-  // The fused layout only applies where a fault draws gap + bit together:
-  // the skip-ahead strategy at rates with a gap sampler.  The per-op
-  // oracle keeps its historical split stream.
-  fused_ = rng == RngMode::kFused && !per_op_ && gaps_ != nullptr;
+  block_kernels_ = engine == Engine::kBlock;
 
   if (per_op_) {
     countdown_ = 0;  // every op takes the fault path's Bernoulli decision
@@ -96,13 +44,9 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
                              std::uint64_t seed, const FaultModel& model,
-                             Strategy strategy, RngMode rng)
-    : FaultInjector(fault_rate, bits, seed, strategy, rng) {
+                             Strategy strategy, Engine engine)
+    : FaultInjector(fault_rate, bits, seed, strategy, engine) {
   model_ = model;
-  // kAuto is taken as kTransient here by contract: the environment override
-  // is resolved by the scope layer (core::WithFaultyFpu), so directly
-  // constructed injectors are immune to ROBUSTIFY_FAULT_MODEL.
-  if (model_.temporal == Temporal::kAuto) model_.temporal = Temporal::kTransient;
   // Clamp the sampled-law parameters into their supported domains once, so
   // the per-fault samplers and window bookkeeping never re-validate.
   if (!(model_.stuck_mean_ops >= 1.0)) model_.stuck_mean_ops = 1.0;
@@ -114,6 +58,7 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
   model_default_ = IsDefaultModel(model_);
   if (!model_default_) {
     routes_loads_ = (model_.op_classes & kOpClassMemory) != 0;
+    if (routes_loads_) block_kernels_ = false;
     if (model_.window_rate > 0.0) {
       window_threshold_ = model_.window_rate >= 1.0
                               ? kNever
@@ -121,9 +66,6 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
                                     model_.window_rate * 18446744073709551616.0);
       if (window_threshold_ == 0) window_threshold_ = 1;
     }
-    // Non-default models always draw split RNG words: the fused gap+bit
-    // layout is an optimization of the default transient stream only.
-    fused_ = false;
   }
 }
 
@@ -160,23 +102,6 @@ double FaultInjector::FaultPath(double clean_result) {
     scheduled_ += 1;
     return Corrupt(clean_result);
   }
-  if (fused_) {
-    // One word pays for the whole fault: high half seeds the gap draw, low
-    // half the bit draw.
-    const std::uint64_t u = rng_.next();
-    const std::uint64_t gap =
-        gaps_->SampleFused(static_cast<std::uint32_t>(u >> 32), rng_);
-    scheduled_ += gap + 1;
-    countdown_ = gap;
-    ++faults_;
-    ++faults_arith_;
-    // Telemetry on the already-cold per-fault path only: the countdown hot
-    // path stays untouched, and nothing here reads the simulation RNG.
-    telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
-    telemetry::FaultInstant();
-    return FlipBit(clean_result,
-                   bits_->sample_fused(static_cast<std::uint32_t>(u)));
-  }
   const std::uint64_t gap = SampleGap();
   scheduled_ += gap + 1;  // this op plus the next clean stretch
   countdown_ = gap;
@@ -197,11 +122,8 @@ bool FaultInjector::FaultPathComparison(bool clean_result) {
     ++faults_compare_;
     return !clean_result;
   }
-  // A comparison fault flips the predicate instead of a stored bit, so
-  // only the gap half of a fused word is consumed.
-  const std::uint64_t gap =
-      fused_ ? gaps_->SampleFused(static_cast<std::uint32_t>(rng_.next() >> 32), rng_)
-             : SampleGap();
+  // A comparison fault flips the predicate instead of a stored bit.
+  const std::uint64_t gap = SampleGap();
   scheduled_ += gap + 1;
   countdown_ = gap;
   ++faults_;
@@ -311,7 +233,6 @@ double FaultInjector::FireScheduledFault(double value, unsigned op_class) {
       // high-rate window.
       OpenWindow(SampleWindowLength(model_.window_mean_ops, rng_));
       return CorruptClass(value, op_class);
-    case Temporal::kAuto: break;  // resolved away in the constructor
   }
   return value;
 }
@@ -467,7 +388,6 @@ bool FaultInjector::ModelComparisonFault(bool clean_result) {
         CountClassFault(kOpClassCompare);
         result = !result;
         break;
-      case Temporal::kAuto: break;
     }
   }
   if (window_ops_left_ != 0) {

@@ -15,10 +15,10 @@
 // per-fault cost at one draw + one probe even when a fault lands every few
 // ops, so skip-ahead is the single strategy for the whole rate range
 // (1e-7 .. 0.5 and beyond); the original per-op Bernoulli implementation
-// survives only as the statistical test oracle, selectable explicitly or
-// via ROBUSTIFY_INJECTOR=perop.  Flop accounting stays exact in both modes
-// (skip-ahead derives it from the scheduled-gap arithmetic, so the hot path
-// does not even touch a counter), and a fixed seed + strategy still
+// survives only as the statistical test oracle (Strategy::kPerOp, selected
+// explicitly by tests and benches).  Flop accounting stays exact in both
+// modes (skip-ahead derives it from the scheduled-gap arithmetic, so the hot
+// path does not even touch a counter), and a fixed seed + strategy still
 // reproduces the trial bit-for-bit.  Note: the *fault stream* for a given
 // seed differs between the strategies — they are statistically, not
 // bitwise, equivalent (tests/test_statistical.cpp holds them to that).
@@ -54,32 +54,24 @@ struct ContextStats {
   std::uint64_t windows_opened = 0;
 };
 
-// How many LFSR words one fault costs.  Split (the historical default)
-// spends one word on the gap draw and one on the bit-position draw; fused
-// carves both out of a single word — high 32 bits pick the gap, low 32 the
-// bit — halving the per-fault RNG cost that dominates high-rate cells
-// (every alias probe then reads a 26-bit residual against the top 26 bits
-// of the 58-bit stay thresholds; the 2^-26 probability quantization is far
-// below what the statistical gates can resolve, and
-// tests/test_statistical.cpp holds the fused stream to the same
-// chi-square/KS criteria as the split one).  The fault *streams* differ
-// between modes for a fixed seed — they are statistically, not bitwise,
-// equivalent, exactly like the skip-ahead/per-op strategy pair.
-enum class RngMode {
-  kAuto,   // defer to ROBUSTIFY_RNG, else split
-  kSplit,  // one word per draw: gap, then bit position
-  kFused,  // one word per fault: high 32 bits gap, low 32 bits bit
+// Kernel engine for the linalg layer under one injector.  Both engines
+// produce the *same* fault stream for a fixed seed:
+//
+//  * block  — linalg kernels ask the injector how many ops of the
+//    deterministic gap schedule are guaranteed clean (CleanRun), execute
+//    that run as a tight loop over raw doubles, bulk-consume the ops, and
+//    route only the faulting element through per-scalar Execute
+//    (src/linalg/faulty_blas.h).  The production engine.
+//  * scalar — every faulty::Real op routes through Execute one scalar at a
+//    time: the equivalence oracle, selected only by tests and benches.
+//
+// The block path executes the identical IEEE-754 op sequence (the build pins
+// -ffp-contract=off) and consumes the RNG at the same op positions, so
+// trials are bit-identical across engines (tests/test_block_engine.cpp).
+enum class Engine {
+  kBlock,   // bulk clean runs between scheduled faults (production)
+  kScalar,  // per-scalar Execute for every op (equivalence oracle)
 };
-
-// The ROBUSTIFY_RNG override every kAuto scope resolves through: kFused for
-// "fused", kSplit for "split", kAuto when unset or unrecognized.  Cached on
-// first use.
-RngMode EnvRngMode();
-
-// Perf-report label for a mode: "fused", "split", or "" for kAuto (the
-// unset default; perf JSON writers omit the field).  One mapping shared by
-// every report producer so the JSONs cannot drift.
-const char* RngModeName(RngMode mode);
 
 // A live sticky (stuck-at / intermittent) window snapshotted at injector
 // scope exit so the next scope of the same trial can resume it — a stuck
@@ -97,32 +89,23 @@ struct CarriedWindow {
 class FaultInjector {
  public:
   enum class Strategy {
-    kAuto,       // skip-ahead, unless ROBUSTIFY_INJECTOR overrides
     kSkipAhead,  // geometric countdown (the production strategy, all rates)
     kPerOp,      // per-op Bernoulli draw (reference oracle for the tests)
   };
 
   // `bits` is captured by pointer and must outlive the injector; use
-  // SharedBitDistribution() for the built-in models.  kAuto resolves via
-  // the ROBUSTIFY_INJECTOR environment variable ("skip" or "perop") when
-  // set, else to kSkipAhead; rng kAuto resolves via ROBUSTIFY_RNG, else to
-  // kSplit (the per-op oracle always draws split, preserving its stream).
+  // SharedBitDistribution() for the built-in models.  `engine` only tells
+  // the linalg kernels running under this injector which path to take.
   FaultInjector(double fault_rate, const BitDistribution& bits, std::uint64_t seed,
-                Strategy strategy = Strategy::kAuto, RngMode rng = RngMode::kAuto);
-  // Fault-model form.  `model.temporal == kAuto` is taken as kTransient
-  // here — the ROBUSTIFY_FAULT_MODEL override is resolved by the scope
-  // layer (core::WithFaultyFpu via ResolveFaultModel), never by the
-  // injector itself, so tests and benches that construct injectors
-  // directly are immune to the env override.  Non-default models always
-  // draw split RNG words (the fused layout applies only to the default
-  // transient model).
+                Strategy strategy = Strategy::kSkipAhead, Engine engine = Engine::kBlock);
   FaultInjector(double fault_rate, const BitDistribution& bits, std::uint64_t seed,
-                const FaultModel& model, Strategy strategy = Strategy::kAuto,
-                RngMode rng = RngMode::kAuto);
+                const FaultModel& model, Strategy strategy = Strategy::kSkipAhead,
+                Engine engine = Engine::kBlock);
   // A temporary would dangle (only a pointer is kept); make it a compile
   // error instead of a use-after-free on the first injected fault.
   FaultInjector(double fault_rate, BitDistribution&& bits, std::uint64_t seed,
-                Strategy strategy = Strategy::kAuto, RngMode rng = RngMode::kAuto) = delete;
+                Strategy strategy = Strategy::kSkipAhead,
+                Engine engine = Engine::kBlock) = delete;
 
   // Hot path: clean until the countdown expires.  In per-op mode the
   // countdown is pinned to zero, so control falls through to the original
@@ -178,14 +161,19 @@ class FaultInjector {
     return ModelFault(clean_value, kOpClassMemory);
   }
 
-  // True when the active model corrupts memory loads.  Implies a
-  // non-default model, so dispatch layers force the templated per-scalar
-  // kernels (where the load hooks live) on both engines.
+  // True when the active model corrupts memory loads (implies a
+  // non-default model).
   bool routes_loads() const { return routes_loads_; }
 
   const FaultModel& model() const { return model_; }
 
-  // ---- block-engine API (src/faulty/block_engine.h, linalg/faulty_blas) --
+  // True when faulty::Real kernels under this injector take the bulk
+  // faulty-BLAS path: the block engine, unless the model routes memory
+  // loads — the load hooks (faulty::LoadElem) live in the templated
+  // per-scalar loops, so routed loads force them on both engines.
+  bool block_kernels() const { return block_kernels_; }
+
+  // ---- block-engine API (Engine::kBlock, linalg/faulty_blas) -------------
   //
   // A block kernel executes the next `CleanRun()` ops as one tight loop over
   // raw doubles and then accounts for them with a single ConsumeClean —
@@ -232,7 +220,6 @@ class FaultInjector {
   }
 
   Strategy strategy() const { return per_op_ ? Strategy::kPerOp : Strategy::kSkipAhead; }
-  RngMode rng_mode() const { return fused_ ? RngMode::kFused : RngMode::kSplit; }
 
   // ---- window hand-off across scopes (core::TrialFaultScope) -------------
   //
@@ -281,7 +268,7 @@ class FaultInjector {
   std::uint64_t faults_ = 0;
   std::uint64_t threshold_ = 0;   // fault_rate scaled to the uint64 range
   bool per_op_ = false;
-  bool fused_ = false;            // one LFSR word serves the gap + bit draws
+  bool block_kernels_ = true;     // see block_kernels()
   bool bulk_profitable_ = true;   // rate low enough for bulk clean runs
 
   // ---- temporal-model state (untouched under the default model) ----------
@@ -298,11 +285,6 @@ class FaultInjector {
   std::uint64_t faults_memory_ = 0;
   std::uint64_t windows_opened_ = 0;
 };
-
-// The ROBUSTIFY_INJECTOR override every kAuto injector resolves through:
-// kSkipAhead for "skip"/"skipahead"/"skip-ahead", kPerOp for "perop"/
-// "per-op", kAuto when unset or unrecognized.  Cached on first use.
-FaultInjector::Strategy EnvInjectorStrategy();
 
 namespace detail {
 
@@ -334,12 +316,17 @@ inline bool ExecuteComparison(bool clean_result) {
 inline bool InjectorActive() { return detail::tls_injector != nullptr; }
 
 // True when the active scope's model corrupts memory loads — the linalg
-// kernels consult this before routing element reads through ExecuteLoad,
-// and the engine dispatch forces the templated per-scalar loops (which
-// carry the load hooks) whenever it holds.
+// kernels consult this before routing element reads through ExecuteLoad.
 inline bool LoadsRouted() {
   const FaultInjector* inj = detail::tls_injector;
   return inj != nullptr && inj->routes_loads();
+}
+
+// True when faulty::Real kernels on this thread take the bulk path: always
+// on a clean FPU, else as the active injector's engine and model say.
+inline bool BlockKernelsActive() {
+  const FaultInjector* inj = detail::tls_injector;
+  return inj == nullptr || inj->block_kernels();
 }
 
 // Routes one memory load through the thread's injector.  Callers must have

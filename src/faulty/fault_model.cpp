@@ -1,43 +1,12 @@
 #include "faulty/fault_model.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace robustify::faulty {
 
 bool IsDefaultModel(const FaultModel& model) {
-  const Temporal temporal =
-      model.temporal == Temporal::kAuto ? Temporal::kTransient : model.temporal;
-  return temporal == Temporal::kTransient && model.op_classes == kOpClassDefault;
-}
-
-namespace {
-
-// ROBUSTIFY_FAULT_MODEL pins the temporal model for every kAuto scope (the
-// sticky-model CI leg runs the whole suite under "stuck").  Read once per
-// process, like the strategy/engine/rng overrides.
-Temporal EnvTemporal() {
-  static const Temporal cached = [] {
-    const char* env = std::getenv("ROBUSTIFY_FAULT_MODEL");
-    if (env != nullptr) {
-      const Temporal parsed = ParseTemporal(env);
-      if (parsed != Temporal::kAuto) return parsed;
-    }
-    return Temporal::kAuto;
-  }();
-  return cached;
-}
-
-}  // namespace
-
-FaultModel ResolveFaultModel(const FaultModel& model) {
-  FaultModel resolved = model;
-  if (resolved.temporal == Temporal::kAuto) {
-    const Temporal env = EnvTemporal();
-    resolved.temporal = env == Temporal::kAuto ? Temporal::kTransient : env;
-  }
-  return resolved;
+  return model.temporal == Temporal::kTransient && model.op_classes == kOpClassDefault;
 }
 
 const char* TemporalName(Temporal temporal) {
@@ -46,19 +15,18 @@ const char* TemporalName(Temporal temporal) {
     case Temporal::kStuckAt: return "stuck";
     case Temporal::kBurst: return "burst";
     case Temporal::kIntermittent: return "intermittent";
-    case Temporal::kAuto: break;
   }
   return "";
 }
 
-Temporal ParseTemporal(const std::string& text) {
+std::optional<Temporal> ParseTemporal(const std::string& text) {
   if (text == "transient") return Temporal::kTransient;
   if (text == "stuck" || text == "stuck-at" || text == "stuckat") {
     return Temporal::kStuckAt;
   }
   if (text == "burst") return Temporal::kBurst;
   if (text == "intermittent") return Temporal::kIntermittent;
-  return Temporal::kAuto;
+  return std::nullopt;
 }
 
 std::string OpClassesName(unsigned op_classes) {

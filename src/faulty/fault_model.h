@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "faulty/lfsr.h"
@@ -48,7 +49,6 @@
 namespace robustify::faulty {
 
 enum class Temporal {
-  kAuto,          // defer to ROBUSTIFY_FAULT_MODEL, else transient
   kTransient,     // single-bit upset per scheduled fault (the default)
   kStuckAt,       // sampled bit sticks at 0/1 for a sampled duration
   kBurst,         // k adjacent bits flip, k sampled per fault
@@ -65,7 +65,7 @@ inline constexpr unsigned kOpClassAll =
     kOpClassArith | kOpClassCompare | kOpClassMemory;
 
 struct FaultModel {
-  Temporal temporal = Temporal::kAuto;
+  Temporal temporal = Temporal::kTransient;
   unsigned op_classes = kOpClassDefault;
 
   // kStuckAt: mean of the geometric stuck-window duration, in routed ops.
@@ -78,22 +78,15 @@ struct FaultModel {
   double window_rate = 0.25;
 };
 
-// True when `model` (after kAuto resolution) is behaviorally the historical
-// default: transient temporal model, arithmetic + comparison classes.  The
-// parameter fields are ignored — no other temporal model reads them.
+// True when `model` is behaviorally the historical default: transient
+// temporal model, arithmetic + comparison classes.  The parameter fields
+// are ignored — no other temporal model reads them.
 bool IsDefaultModel(const FaultModel& model);
 
-// Resolves temporal == kAuto through the ROBUSTIFY_FAULT_MODEL environment
-// override ("transient" | "stuck" | "burst" | "intermittent", cached on
-// first use), else to kTransient.  Explicit temporal values pass through
-// untouched, so tests that pin a model are immune to the override.
-FaultModel ResolveFaultModel(const FaultModel& model);
-
 // Name/parse pair for the temporal axis ("transient", "stuck", "burst",
-// "intermittent"; kAuto formats as "").  Parse returns kAuto for
-// unrecognized text.
+// "intermittent").  Parse returns nullopt for unrecognized text.
 const char* TemporalName(Temporal temporal);
-Temporal ParseTemporal(const std::string& text);
+std::optional<Temporal> ParseTemporal(const std::string& text);
 
 // Name/parse pair for an op-class mask: comma-joined "arith,cmp,mem"
 // subsets.  Parse throws std::runtime_error on unknown class names or an

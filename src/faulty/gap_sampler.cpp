@@ -26,17 +26,6 @@ std::uint64_t GeometricGapSampler::SampleInverseCdf(Lfsr& rng) const {
   return static_cast<std::uint64_t>(gap);
 }
 
-// 32-bit fused-draw variant: u quantizes the uniform at 2^-32 (centered so
-// it stays in (0, 1)).  The coarser grid truncates the geometric tail at
-// ~22 mean gaps — probability e^-22 — and perturbs bin masses by O(2^-32),
-// both far below the statistical gates' resolution.
-std::uint64_t GeometricGapSampler::SampleInverseCdf32(std::uint32_t u) const {
-  const double ud = (static_cast<double>(u) + 0.5) * 0x1.0p-32;
-  const double gap = std::log(ud) * inv_log1m_rate_;  // >= 0
-  if (!(gap < 18446744073709549568.0)) return kNever;
-  return static_cast<std::uint64_t>(gap);
-}
-
 void GeometricGapSampler::BuildAliasTable() {
   // Outcome probabilities: P(gap = k) = r (1-r)^k for k < 63, and the tail
   // P(gap >= 63) = (1-r)^63 in the last slot.

@@ -75,38 +75,6 @@ class GeometricGapSampler {
     }
   }
 
-  // Fused-draw form (ROBUSTIFY_RNG=fused): the caller hands the 32 bits it
-  // carved out of a shared LFSR word; `rng` is touched only by the alias
-  // table's memoryless tail (probability (1-r)^63 per level), never in the
-  // common case.  The 26-bit residual compares against the top 26 bits of
-  // the 58-bit stay thresholds, quantizing slot probabilities at 2^-26 —
-  // far below what the statistical gates resolve (test_statistical.cpp
-  // holds this stream to the same chi-square/KS criteria as Sample()).
-  std::uint64_t SampleFused(std::uint32_t u, Lfsr& rng) const {
-    telemetry::Count(telemetry::Counter::kGapDrawsFused);
-    if (!table_) return SampleInverseCdf32(u);
-    const int slot = static_cast<int>(u >> 26);
-    const std::uint32_t r = u & ((1u << 26) - 1);
-    const int outcome =
-        r < static_cast<std::uint32_t>(
-                stay_threshold_[static_cast<std::size_t>(slot)] >> 32)
-            ? slot
-            : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
-    if (outcome < kTableGaps) return static_cast<std::uint64_t>(outcome);
-    // Tail (gap >= 63): memorylessness restarts the draw at full width.
-    std::uint64_t base = kTableGaps;
-    for (;;) {
-      const std::uint64_t w = rng.next();
-      const int s = static_cast<int>(w >> 58);
-      const std::uint64_t rr = w & ((1ull << 58) - 1);
-      const int o = rr < stay_threshold_[static_cast<std::size_t>(s)]
-                        ? s
-                        : static_cast<int>(alias_[static_cast<std::size_t>(s)]);
-      if (o < kTableGaps) return base + static_cast<std::uint64_t>(o);
-      base += kTableGaps;
-    }
-  }
-
   // Process-wide cache keyed by the rate's bit pattern: built on first use,
   // immutable and lock-free to read afterwards (the injector constructor
   // runs once per trial, so the lookup lock is off the per-op path).
@@ -114,7 +82,6 @@ class GeometricGapSampler {
 
  private:
   std::uint64_t SampleInverseCdf(Lfsr& rng) const;
-  std::uint64_t SampleInverseCdf32(std::uint32_t u) const;
   void BuildAliasTable();
 
   double rate_ = 0.0;

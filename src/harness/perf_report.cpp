@@ -48,13 +48,7 @@ void WritePerfJson(const std::string& path, const PerfReport& report) {
   if (!out) throw std::runtime_error("cannot open perf report for writing: " + path);
   out << "{\n"
       << "  \"bench\": \"" << JsonEscape(report.bench) << "\",\n"
-      << "  \"threads\": " << report.threads << ",\n"
-      << "  \"injector_strategy\": \"" << JsonEscape(report.injector_strategy)
-      << "\",\n"
-      << "  \"engine\": \"" << JsonEscape(report.engine) << "\",\n";
-  if (!report.rng.empty()) {
-    out << "  \"rng\": \"" << JsonEscape(report.rng) << "\",\n";
-  }
+      << "  \"threads\": " << report.threads << ",\n";
   const telemetry::BuildProvenance& prov = telemetry::Provenance();
   out << "  \"provenance\": {\"git_sha\": \"" << JsonEscape(prov.git_sha)
       << "\", \"git_status\": \"" << JsonEscape(prov.git_status)

@@ -37,9 +37,6 @@ struct PerfSection {
 struct PerfReport {
   std::string bench;
   int threads = 1;
-  std::string injector_strategy;  // "auto", "skip-ahead", or "per-op"
-  std::string engine;             // "auto", "block", or "scalar"
-  std::string rng;                // "", "split", or "fused" (ROBUSTIFY_RNG)
   double wall_seconds = 0.0;      // whole-process wall time
   std::vector<PerfSection> sections;
   // Merged telemetry counter snapshot at report time (nonzero counters

@@ -39,7 +39,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "faulty/block_engine.h"
 #include "faulty/fault_injector.h"
 #include "faulty/fault_model.h"
 #include "faulty/lfsr.h"
@@ -52,19 +51,17 @@
 namespace robustify::linalg {
 
 // Per-solve fault configuration.  With inject == false (the default) the
-// solve is clean regardless of scalar type — the oracle path.  The model is
-// taken as-is; callers wanting the ROBUSTIFY_FAULT_MODEL env override must
-// resolve it first (faulty::ResolveFaultModel), exactly like direct
-// FaultInjector construction.
+// solve is clean regardless of scalar type — the oracle path.  `strategy`
+// and `engine` select the test oracles (per-op injector, per-scalar
+// kernels) for every task injector.
 struct TileFaultConfig {
   bool inject = false;
   double fault_rate = 0.0;
   // Captured by pointer; must outlive the solve (use SharedBitDistribution).
   const faulty::BitDistribution* bits = nullptr;
   std::uint64_t seed = 1;
-  faulty::FaultInjector::Strategy strategy = faulty::FaultInjector::Strategy::kAuto;
-  faulty::Engine engine = faulty::Engine::kAuto;
-  faulty::RngMode rng = faulty::RngMode::kAuto;
+  faulty::FaultInjector::Strategy strategy = faulty::FaultInjector::Strategy::kSkipAhead;
+  faulty::Engine engine = faulty::Engine::kBlock;
   faulty::FaultModel model;
 };
 
@@ -360,8 +357,7 @@ class TiledLsqEngine {
           faulty::FaultInjector injector(
               cfg.fault_rate, *cfg.bits,
               faulty::DeriveStreamSeed(cfg.seed, static_cast<std::uint64_t>(id)),
-              cfg.model, cfg.strategy, cfg.rng);
-          faulty::EngineScope engine_scope(cfg.engine);
+              cfg.model, cfg.strategy, cfg.engine);
           detail::TileInjectorScope scope(&injector);
           exec(tag);
           task_stats_[static_cast<std::size_t>(id)] = injector.stats();

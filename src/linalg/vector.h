@@ -11,7 +11,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "faulty/block_engine.h"
+#include "faulty/fault_injector.h"
 #include "faulty/real.h"
 #include "linalg/faulty_blas.h"
 #include "linalg/scalar.h"
@@ -76,11 +76,7 @@ namespace detail {
 template <class T>
 inline bool UseBlockKernels() {
   if constexpr (std::is_same_v<T, faulty::Real>) {
-    // Routed memory loads force the templated per-scalar loops on both
-    // engines — the load hooks (faulty::LoadElem) live there, and running
-    // them everywhere is what keeps block and scalar bit-identical when
-    // the model corrupts loads.
-    return faulty::BlockEngineActive() && !faulty::LoadsRouted();
+    return faulty::BlockKernelsActive();
   } else {
     return false;
   }

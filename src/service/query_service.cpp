@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <istream>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -397,6 +398,7 @@ bool QueryService::ParseQueryJson(const std::string& line, Query* query,
                                   std::string* error) {
   *query = Query{};
   bool have_app = false, have_series = false, have_rate = false;
+  std::set<std::string> seen;  // duplicate keys are an error, not last-wins
   std::size_t i = 0;
   SkipWs(line, i);
   if (i >= line.size() || line[i] != '{') {
@@ -413,6 +415,10 @@ bool QueryService::ParseQueryJson(const std::string& line, Query* query,
     SkipWs(line, i);
     std::string key;
     if (!ParseJsonString(line, i, &key, error)) return false;
+    if (!seen.insert(key).second) {
+      *error = "duplicate key '" + key + "'";
+      return false;
+    }
     SkipWs(line, i);
     if (i >= line.size() || line[i] != ':') {
       *error = "expected ':' after key '" + key + "'";

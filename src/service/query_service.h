@@ -93,7 +93,8 @@ class QueryService {
   std::string StatsJson() const;
 
   // JSON plumbing, exposed for tests.  ParseQueryJson returns false (with
-  // `error` set) on malformed input or missing required keys.
+  // `error` set) on malformed input, duplicate keys, or missing required
+  // keys.
   static bool ParseQueryJson(const std::string& line, Query* query,
                              std::string* error);
   static std::string AnswerJson(const Answer& answer);

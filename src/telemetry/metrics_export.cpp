@@ -31,13 +31,6 @@ void WriteMetricsJson(const std::string& path, const MetricsContext& context) {
   out << "{\n"
       << "  \"bench\": \"" << JsonEscape(context.bench) << "\",\n"
       << "  \"threads\": " << context.threads << ",\n"
-      << "  \"env\": {\"injector_strategy\": \""
-      << JsonEscape(context.injector_strategy) << "\", \"engine\": \""
-      << JsonEscape(context.engine) << "\"";
-  if (!context.rng.empty()) {
-    out << ", \"rng\": \"" << JsonEscape(context.rng) << "\"";
-  }
-  out << "},\n"
       << "  \"provenance\": {\"git_sha\": \"" << JsonEscape(prov.git_sha)
       << "\", \"git_status\": \"" << JsonEscape(prov.git_status)
       << "\", \"compiler\": \"" << JsonEscape(prov.compiler)

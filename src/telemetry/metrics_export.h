@@ -1,10 +1,9 @@
 // --metrics JSON export: the merged counter/histogram snapshot plus
-// provenance and the resolved runtime environment, as one queryable file.
+// provenance, as one queryable file.
 //
 // Shape:
 //   {
 //     "bench": "...", "threads": N,
-//     "env": {"injector_strategy": "...", "engine": "...", "rng": "..."},
 //     "provenance": {"git_sha": "...", "compiler": "...", ...},
 //     "telemetry": "enabled" | "compiled-out",
 //     "counters": {"injector.faults": 123, ...},          // nonzero only
@@ -22,9 +21,6 @@ namespace robustify::telemetry {
 struct MetricsContext {
   std::string bench;
   int threads = 0;
-  std::string injector_strategy;  // resolved labels, as the perf report uses
-  std::string engine;
-  std::string rng;  // empty = unset (omitted)
 };
 
 // Snapshots the registry and writes the JSON.  Throws std::runtime_error

@@ -12,7 +12,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "injector.flops",
     "gap.draws.table",
     "gap.draws.invcdf",
-    "gap.draws.fused",
     "sgd.solves",
     "sgd.iterations",
     "sgd.phases",

@@ -44,7 +44,6 @@ enum class Counter : int {
   kInjectorFlops,        // FP ops routed through the injector
   kGapDrawsTable,        // gap samples served by the Walker alias table
   kGapDrawsInvCdf,       // gap samples served by the inverse-CDF form
-  kGapDrawsFused,        // gap samples carved from a fused gap+bit word
   kSgdSolves,            // MinimizeSgd calls
   kSgdIterations,        // descent iterations across all solves
   kSgdPhases,            // phase-schedule segments entered

@@ -205,8 +205,7 @@ TEST(AllocationFree, CglsUnderFaultInjection) {
 
 // The block-engine kernels (linalg/faulty_blas.h) must uphold the same
 // contract: bulk clean runs borrow no scratch and the engine fork itself
-// allocates nothing.  Pin each engine explicitly — the kAuto default would
-// let ROBUSTIFY_ENGINE silently test one path twice.
+// allocates nothing.  Each engine is pinned explicitly.
 TEST(AllocationFree, BlockAndScalarEnginesAllocationFreeAfterWarmup) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(40, 8, 37);
   for (const faulty::Engine engine :

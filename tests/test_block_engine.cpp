@@ -1,8 +1,8 @@
 // Block-engine equivalence: the faulty-BLAS bulk kernels must be
 // observationally identical to the per-scalar faulty::Real path.
 //
-// The contract (src/faulty/block_engine.h): for a fixed (seed, rate,
-// strategy), the block and scalar engines execute the same IEEE-754 op
+// The contract (faulty::Engine in src/faulty/fault_injector.h): for a fixed
+// (seed, rate, strategy), the block and scalar engines execute the same IEEE-754 op
 // sequence and consume the injector RNG at the same op positions, so every
 // trial result is bit-identical and the flop/fault accounting matches
 // exactly.  These tests hold each dispatched kernel family to that, and the

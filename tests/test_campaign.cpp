@@ -158,6 +158,19 @@ TEST(CampaignSpec, ParseRejectsMalformedInput) {
                std::runtime_error);
   EXPECT_THROW(parse("app = fig6_1\nrates = 0\nshard = 1\n"),
                std::runtime_error);
+  // Duplicate keys are an error, not last-wins; only series repeats.
+  EXPECT_THROW(parse("app = fig6_1\nrates = 0\nseed = 1\nseed = 2\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse("app = fig6_1\nrates = 0\nrates = 0.1\n"), std::runtime_error);
+  // Integers that would wrap or saturate, so FormatSpec could not round-trip
+  // them (found by ParserFuzz).
+  EXPECT_THROW(parse("app = fig6_1\nrates = 0\nseed = -5\n"), std::runtime_error);
+  EXPECT_THROW(parse("app = fig6_1\nrates = 0\nseed = 18446744073709551616\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse("app = fig6_1\nrates = 0\ntrials = 4294967297\n"),
+               std::runtime_error);
+  EXPECT_EQ(parse("app = fig6_1\nrates = 0\nseed = 18446744073709551615\n").base_seed,
+            ~std::uint64_t{0});
 }
 
 TEST(CampaignSpec, ParseAcceptsCommentsAndSeriesLines) {

@@ -33,7 +33,6 @@ using robustify::faulty::FaultInjector;
 using robustify::faulty::GeometricGapSampler;
 using robustify::faulty::kWordBits;
 using robustify::faulty::Lfsr;
-using robustify::faulty::RngMode;
 using robustify::faulty::SharedBitDistribution;
 
 using Strategy = FaultInjector::Strategy;
@@ -61,9 +60,9 @@ struct FaultSample {
 // gap since the previous fault and which bit flipped (recovered by XOR
 // against the clean value; the injector flips exactly one bit).
 FaultSample CollectFaults(Strategy strategy, double rate, std::uint64_t seed,
-                          int target_faults, RngMode rng = RngMode::kSplit) {
+                          int target_faults) {
   FaultInjector injector(rate, SharedBitDistribution(BitModel::kBimodal), seed,
-                         strategy, rng);
+                         strategy);
   FaultSample sample;
   sample.gaps.reserve(static_cast<std::size_t>(target_faults));
   const double clean = 1.5;
@@ -272,79 +271,6 @@ TEST(StatisticalEquivalence, BitPositionsMatchConfiguredDistribution) {
     EXPECT_LT(ChiSquareTwoSample(skip_bins, perop_bins), crit)
         << "skip-ahead vs per-op bit positions, rate " << rate;
   }
-}
-
-// --- the fused RNG layout (ROBUSTIFY_RNG=fused) ------------------------------
-//
-// One LFSR word serves both the gap draw (high 32 bits) and the bit draw
-// (low 32 bits), with 26-bit alias residuals.  The fused stream must obey
-// the same laws as the split one: gaps Geometric(rate) and bits matching
-// the configured BitDistribution, plus two-sample agreement with split.
-
-TEST(FusedRng, GapDistributionMatchesGeometricLaw) {
-  for (const double rate : kRates) {
-    const FaultSample fused =
-        CollectFaults(Strategy::kSkipAhead, rate, 7007, kTargetFaults, RngMode::kFused);
-    const FaultSample split =
-        CollectFaults(Strategy::kSkipAhead, rate, 8008, kTargetFaults, RngMode::kSplit);
-
-    const std::vector<std::uint64_t> edges = GeometricBinEdges(rate, kTargetFaults);
-    ASSERT_GE(edges.size(), 3u) << "rate " << rate;
-    const std::vector<double> probs = BinProbabilities(rate, edges);
-    const std::vector<double> fused_bins = BinGaps(fused.gaps, edges);
-    const std::vector<double> split_bins = BinGaps(split.gaps, edges);
-    const int dof = static_cast<int>(probs.size()) - 1;
-    const double crit = ChiSquareCrit999(dof);
-
-    EXPECT_LT(ChiSquareGoodnessOfFit(fused_bins, probs, kTargetFaults), crit)
-        << "fused gaps vs geometric law, rate " << rate;
-    EXPECT_LT(ChiSquareTwoSample(fused_bins, split_bins), crit)
-        << "fused vs split gap histograms, rate " << rate;
-  }
-}
-
-TEST(FusedRng, GapSamplesPassTwoSampleKsAgainstSplit) {
-  const double crit = 1.95 * std::sqrt(2.0 / static_cast<double>(kTargetFaults));
-  for (const double rate : kRates) {
-    const FaultSample fused =
-        CollectFaults(Strategy::kSkipAhead, rate, 9009, kTargetFaults, RngMode::kFused);
-    const FaultSample split =
-        CollectFaults(Strategy::kSkipAhead, rate, 1010, kTargetFaults, RngMode::kSplit);
-    EXPECT_LT(KsDistance(fused.gaps, split.gaps), crit) << "rate " << rate;
-  }
-}
-
-TEST(FusedRng, BitPositionsMatchConfiguredDistribution) {
-  const BitDistribution& dist = SharedBitDistribution(BitModel::kBimodal);
-  for (const double rate : kRates) {
-    const FaultSample fused =
-        CollectFaults(Strategy::kSkipAhead, rate, 2020, kTargetFaults, RngMode::kFused);
-    const FaultSample split =
-        CollectFaults(Strategy::kSkipAhead, rate, 3030, kTargetFaults, RngMode::kSplit);
-
-    std::vector<double> fused_bins, split_bins, probs;
-    PoolBitBins(fused.bit_counts, split.bit_counts, dist, kTargetFaults,
-                &fused_bins, &split_bins, &probs);
-    ASSERT_GE(probs.size(), 4u);
-    const int dof = static_cast<int>(probs.size()) - 1;
-    const double crit = ChiSquareCrit999(dof);
-
-    EXPECT_LT(ChiSquareGoodnessOfFit(fused_bins, probs, kTargetFaults), crit)
-        << "fused bit positions, rate " << rate;
-    EXPECT_LT(ChiSquareTwoSample(fused_bins, split_bins), crit)
-        << "fused vs split bit positions, rate " << rate;
-  }
-}
-
-// A fixed (seed, rate, mode) must reproduce the same fault stream: the
-// fused layout is a measured optimization, not a nondeterminism source.
-TEST(FusedRng, DeterministicForFixedSeed) {
-  const FaultSample a =
-      CollectFaults(Strategy::kSkipAhead, 0.05, 4242, 400, RngMode::kFused);
-  const FaultSample b =
-      CollectFaults(Strategy::kSkipAhead, 0.05, 4242, 400, RngMode::kFused);
-  EXPECT_EQ(a.gaps, b.gaps);
-  EXPECT_EQ(a.bit_counts, b.bit_counts);
 }
 
 // --- the gap sampler itself -------------------------------------------------

@@ -509,6 +509,7 @@ TEST(QueryService, NdjsonQueryRoundTrip) {
            R"({"app":"x","series":"A","rate":"fast"})",  // wrong value type
            R"({"app":"x","series":"A","rate":1,"nope":2})",  // unknown key
            R"({"app":"x","series":"A","rate":1)",        // unterminated
+           R"({"app":"x","series":"A","rate":1,"rate":2})",  // duplicate key
        }) {
     EXPECT_FALSE(service::QueryService::ParseQueryJson(bad, &q, &error)) << bad;
     EXPECT_FALSE(error.empty());

@@ -207,12 +207,9 @@ TEST(Telemetry, InjectorCountersMatchContextStats) {
   core::FaultEnvironment env;
   env.fault_rate = 0.01;
   env.seed = 123;
-  // The closing histogram assertion is a law of the skip-ahead transient
-  // path specifically (the per-op oracle draws no gaps to observe, and a
-  // sticky window counts many forced faults per sampled gap), so pin both
-  // against the ROBUSTIFY_INJECTOR / ROBUSTIFY_FAULT_MODEL CI legs.
-  env.strategy = faulty::FaultInjector::Strategy::kSkipAhead;
-  env.model.temporal = faulty::Temporal::kTransient;
+  // The closing histogram assertion is a law of the default skip-ahead
+  // transient path specifically (the per-op oracle draws no gaps to
+  // observe, and a sticky window counts many forced faults per sampled gap).
   faulty::ContextStats stats;
   core::WithFaultyFpu(
       env,
