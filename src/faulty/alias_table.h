@@ -1,4 +1,5 @@
-// Shared Walker alias-table construction (Vose's stable variant).
+// Shared Walker alias tables: construction (Vose's stable variant) and the
+// branch-free draw.
 //
 // Used by BitDistribution (64 bit positions) and GeometricGapSampler
 // (63 gap values + tail slot).  Both samplers split one 64-bit draw into a
@@ -9,7 +10,25 @@
 #include <cstdint>
 #include <vector>
 
+#if defined(__GNUC__) || defined(__clang__)
+#define ROBUSTIFY_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ROBUSTIFY_ALWAYS_INLINE inline
+#endif
+
 namespace robustify::faulty {
+
+// One alias-table draw: the top 6 bits of `u` pick the slot, the 58-bit
+// residual decides between the slot and its alias.  The select is computed
+// as a mask rather than a conditional: the comparison is data-random, so a
+// branch would mispredict on a large share of draws.
+inline int AliasSelect(std::uint64_t u, const std::uint64_t* stay_threshold,
+                       const std::uint8_t* alias) {
+  const std::uint64_t slot = u >> 58;
+  const std::uint64_t r = u & ((1ull << 58) - 1);
+  const std::uint64_t take_alias = 0 - static_cast<std::uint64_t>(r >= stay_threshold[slot]);
+  return static_cast<int>(slot ^ ((slot ^ alias[slot]) & take_alias));
+}
 
 // Fills stay_threshold/alias (each `n` slots, n <= 256) from the normalized
 // probabilities `probs` (must sum to ~1).  Slot i resolves to itself when

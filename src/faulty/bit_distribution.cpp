@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "faulty/alias_table.h"
-
 namespace robustify::faulty {
 
 namespace {

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 
+#include "faulty/alias_table.h"
 #include "faulty/lfsr.h"
 
 namespace robustify::faulty {
@@ -49,12 +50,7 @@ class BitDistribution {
   // The top 6 bits of the draw pick the slot, the remaining 58 decide
   // between the slot and its alias.
   int sample(Lfsr& rng) const {
-    const std::uint64_t u = rng.next();
-    const int slot = static_cast<int>(u >> 58);
-    const std::uint64_t r = u & ((1ull << 58) - 1);
-    return r < stay_threshold_[static_cast<std::size_t>(slot)]
-               ? slot
-               : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
+    return AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
   }
 
  private:

@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
-
 namespace robustify::faulty {
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
@@ -20,13 +17,12 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
     gaps_ = &GeometricGapSampler::Shared(fault_rate);
   }
 
-  bulk_profitable_ = fault_rate < kBulkProfitableMaxRate;
-
   // Skip-ahead covers the whole rate range (the gap sampler's alias table
   // keeps the per-fault cost flat even at rate 0.5); per-op exists only as
   // the explicitly requested reference oracle.
   per_op_ = strategy == Strategy::kPerOp;
   block_kernels_ = engine == Engine::kBlock;
+  schedules_faults_ = !per_op_ && gaps_ != nullptr;
 
   if (per_op_) {
     countdown_ = 0;  // every op takes the fault path's Bernoulli decision
@@ -57,6 +53,7 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
   if (model_.window_rate > 1.0) model_.window_rate = 1.0;
   model_default_ = IsDefaultModel(model_);
   if (!model_default_) {
+    schedules_faults_ = false;
     routes_loads_ = (model_.op_classes & kOpClassMemory) != 0;
     if (routes_loads_) block_kernels_ = false;
     if (model_.window_rate > 0.0) {
@@ -68,11 +65,6 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
     }
   }
 }
-
-// Number of clean ops before the next fault: K ~ Geometric(rate),
-// P(K = k) = rate * (1 - rate)^k, drawn from the shared per-rate sampler
-// (alias table at high rates, inverse CDF at low ones — see gap_sampler.h).
-std::uint64_t FaultInjector::SampleGap() { return gaps_->Sample(rng_); }
 
 double FaultInjector::FlipBit(double value, int bit) {
   std::uint64_t word;
@@ -102,12 +94,10 @@ double FaultInjector::FaultPath(double clean_result) {
     scheduled_ += 1;
     return Corrupt(clean_result);
   }
-  const std::uint64_t gap = SampleGap();
-  scheduled_ += gap + 1;  // this op plus the next clean stretch
-  countdown_ = gap;
-  telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
-  telemetry::FaultInstant();
-  return Corrupt(clean_result);
+  // One scheduled fault on this op: the same walk a block kernel takes.
+  double result = clean_result;
+  ScheduleFaults(1, [&](std::uint64_t, int bit) { result = FlipBit(result, bit); });
+  return result;
 }
 
 bool FaultInjector::FaultPathComparison(bool clean_result) {

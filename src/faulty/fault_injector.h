@@ -30,6 +30,8 @@
 #include "faulty/fault_model.h"
 #include "faulty/gap_sampler.h"
 #include "faulty/lfsr.h"
+#include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 // The countdown branch is taken for all but ~rate of the ops; telling the
 // compiler keeps the fault machinery out of the fall-through path.
@@ -57,11 +59,12 @@ struct ContextStats {
 // Kernel engine for the linalg layer under one injector.  Both engines
 // produce the *same* fault stream for a fixed seed:
 //
-//  * block  — linalg kernels ask the injector how many ops of the
-//    deterministic gap schedule are guaranteed clean (CleanRun), execute
-//    that run as a tight loop over raw doubles, bulk-consume the ops, and
-//    route only the faulting element through per-scalar Execute
-//    (src/linalg/faulty_blas.h).  The production engine.
+//  * block  — linalg kernels run the stretch the deterministic gap schedule
+//    guarantees clean (CleanRun) as a tight loop over raw doubles, then
+//    take the faults of the next window up front (ScheduleFaults) and apply
+//    them as XOR masks on the op results of a second, branch-free
+//    instantiation of the same loop (src/linalg/faulty_blas.h).  The
+//    production engine.
 //  * scalar — every faulty::Real op routes through Execute one scalar at a
 //    time: the equivalence oracle, selected only by tests and benches.
 //
@@ -179,9 +182,11 @@ class FaultInjector {
   // raw doubles and then accounts for them with a single ConsumeClean —
   // observationally identical to that many Execute calls (the countdown is
   // the only per-op state, and stats derive from it), but with nothing of
-  // the injector on the clean path.  In per-op oracle mode the countdown is
-  // pinned at zero, so CleanRun() is 0 and block kernels degrade to the
-  // per-scalar boundary path op by op, preserving the oracle's RNG stream.
+  // the injector on the clean path.  Past the clean run, ScheduleFaults
+  // hands the kernel the next window's faults as data.  In per-op oracle
+  // mode the countdown is pinned at zero, so CleanRun() is 0 and block
+  // kernels degrade to the per-scalar boundary path op by op, preserving
+  // the oracle's RNG stream.
 
   // Ops guaranteed clean from now under the deterministic gap schedule.
   // While a sticky window (stuck-at / intermittent) is live the countdown
@@ -194,12 +199,43 @@ class FaultInjector {
   // n <= CleanRun().
   void ConsumeClean(std::uint64_t n) { countdown_ -= n; }
 
-  // Above this rate the mean clean run is too short for bulk loops to beat
-  // the per-scalar path (the per-fault machinery dominates both), so the
-  // block engine's dispatch falls back to the per-scalar loops — which are
-  // bit-identical by construction, so the choice is invisible to results.
-  static constexpr double kBulkProfitableMaxRate = 1.0 / 32.0;
-  bool BulkProfitable() const { return bulk_profitable_; }
+  // True when ScheduleFaults may be called: the default transient model
+  // under skip-ahead at a rate in (0, 1).  Otherwise (a non-default model,
+  // the per-op oracle, rates 0 and 1) kernels step faults through Execute.
+  bool SchedulesFaults() const { return schedules_faults_; }
+
+  // Walks the faults that land in the next `ops` ops, calling
+  // on_fault(offset, bit) for each in op order (offset < ops, counted from
+  // the next op), and accounts for all `ops` ops.  The caller applies each
+  // fault by flipping `bit` in the result of op `offset`.  Observationally
+  // identical to `ops` Execute calls: the RNG is consumed in FaultPath's
+  // order (the next gap, then this fault's bit) and the stats, counters and
+  // per-fault telemetry match.  Precondition: SchedulesFaults().
+  template <class OnFault>
+  void ScheduleFaults(std::uint64_t ops, const OnFault& on_fault) {
+    // Local copies: stores the callback makes cannot alias them, so the RNG
+    // state and the bookkeeping stay in registers across the whole walk.
+    Lfsr rng = rng_;
+    std::uint64_t countdown = countdown_;
+    std::uint64_t scheduled = scheduled_;
+    std::uint64_t faults = 0;
+    std::uint64_t at = 0;  // offset of the next unscheduled op
+    while (countdown < ops - at) {
+      at += countdown;
+      countdown = gaps_->Sample(rng);
+      scheduled += countdown + 1;  // this op plus the next clean stretch
+      telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, countdown);
+      telemetry::FaultInstant();
+      ++faults;
+      on_fault(at, bits_->sample(rng));
+      ++at;
+    }
+    rng_ = rng;
+    countdown_ = countdown - (ops - at);
+    scheduled_ = scheduled;
+    faults_ += faults;
+    faults_arith_ += faults;
+  }
 
   ContextStats stats() const {
     ContextStats s;
@@ -242,7 +278,9 @@ class FaultInjector {
   // result and, in skip-ahead mode, re-arm the countdown.
   double FaultPath(double clean_result);
   bool FaultPathComparison(bool clean_result);
-  std::uint64_t SampleGap();
+  // Clean ops before the next fault, K ~ Geometric(rate), from the shared
+  // per-rate sampler (see gap_sampler.h).
+  std::uint64_t SampleGap() { return gaps_->Sample(rng_); }
   double Corrupt(double value);
   static double FlipBit(double value, int bit);
 
@@ -269,7 +307,7 @@ class FaultInjector {
   std::uint64_t threshold_ = 0;   // fault_rate scaled to the uint64 range
   bool per_op_ = false;
   bool block_kernels_ = true;     // see block_kernels()
-  bool bulk_profitable_ = true;   // rate low enough for bulk clean runs
+  bool schedules_faults_ = false; // see SchedulesFaults()
 
   // ---- temporal-model state (untouched under the default model) ----------
   FaultModel model_{};

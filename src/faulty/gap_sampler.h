@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 
+#include "faulty/alias_table.h"
 #include "faulty/lfsr.h"
 #include "telemetry/telemetry.h"
 
@@ -54,22 +55,14 @@ class GeometricGapSampler {
   bool uses_table() const { return table_; }
 
   // One gap draw from `rng`; kNever when the sampled gap exceeds 2^64.
-  std::uint64_t Sample(Lfsr& rng) const {
-    if (!table_) {
-      telemetry::Count(telemetry::Counter::kGapDrawsInvCdf);
-      return SampleInverseCdf(rng);
-    }
+  // Forced inline: it is the first half of every scheduled fault, and the
+  // compiler's size heuristics otherwise leave it as a call.
+  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng) const {
+    if (!table_) return InverseCdf(rng.next());
     telemetry::Count(telemetry::Counter::kGapDrawsTable);
     std::uint64_t base = 0;
     for (;;) {
-      // Same draw split as BitDistribution: top 6 bits pick the slot, the
-      // 58-bit residual decides between the slot and its alias.
-      const std::uint64_t u = rng.next();
-      const int slot = static_cast<int>(u >> 58);
-      const std::uint64_t r = u & ((1ull << 58) - 1);
-      const int outcome = r < stay_threshold_[static_cast<std::size_t>(slot)]
-                              ? slot
-                              : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
+      const int outcome = AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
       if (outcome < kTableGaps) return base + static_cast<std::uint64_t>(outcome);
       base += kTableGaps;  // tail: gap >= 63; memorylessness restarts the draw
     }
@@ -81,7 +74,10 @@ class GeometricGapSampler {
   static const GeometricGapSampler& Shared(double rate);
 
  private:
-  std::uint64_t SampleInverseCdf(Lfsr& rng) const;
+  // The inverse-CDF gap for one raw draw.  Out of line: below
+  // kTableMinRate a draw is rare and costs a log().  Taking the word rather
+  // than the Lfsr keeps the caller's RNG state in registers.
+  std::uint64_t InverseCdf(std::uint64_t word) const;
   void BuildAliasTable();
 
   double rate_ = 0.0;

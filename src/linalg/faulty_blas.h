@@ -1,23 +1,31 @@
 // Block-faulty BLAS: the kernels under the solvers.
 //
 // Each kernel executes the same IEEE-754 operation sequence a templated
-// faulty::Real loop would, but in runs: it asks the thread's FaultInjector
-// how many ops of the deterministic gap schedule are guaranteed clean
-// (FaultInjector::CleanRun), executes that many whole elements as a tight
-// loop over raw doubles — no per-op countdown, no thread-local probe, free
-// to auto-vectorize — bulk-consumes the ops, and routes only the element
-// containing the scheduled fault through the per-scalar Execute path.  At
-// realistic fault rates (mean gap 1e3..1e7 ops) a whole kernel is one bulk
-// run; at rate 0.25 the runs are a few elements long and the bulk loop
-// still amortizes the injector probe.
+// faulty::Real loop would, but without routing ops through the injector one
+// at a time.  It asks the thread's FaultInjector how many ops of the
+// deterministic gap schedule are guaranteed clean
+// (FaultInjector::CleanRun) and executes that many whole elements as a
+// tight loop over raw doubles — no per-op countdown, no thread-local probe,
+// free to auto-vectorize.  Past the clean run it takes the faults of the
+// next window (at most kMaskWindowOps ops) up front
+// (FaultInjector::ScheduleFaults) and applies them as data: a second
+// instantiation of the same loop body XORs each op result with its
+// scheduled mask (zero, or the one flipped bit).  At realistic fault rates
+// (mean gap 1e3..1e7 ops) a whole kernel is one clean run; at rate 0.1 a
+// window holds ~100 faults and still costs no branch per fault.
+//
+// Non-default fault models and the per-op oracle injector have no schedule
+// to hand out; under them a kernel steps the element holding each fault
+// through per-scalar Execute (a third instantiation of the body).
 //
 // Fault-stream contract: for a fixed (seed, rate, strategy) every kernel
-// consumes the injector's gap/bit RNG streams at exactly the same op
-// positions as the per-scalar faulty::Real code it replaces, and the clean
-// values are bit-identical (each kernel documents its per-element op
-// sequence; the build pins -ffp-contract=off so a bulk loop never fuses a
-// mul+add the scalar path rounds separately).  tests/test_block_engine.cpp
-// holds every kernel to bitwise equivalence against the scalar engine.
+// consumes the injector's gap/bit RNG streams in exactly the order the
+// per-scalar faulty::Real code it replaces does, and the clean values are
+// bit-identical (each kernel documents its per-element op sequence; the
+// build pins -ffp-contract=off so a bulk loop never fuses a mul+add the
+// scalar path rounds separately).  tests/test_block_engine.cpp holds every
+// kernel to bitwise equivalence against the scalar engine, across mask
+// window edges.
 //
 // With no injector active the kernels are plain clean loops, so the clean
 // oracle path benefits too.  Callers dispatch here only for faulty::Real
@@ -31,8 +39,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace robustify::linalg::blas {
+
+// Ops per fault-mask window: the most faults one scheduling pass hands a
+// kernel, and the size of the per-thread mask scratch.
+inline constexpr std::uint64_t kMaskWindowOps = 1024;
 
 // acc += x.y          per element: mul, add.
 double DotAcc(std::size_t n, double acc, const double* x, std::ptrdiff_t incx,
@@ -66,6 +79,7 @@ void Xpby(std::size_t n, const double* s, double beta, double* p);
 double Nrm2(std::size_t n, const double* x);
 
 // y = A x (A row-major m x n)      per row: DotAcc(0, row, x).
+// y is zeroed by reliable stores first.
 void MatVecInto(std::size_t m, std::size_t n, const double* a, const double* x,
                 double* y);
 

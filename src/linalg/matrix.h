@@ -47,7 +47,7 @@ template <class T>
 void MatVecInto(const Matrix<T>& a, const Vector<T>& x, Vector<T>* y) {
   y->resize(a.rows());
   const std::size_t rows = a.rows(), cols = a.cols();
-  if (detail::UseBlockKernels<T>() && detail::BulkMatVecProfitable() && rows > 0) {
+  if (detail::UseBlockKernels<T>() && rows > 0) {
     blas::MatVecInto(rows, cols, faulty::AsDoubleArray(a.row(0)),
                      faulty::AsDoubleArray(x.data()),
                      faulty::AsDoubleArray(y->data()));
@@ -76,7 +76,7 @@ template <class T>
 void MatTVecInto(const Matrix<T>& a, const Vector<T>& x, Vector<T>* y) {
   y->resize(a.cols());
   const std::size_t rows = a.rows(), cols = a.cols();
-  if (detail::UseBlockKernels<T>() && detail::BulkMatVecProfitable() && rows > 0) {
+  if (detail::UseBlockKernels<T>() && rows > 0) {
     blas::MatTVecInto(rows, cols, faulty::AsDoubleArray(a.row(0)),
                       faulty::AsDoubleArray(x.data()),
                       faulty::AsDoubleArray(y->data()));

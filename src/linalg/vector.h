@@ -82,18 +82,6 @@ inline bool UseBlockKernels() {
   }
 }
 
-// Short-row kernels (the solvers' 10-column matvec chains) lose to the
-// per-scalar path once the mean clean run shrinks below a row: the fault
-// machinery dominates and the bulk probe is pure overhead.  They
-// additionally gate on the active injector's rate
-// (FaultInjector::kBulkProfitableMaxRate); the long contiguous kernels keep
-// bulk runs at every rate.  Purely a speed choice — both paths are
-// bit-identical.
-inline bool BulkMatVecProfitable() {
-  const faulty::FaultInjector* inj = faulty::detail::tls_injector;
-  return inj == nullptr || inj->BulkProfitable();
-}
-
 }  // namespace detail
 
 template <class T>

@@ -204,9 +204,10 @@ TEST(AllocationFree, CglsUnderFaultInjection) {
 }
 
 // The block-engine kernels (linalg/faulty_blas.h) must uphold the same
-// contract: bulk clean runs borrow no scratch and the engine fork itself
-// allocates nothing.  Each engine is pinned explicitly.
-TEST(AllocationFree, BlockAndScalarEnginesAllocationFreeAfterWarmup) {
+// contract: bulk clean runs borrow no scratch, the fault-mask windows use
+// per-thread pre-sized masks, and the engine fork itself allocates
+// nothing.  Each engine is pinned explicitly.
+void ExpectEnginesAllocationFree(double rate, std::uint64_t seed) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(40, 8, 37);
   for (const faulty::Engine engine :
        {faulty::Engine::kBlock, faulty::Engine::kScalar}) {
@@ -220,8 +221,8 @@ TEST(AllocationFree, BlockAndScalarEnginesAllocationFreeAfterWarmup) {
     cg.restart_every = 4;
 
     core::FaultEnvironment env;
-    env.fault_rate = 0.01;  // bulk runs a few elements long: many boundaries
-    env.seed = 43;
+    env.fault_rate = rate;
+    env.seed = seed;
     env.engine = engine;
 
     linalg::Vector<faulty::Real> warm(a.cols());
@@ -243,8 +244,17 @@ TEST(AllocationFree, BlockAndScalarEnginesAllocationFreeAfterWarmup) {
     }
     EXPECT_EQ(allocations, 0)
         << (engine == faulty::Engine::kBlock ? "block" : "scalar")
-        << " engine allocated on a warmed workspace";
+        << " engine allocated on a warmed workspace at rate " << rate;
   }
+}
+
+TEST(AllocationFree, BlockAndScalarEnginesAllocationFreeAfterWarmup) {
+  ExpectEnginesAllocationFree(0.01, 43);  // bulk runs a few elements long
+}
+
+// At rate 0.1 every matvec spans several fault-mask windows.
+TEST(AllocationFree, MaskedKernelsAllocationFreeAtHighRate) {
+  ExpectEnginesAllocationFree(0.1, 47);
 }
 
 // The tiled direct solvers hold their tile buffers and task graph in the

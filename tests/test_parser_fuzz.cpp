@@ -1,21 +1,27 @@
 // Seeded byte-mutation tests for the hand-rolled text parsers: campaign
-// spec files (campaign::ParseSpec) and NDJSON queries
-// (service::QueryService::ParseQueryJson).  Every mutant of a valid input
-// must either parse or be rejected through the parser's error channel
-// (std::runtime_error / a false return with a message) — never crash, hang,
-// or throw anything else — and must get the same verdict on a second run.
+// spec files (campaign::ParseSpec), NDJSON queries
+// (service::QueryService::ParseQueryJson) and checkpoint journals
+// (campaign::CampaignJournal::Load).  Every mutant of a valid input must
+// either parse or be rejected through the parser's error channel
+// (std::runtime_error / a false return with a message / a journal that
+// does not exist or ends early) — never crash, hang, or throw anything
+// else — and must get the same verdict on a second run.
 // The mutation stream is a fixed-seed std::mt19937_64, so every run checks
 // the same mutants; the sanitizer build turns the corpus into a
 // memory-safety sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "campaign/checkpoint.h"
 #include "campaign/spec.h"
 #include "service/query_service.h"
 
@@ -169,6 +175,105 @@ TEST(ParserFuzz, DuplicateKeysAreRejected) {
   EXPECT_NE(QueryVerdict(R"({"app":"a","series":"A","rate":1,"app":"b"})")
                 .find("duplicate key 'app'"),
             std::string::npos);
+}
+
+// Loads `text` as a journal file.
+campaign::CampaignJournal::Loaded LoadJournalText(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/robustify_fuzz.journal";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  campaign::CampaignJournal::Loaded loaded = campaign::CampaignJournal::Load(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+// What Load() makes of `loaded`, as text: "ok:" + the header fingerprint
+// and every record's fields (the metric as %a, exact), or "absent" when it
+// refused the file.  A torn or malformed line ends the record list.
+std::string JournalVerdict(const campaign::CampaignJournal::Loaded& loaded) {
+  if (!loaded.exists) return "absent";
+  std::string verdict = "ok:" + std::to_string(loaded.fingerprint);
+  for (const campaign::TrialRecord& r : loaded.records) {
+    char metric[64];
+    std::snprintf(metric, sizeof(metric), "%a", r.metric);
+    verdict += '|' + std::to_string(r.series) + ',' + std::to_string(r.rate) + ',' +
+               std::to_string(r.trial) + ',' + std::to_string(r.success) + ',' + metric +
+               ',' + std::to_string(r.faulty_flops) + ',' +
+               std::to_string(r.faults_injected) + ',' + std::to_string(r.verdict);
+  }
+  return verdict;
+}
+
+std::string JournalVerdict(const std::string& text) {
+  return JournalVerdict(LoadJournalText(text));
+}
+
+// Writes `records` under `fingerprint` with the journal's own writer and
+// returns the file's bytes.
+std::string WriteJournal(std::uint64_t fingerprint,
+                         const std::vector<campaign::TrialRecord>& records) {
+  const std::string path = ::testing::TempDir() + "/robustify_fuzz_written.journal";
+  campaign::CampaignJournal(path).RewriteAndOpen(fingerprint, records);
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
+
+std::vector<std::string> JournalCorpus() {
+  std::vector<campaign::TrialRecord> records;
+  const double metrics[] = {0.0, -0.0, 1.5, 1e-300, 6.02e23,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 0; i < 7; ++i) {
+    campaign::TrialRecord r;
+    r.series = i % 3;
+    r.rate = i % 4;
+    r.trial = 10 * i;
+    r.verdict = i % 4;
+    r.success = r.verdict == 0;
+    r.metric = metrics[i];
+    r.faulty_flops = 1000003ull * static_cast<std::uint64_t>(i + 1) << 20;
+    r.faults_injected = static_cast<std::uint64_t>(i) * 17;
+    records.push_back(r);
+  }
+  std::vector<std::string> corpus = {WriteJournal(0x0123456789abcdefull, records),
+                                     WriteJournal(0xffffffffffffffffull, {})};
+  // A journal from before the guarded executor: seven fields per record.
+  corpus.push_back(WriteJournal(42, {records[0]}) + "t 1 2 3 1 0x1.8p+1 100 3\n" +
+                   "t 1 2 4 0 -inf 18446744073709551615 0\n");
+  return corpus;
+}
+
+TEST(ParserFuzz, JournalMutantsParseOrRejectDeterministically) {
+  const std::vector<std::string> corpus = JournalCorpus();
+  int parsed = 0, rejected = 0;
+  for (std::size_t s = 0; s < corpus.size(); ++s) {
+    // The unmutated corpus parses in full.
+    ASSERT_EQ(JournalVerdict(corpus[s]).rfind("ok:", 0), 0u) << "corpus " << s;
+    std::mt19937_64 rng(0x10A7AB00u + s);
+    for (int m = 0; m < kMutantsPerSeed; ++m) {
+      const std::string mutant = Mutate(corpus[s], rng);
+      std::string first;
+      ASSERT_NO_THROW(first = JournalVerdict(mutant)) << "seed " << s << " mutant " << m;
+      EXPECT_EQ(JournalVerdict(mutant), first) << "seed " << s << " mutant " << m;
+      if (first == "absent") {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      // Whatever loads, rewritten by the journal's own writer, loads back
+      // to the same records.
+      const campaign::CampaignJournal::Loaded loaded = LoadJournalText(mutant);
+      EXPECT_EQ(JournalVerdict(WriteJournal(loaded.fingerprint, loaded.records)), first)
+          << "seed " << s << " mutant " << m;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace
