@@ -95,10 +95,13 @@ CampaignJournal::Loaded CampaignJournal::Load(const std::string& path) {
   loaded.fingerprint = std::strtoull(hex, &end, 16);
   if (end == hex || *end != '\0') return loaded;
   loaded.exists = true;
-  while (std::getline(is, line)) {
+  loaded.clean_tail = !is.eof();
+  while (loaded.clean_tail && std::getline(is, line)) {
     TrialRecord record;
-    if (!ParseRecord(line, &record)) break;  // torn tail: drop the rest
-    loaded.records.push_back(record);
+    // getline hits EOF only on a line without its '\n': torn, even if it
+    // parses.  A malformed line is torn too; either drops the rest.
+    loaded.clean_tail = !is.eof() && ParseRecord(line, &record);
+    if (loaded.clean_tail) loaded.records.push_back(record);
   }
   return loaded;
 }
@@ -137,6 +140,12 @@ void CampaignJournal::RewriteAndOpen(std::uint64_t fingerprint,
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     throw std::runtime_error("cannot rename " + tmp + " over " + path_);
   }
+  os_.open(path_, std::ios::out | std::ios::app);
+  if (!os_) throw std::runtime_error("cannot open journal " + path_ + " for append");
+}
+
+void CampaignJournal::OpenForAppend() {
+  std::lock_guard<std::mutex> lock(mu_);
   os_.open(path_, std::ios::out | std::ios::app);
   if (!os_) throw std::runtime_error("cannot open journal " + path_ + " for append");
 }

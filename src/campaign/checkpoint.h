@@ -11,9 +11,12 @@
 // SIGKILL can lose at most the batches in flight and can tear at most the
 // final line.  Load() therefore accepts a truncated tail: the first
 // malformed line and everything after it are dropped (they can only be the
-// torn end of the final write).  Trials past a cell's deterministic
-// stopping point are never journaled, so replaying a journal rebuilds
-// exactly the accepted-outcome prefix of every cell.
+// torn end of the final write), and so is a final record line that lacks
+// its '\n' — the writer ends every record with one, so a line cut short
+// can still parse (a 7-field legacy line, a truncated counter) but is
+// torn.  Trials past a cell's deterministic stopping point are never
+// journaled, so replaying a journal rebuilds exactly the accepted-outcome
+// prefix of every cell.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +47,9 @@ class CampaignJournal {
     bool exists = false;            // a readable journal with a valid header
     std::uint64_t fingerprint = 0;  // from the header, when exists
     std::vector<TrialRecord> records;
+    // Every line parsed and the file ends in '\n': appending to it cannot
+    // concatenate onto a torn line (OpenForAppend's precondition).
+    bool clean_tail = false;
   };
 
   // Reads `path`, tolerating a torn trailing line.  exists == false when
@@ -63,6 +69,10 @@ class CampaignJournal {
   // but not yet rewritten.
   void RewriteAndOpen(std::uint64_t fingerprint,
                       const std::vector<TrialRecord>& records);
+
+  // Opens the existing journal for appending, writing nothing.  Only for a
+  // journal whose Load() reported a clean tail.
+  void OpenForAppend();
 
   // Appends `count` records as one locked write + flush.  Safe to call from
   // multiple workers.  Throws std::runtime_error when the write fails.

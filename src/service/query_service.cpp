@@ -27,21 +27,6 @@ using campaign::CampaignSpec;
 using campaign::Scenario;
 using campaign::TrialRecord;
 
-struct CellRecords {
-  std::vector<TrialRecord> records;  // trial order, contiguous prefix
-  int successes = 0;
-};
-
-CellRecords LoadCell(const store::StoredCells& stored, int series, int rate) {
-  CellRecords cell;
-  for (const TrialRecord& r : stored.records) {
-    if (r.series != series || r.rate != rate) continue;
-    cell.records.push_back(r);
-    if (r.success) ++cell.successes;
-  }
-  return cell;
-}
-
 bool SameRate(double a, double b) {
   if (a == b) return true;
   return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
@@ -150,8 +135,7 @@ const QueryService::AppEntry* QueryService::ResolveApp(const std::string& app,
 Answer QueryService::AnswerCell(const CampaignSpec& spec,
                                 const Scenario& scenario, int series_index,
                                 int rate_index, double ci, bool allow_fresh) {
-  const store::StoredCells stored = store_->Load(spec);
-  CellRecords cell = LoadCell(stored, series_index, rate_index);
+  const store::StoredCell cell = store_->LoadCell(spec, series_index, rate_index);
   const int full_trials = static_cast<int>(cell.records.size());
   const double full_hw = campaign::WilsonHalfWidth(cell.successes, full_trials);
 
@@ -259,15 +243,15 @@ Answer QueryService::AnswerSurrogate(const CampaignSpec& spec,
                                      const Scenario& scenario,
                                      int series_index, double rate) {
   (void)scenario;
-  const store::StoredCells stored = store_->Load(spec);
+  const std::vector<store::CellTally> stored =
+      store_->SeriesTallies(spec, series_index);
   std::vector<CellTally> tallies;
-  for (std::size_t r = 0; r < spec.fault_rates.size(); ++r) {
-    const CellRecords cell = LoadCell(stored, series_index, static_cast<int>(r));
-    if (cell.records.empty()) continue;
+  for (std::size_t r = 0; r < stored.size(); ++r) {
+    if (stored[r].trials == 0) continue;
     CellTally tally;
     tally.rate = spec.fault_rates[r];
-    tally.successes = cell.successes;
-    tally.trials = static_cast<int>(cell.records.size());
+    tally.successes = stored[r].successes;
+    tally.trials = stored[r].trials;
     tallies.push_back(tally);
   }
   const CliffSurrogate fit = FitCliffSurrogate(tallies);

@@ -60,9 +60,8 @@ struct Answer {
 
 class QueryService {
  public:
-  // `store` must outlive the service.  `threads` is reserved for future
-  // parallel cell fills; fresh trials currently run on the calling thread
-  // (a query misses at most one cell).
+  // `store` must outlive the service.  Fresh trials run on the calling
+  // thread (a query misses at most one cell).
   explicit QueryService(store::ResultStore* store) : store_(store) {}
 
   // Registers an app the service may answer for.  Unregistered apps fall

@@ -37,6 +37,9 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "store.misses",
     "store.fresh_trials",
     "store.ingested_cells",
+    "store.journal_parses",
+    "store.delta_appends",
+    "store.compactions",
 };
 
 constexpr const char* kHistogramNames[kNumHistograms] = {

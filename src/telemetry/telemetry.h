@@ -69,6 +69,9 @@ enum class Counter : int {
   kStoreMisses,          // queries whose cell missed the precision request
   kStoreFreshTrials,     // trials executed to answer store misses
   kStoreIngestedCells,   // store cells created or extended by an ingest
+  kStoreJournalParses,   // stored journals parsed into the resident index
+  kStoreDeltaAppends,    // store writes appended as a delta
+  kStoreCompactions,     // store writes that rewrote the whole journal
   kCount
 };
 

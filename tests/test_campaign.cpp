@@ -428,7 +428,9 @@ TEST(Campaign, ResumeFromTruncatedJournalIsByteIdentical) {
     EXPECT_EQ(CampaignCsvBytes(result, "resume" + std::to_string(keep)),
               uninterrupted)
         << "resumed from " << keep << " journal lines";
-    if (keep > 1) EXPECT_GT(result.resumed_trials, 0);
+    if (keep > 1) {
+      EXPECT_GT(result.resumed_trials, 0);
+    }
   }
   std::remove(journal.c_str());
 }

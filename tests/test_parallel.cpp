@@ -97,7 +97,9 @@ TEST(ParallelFor, StuckItemDoesNotStrandQueuedItems) {
   for (const auto& [id, items] : claims) {
     total += static_cast<int>(items.size());
     for (const int i : items) {
-      if (i == 0) EXPECT_EQ(items.size(), 1u) << "stuck worker claimed more work";
+      if (i == 0) {
+        EXPECT_EQ(items.size(), 1u) << "stuck worker claimed more work";
+      }
     }
   }
   EXPECT_EQ(total, kItems);

@@ -276,4 +276,24 @@ TEST(ParserFuzz, JournalMutantsParseOrRejectDeterministically) {
   EXPECT_GT(rejected, 0);
 }
 
+// A final line without its '\n' is torn even when it parses: cut after the
+// fault counter, a verdict-3 line reads as a legacy 7-field line with the
+// wrong verdict; cut inside a counter, it reads a smaller one.
+TEST(ParserFuzz, UnterminatedFinalRecordIsTorn) {
+  const std::string header = WriteJournal(7, {});
+  const std::string whole = "t 0 1 2 0 0x1p-1 123 45 3\n";
+  const campaign::CampaignJournal::Loaded clean = LoadJournalText(header + whole);
+  ASSERT_EQ(clean.records.size(), 1u);
+  EXPECT_EQ(clean.records[0].verdict, 3);
+  EXPECT_TRUE(clean.clean_tail);
+  for (const std::size_t cut : {whole.size() - 1, whole.size() - 3, whole.size() - 5}) {
+    const campaign::CampaignJournal::Loaded torn =
+        LoadJournalText(header + whole + whole.substr(0, cut));
+    EXPECT_EQ(torn.records.size(), 1u) << "cut at " << cut;
+    EXPECT_FALSE(torn.clean_tail) << "cut at " << cut;
+  }
+  EXPECT_TRUE(LoadJournalText(header).clean_tail);
+  EXPECT_FALSE(LoadJournalText(header.substr(0, header.size() - 1)).clean_tail);
+}
+
 }  // namespace

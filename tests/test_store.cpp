@@ -13,9 +13,16 @@
 //     that extend the cell's deterministic sequence and writes them back;
 //   * the logistic cliff surrogate agrees with every stored on-grid cell
 //     to within that cell's Wilson half-width, and off-grid queries inside
-//     its support are answered without touching the trial engine.
+//     its support are answered without touching the trial engine;
+//   * the resident index parses a journal once, sees another instance's
+//     appends and compactions on its next call, and stays consistent under
+//     concurrent reads and writes; a delta write appends, a torn delta is
+//     dropped on load and forces the next write to compact, and a
+//     compacted journal is byte-identical to a full rewrite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +30,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "campaign/adaptive.h"
@@ -671,5 +680,287 @@ TEST(ReduceRecords, MatchesRunnerOnItsOwnJournal) {
   EXPECT_EQ(reduced.total_trials, direct.total_trials);
   EXPECT_EQ(reduced.settled_cells, direct.settled_cells);
 }
+
+// ---- resident index + delta writes -----------------------------------------
+
+// Trials [0, n) of one cell, with trial-dependent fields so a record that
+// lands in the wrong place changes the bytes.
+std::vector<campaign::TrialRecord> CellPrefix(int series, int rate, int n) {
+  std::vector<campaign::TrialRecord> records;
+  for (int t = 0; t < n; ++t) {
+    campaign::TrialRecord r;
+    r.series = series;
+    r.rate = rate;
+    r.trial = t;
+    r.success = (t * 7 + rate) % 3 != 0;
+    r.verdict = r.success ? 0 : 1;
+    r.metric = 0.25 * t + series;
+    r.faulty_flops = 100u + static_cast<std::uint64_t>(t);
+    r.faults_injected = static_cast<std::uint64_t>(t % 4);
+    records.push_back(r);
+  }
+  return records;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string JournalOf(const store::ResultStore& rs,
+                      const campaign::CampaignSpec& spec) {
+  return rs.CampaignDir(spec) + "/cells.journal";
+}
+
+// The journal a full rewrite of `records` produces, written by the
+// journal's own writer rather than by the store.
+std::string FullRewriteBytes(const campaign::CampaignSpec& spec,
+                             std::vector<campaign::TrialRecord> records,
+                             const std::string& tag) {
+  std::sort(records.begin(), records.end(),
+            [](const campaign::TrialRecord& a, const campaign::TrialRecord& b) {
+              return std::make_tuple(a.series, a.rate, a.trial) <
+                     std::make_tuple(b.series, b.rate, b.trial);
+            });
+  const std::string path = TempPath(tag) + ".rewrite.journal";
+  campaign::CampaignJournal(path).RewriteAndOpen(campaign::SpecFingerprint(spec),
+                                                 records);
+  std::string bytes = FileBytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+std::vector<int> TrialIndices(const std::vector<campaign::TrialRecord>& records) {
+  std::vector<int> trials;
+  for (const campaign::TrialRecord& r : records) trials.push_back(r.trial);
+  return trials;
+}
+
+TEST(ResultStore, DuplicateTrialIndicesKeepTheFirst) {
+  const campaign::CampaignSpec spec = StoreSpec();
+  const std::string root = TempPath("dupidx") + ".store";
+  std::filesystem::remove_all(root);
+  // A journal that repeats trial 2 of one cell, the repeat with another
+  // metric: the cell keeps all 5 trials and the record written first.
+  std::vector<campaign::TrialRecord> records = CellPrefix(0, 1, 5);
+  campaign::TrialRecord repeat = records[2];
+  repeat.metric = -1.0;
+  records.insert(records.begin() + 3, repeat);
+  const std::string journal = TempPath("dupidx") + ".journal";
+  {
+    campaign::CampaignJournal writer(journal);
+    writer.Start(campaign::SpecFingerprint(spec));
+    writer.Append(records.data(), records.size());
+  }
+  store::ResultStore rs(root);
+  EXPECT_EQ(rs.IngestJournal(spec, journal).records_added, 5);
+  std::remove(journal.c_str());
+  const store::StoredCells stored = rs.Load(spec);
+  EXPECT_EQ(TrialIndices(stored.records), (std::vector<int>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(stored.records.size(), 5u);
+  EXPECT_EQ(stored.records[2].metric, records[2].metric);
+  // The same through IngestRecords.
+  std::filesystem::remove_all(root);
+  store::ResultStore direct(root);
+  EXPECT_EQ(direct.IngestRecords(spec, records).records_added, 5);
+  EXPECT_EQ(direct.LoadCell(spec, 0, 1).records[2].metric, records[2].metric);
+}
+
+TEST(ResultStore, TornDeltaIsDroppedAndTheNextWriteCompacts) {
+  const campaign::CampaignSpec spec = StoreSpec();
+  const std::string root = TempPath("torndelta") + ".store";
+  std::filesystem::remove_all(root);
+  store::ResultStore rs(root);
+  rs.IngestRecords(spec, CellPrefix(0, 0, 10));  // a new entry: compacts
+  const std::string path = JournalOf(rs, spec);
+  const std::string head = FileBytes(path);
+  rs.IngestRecords(spec, CellPrefix(0, 0, 14));  // 4 <= 10 head records: appends
+  std::string bytes = FileBytes(path);
+  ASSERT_GT(bytes.size(), head.size());
+  EXPECT_EQ(bytes.compare(0, head.size(), head), 0) << "the head was rewritten";
+
+  // A SIGKILL inside the append tears the last delta record mid-line.
+  bytes.resize(bytes.size() - 6);
+  WriteBytes(path, bytes);
+  const std::vector<campaign::TrialRecord> valid = CellPrefix(0, 0, 13);
+  EXPECT_EQ(TrialIndices(rs.Load(spec).records), TrialIndices(valid));
+  EXPECT_EQ(FullRewriteBytes(spec, rs.Load(spec).records, "torndelta_load"),
+            FullRewriteBytes(spec, valid, "torndelta_valid"));
+
+  // Appending after the torn line would corrupt the next record: the next
+  // write compacts to the longest valid prefix plus the new records.
+#if ROBUSTIFY_TELEMETRY_ENABLED
+  telemetry::SetCountersEnabled(true);
+  const std::uint64_t compactions = telemetry::SnapshotCounters().value(
+      telemetry::Counter::kStoreCompactions);
+#endif
+  const store::ResultStore::IngestStats stats =
+      rs.IngestRecords(spec, CellPrefix(0, 0, 16));
+  EXPECT_EQ(stats.records_added, 3);
+  EXPECT_EQ(FileBytes(path),
+            FullRewriteBytes(spec, CellPrefix(0, 0, 16), "torndelta_after"));
+#if ROBUSTIFY_TELEMETRY_ENABLED
+  EXPECT_EQ(telemetry::SnapshotCounters().value(
+                telemetry::Counter::kStoreCompactions),
+            compactions + 1);
+#endif
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(ResultStore, CompactionAfterDeltasIsByteIdenticalToAFullRewrite) {
+  const campaign::CampaignSpec spec = StoreSpec();
+  const std::string root = TempPath("deltas") + ".store";
+  std::filesystem::remove_all(root);
+  store::ResultStore rs(root);
+  std::vector<int> depth(5, 6);  // cell (r % 2, r) holds depth[r] trials
+  const auto all = [&] {
+    std::vector<campaign::TrialRecord> records;
+    for (int r = 0; r < 5; ++r) {
+      const std::vector<campaign::TrialRecord> cell = CellPrefix(r % 2, r, depth[r]);
+      records.insert(records.end(), cell.begin(), cell.end());
+    }
+    return records;
+  };
+  rs.IngestRecords(spec, all());  // 30 head records
+  const std::string path = JournalOf(rs, spec);
+  EXPECT_EQ(FileBytes(path), FullRewriteBytes(spec, all(), "deltas_head"));
+
+  // Write-backs of one cell each: 5 + 7 + 9 = 21 appended records.
+  for (const auto& [r, added] : {std::pair<int, int>{0, 5}, {3, 7}, {0, 9}}) {
+    const std::size_t before = FileBytes(path).size();
+    depth[r] += added;
+    rs.IngestRecords(spec, CellPrefix(r % 2, r, depth[r]));
+    EXPECT_GT(FileBytes(path).size(), before);
+    EXPECT_NE(FileBytes(path), FullRewriteBytes(spec, all(), "deltas_mid"))
+        << "a delta write rewrote the journal";
+    // Another reader normalizes the appended deltas to the same records.
+    EXPECT_EQ(TrialIndices(store::ResultStore(root).Load(spec).records),
+              TrialIndices(rs.Load(spec).records));
+  }
+  // 21 + 10 > 30 head records: this write compacts.
+  depth[1] += 10;
+  rs.IngestRecords(spec, CellPrefix(1, 1, depth[1]));
+  EXPECT_EQ(FileBytes(path), FullRewriteBytes(spec, all(), "deltas_final"));
+  EXPECT_EQ(FullRewriteBytes(spec, rs.Load(spec).records, "deltas_load"),
+            FullRewriteBytes(spec, all(), "deltas_all"));
+}
+
+// One store instance serves while a second on the same root writes, by
+// append and by compaction: the server sees each write on its next query.
+TEST(ResultStore, ServingInstanceSeesAnotherInstancesWrites) {
+  const campaign::CampaignSpec spec = StoreSpec();
+  const std::string root = TempPath("twoinst") + ".store";
+  std::filesystem::remove_all(root);
+  store::ResultStore writer(root);
+  store::ResultStore server(root);
+  service::QueryService qs(&server);
+  qs.RegisterSpec(spec, StoreScenario());
+  service::Query q;
+  q.app = spec.app;
+  q.series = "A";
+  q.rate = spec.fault_rates[0];
+  q.ci = 1.0;
+  q.allow_fresh = false;
+  q.allow_surrogate = false;
+
+  for (const int trials : {10, 14, 40}) {  // compact, append, compact
+    writer.IngestRecords(spec, CellPrefix(0, 0, trials));
+    const service::Answer a = qs.Handle(q);
+    ASSERT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(a.source, "cache");
+    EXPECT_EQ(a.trials, trials);
+    EXPECT_EQ(server.LoadCell(spec, 0, 0).records.size(),
+              static_cast<std::size_t>(trials));
+  }
+}
+
+TEST(ResultStore, ConcurrentLoadsAndIngestsStayConsistent) {
+  const campaign::CampaignSpec spec = StoreSpec();
+  const std::string root = TempPath("threads") + ".store";
+  std::filesystem::remove_all(root);
+  store::ResultStore rs(root);
+  constexpr int kSteps = 40;
+  std::atomic<int> writers_done{0};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {  // writer w extends cell (w, w) one trial a step
+    threads.emplace_back([&, w] {
+      for (int n = 1; n <= kSteps; ++n) rs.IngestRecords(spec, CellPrefix(w, w, n));
+      ++writers_done;
+    });
+  }
+  for (int reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&] {
+      std::size_t last[2] = {0, 0};
+      do {
+        const store::StoredCells stored = rs.Load(spec);
+        int trial = 0, cell_series = -1;
+        for (const campaign::TrialRecord& r : stored.records) {
+          if (r.series != cell_series) trial = 0;
+          cell_series = r.series;
+          if (r.trial != trial++) ++bad_reads;  // not a contiguous prefix
+        }
+        for (int w = 0; w < 2; ++w) {
+          const store::StoredCell cell = rs.LoadCell(spec, w, w);
+          if (cell.records.size() < last[w]) ++bad_reads;  // went backwards
+          last[w] = cell.records.size();
+          const std::vector<store::CellTally> tallies = rs.SeriesTallies(spec, w);
+          if (tallies[static_cast<std::size_t>(w)].trials <
+              static_cast<int>(last[w])) {
+            ++bad_reads;
+          }
+        }
+      } while (writers_done.load() < 2);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  std::vector<campaign::TrialRecord> expected = CellPrefix(0, 0, kSteps);
+  const std::vector<campaign::TrialRecord> second = CellPrefix(1, 1, kSteps);
+  expected.insert(expected.end(), second.begin(), second.end());
+  EXPECT_EQ(TrialIndices(store::ResultStore(root).Load(spec).records),
+            TrialIndices(expected));
+  EXPECT_EQ(FullRewriteBytes(spec, store::ResultStore(root).Load(spec).records,
+                             "threads_got"),
+            FullRewriteBytes(spec, expected, "threads_want"));
+}
+
+#if ROBUSTIFY_TELEMETRY_ENABLED
+TEST(QueryService, ResidentIndexParsesEachJournalOnce) {
+  ServiceFixture f("parses");
+  telemetry::SetCountersEnabled(true);
+  const auto parses = [] {
+    return telemetry::SnapshotCounters().value(
+        telemetry::Counter::kStoreJournalParses);
+  };
+  const service::Query cached = f.Q("A", 0.1, 0.3);
+  const service::Query surrogate = f.Q("A", 0.07, 0.3);
+  ASSERT_TRUE(f.qs->Handle(cached).ok);
+  const std::uint64_t after_first = parses();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(f.qs->Handle(cached).source, "cache");
+    ASSERT_EQ(f.qs->Handle(surrogate).source, "surrogate");
+  }
+  EXPECT_EQ(parses(), after_first);
+
+  // An external rewrite — a rename over the journal, as another process's
+  // merge does — costs exactly one re-parse.
+  const std::string path = JournalOf(*f.rs, f.spec);
+  WriteBytes(path + ".external", FileBytes(path));
+  std::filesystem::rename(path + ".external", path);
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(f.qs->Handle(cached).source, "cache");
+  EXPECT_EQ(parses(), after_first + 1);
+  EXPECT_NE(f.qs->StatsJson().find("\"store.journal_parses\":" +
+                                   std::to_string(after_first + 1)),
+            std::string::npos);
+}
+#endif
 
 }  // namespace

@@ -10,6 +10,10 @@
 #    fresh trials, a cold cell answers with fresh trials and is written
 #    back (the repeat is a cache hit with the identical interval), and an
 #    off-grid rate is answered by the logistic surrogate.
+# 5. A serve loop SIGKILLed in the middle of fresh write-backs, with the
+#    journal's last line torn, is restarted and re-sent its queries: every
+#    cell's final tally and interval, and the compacted journal, match an
+#    uninterrupted loop's.
 #
 # Like kill_resume_test.sh, the campaign is sized to run for a while and
 # the kill retries with shorter delays rather than passing vacuously when
@@ -50,7 +54,11 @@ echo "== shard 1: SIGKILL mid-flight, then resume =="
 killed=0
 for delay in 0.8 0.4 0.2 0.1 0.05; do
   rm -f "$WORKDIR/shard1.journal"
-  run_shard 1 &
+  # run_shard's body, started directly: $! must be the shard itself, since
+  # SIGKILLing a backgrounded function's subshell orphans the shard.
+  "$CLI" run "${SPEC[@]}" "${ALLOC[@]}" --threads=1 --shard=1/3 \
+      --journal="$WORKDIR/shard1.journal" --csv="$WORKDIR/shard1.csv" \
+      --json="$WORKDIR/shard1.json" > "$WORKDIR/shard1.log" 2>&1 &
   pid=$!
   sleep "$delay"
   if ! kill -KILL "$pid" 2>/dev/null; then
@@ -144,6 +152,106 @@ echo "== query smoke: off-grid rate -> surrogate =="
     > "$WORKDIR/q_surr.json" 2> "$WORKDIR/q_surr.log" \
     || { echo "surrogate query failed"; cat "$WORKDIR/q_surr.log"; exit 1; }
 expect_source "$WORKDIR/q_surr.json" surrogate "off-grid query"
+
+echo "== serve loop: SIGKILL mid write-back, restart, re-send =="
+# 16 fig6_2 cells.  Three loose-ci passes seed a store whose compacted
+# journal (a merge into a fresh store) is a sorted head larger than all the
+# tight-ci pass adds, so that pass writes each cell back as an appended
+# delta and never compacts: a write appended after the torn line would
+# survive to the check.  The check queries read every cell's final tally
+# from the cache.
+SEED_Q="$WORKDIR/serve_seed.ndjson"
+SERVE_Q="$WORKDIR/serve_queries.ndjson"
+SERVE_CHECK="$WORKDIR/serve_check.ndjson"
+: > "$SEED_Q"
+: > "$SERVE_Q"
+: > "$SERVE_CHECK"
+for s in 'Base:SVD' 'SGD,LS' 'SGD+AS,LS' 'SGD+AS,SQS'; do
+  for r in 0.001 0.01 0.05 0.1; do
+    cell="\"app\":\"fig6_2\",\"series\":\"$s\",\"rate\":$r"
+    for ci in 0.3 0.2 0.15; do
+      echo "{$cell,\"ci\":$ci,\"surrogate\":false}" >> "$SEED_Q"
+    done
+    echo "{$cell,\"ci\":0.12,\"surrogate\":false}" >> "$SERVE_Q"
+    echo "{$cell,\"ci\":1,\"fresh\":false,\"surrogate\":false}" >> "$SERVE_CHECK"
+  done
+done
+serve() {  # serve <store> <queries> <answers>
+  "$CLI" serve --store="$1" fig6_2 < "$2" > "$3" 2> "$3.log"
+}
+serve "$WORKDIR/serve_seed" "$SEED_Q" "$WORKDIR/serve_seed.out" \
+    || { echo "seeding serve loop failed"; cat "$WORKDIR/serve_seed.out.log"; exit 1; }
+"$CLI" merge fig6_2 --store="$WORKDIR/serve_base" \
+    "$WORKDIR"/serve_seed/*/cells.journal > "$WORKDIR/serve_base.log" 2>&1 \
+    || { echo "compacting the seeded store failed"; cat "$WORKDIR/serve_base.log"; exit 1; }
+cp -r "$WORKDIR/serve_base" "$WORKDIR/serve_ref"
+serve "$WORKDIR/serve_ref" "$SERVE_Q" "$WORKDIR/serve_ref.out" \
+    || { echo "reference serve loop failed"; cat "$WORKDIR/serve_ref.out.log"; exit 1; }
+
+KSTORE="$WORKDIR/serve_kill"
+killed=0
+for delay in 1.5 0.8 0.4 2.5; do
+  rm -rf "$KSTORE"
+  cp -r "$WORKDIR/serve_base" "$KSTORE"
+  # Started directly, not through serve(), for the same reason as shard 1.
+  "$CLI" serve --store="$KSTORE" fig6_2 < "$SERVE_Q" \
+      > "$WORKDIR/serve_kill.out" 2> "$WORKDIR/serve_kill.out.log" &
+  pid=$!
+  sleep "$delay"
+  if ! kill -KILL "$pid" 2>/dev/null; then
+    wait "$pid" 2>/dev/null
+    echo "   serve loop finished before the kill; retrying with another delay"
+    continue
+  fi
+  wait "$pid" 2>/dev/null
+  if [ ! -s "$WORKDIR/serve_kill.out" ]; then
+    echo "   killed before the first write-back; retrying with another delay"
+    continue
+  fi
+  killed=1
+  break
+done
+if [ "$killed" = 1 ]; then
+  echo "   killed after $(wc -l < "$WORKDIR/serve_kill.out") of $(wc -l < "$SERVE_Q") answers"
+else
+  echo "   WARNING: could not interrupt the serve loop; tearing its finished store"
+  serve "$KSTORE" "$SERVE_Q" "$WORKDIR/serve_kill.out" \
+      || { echo "serve loop failed"; cat "$WORKDIR/serve_kill.out.log"; exit 1; }
+fi
+KJOURNAL=$(ls "$KSTORE"/*/cells.journal)
+if [ -z "$(tail -c 1 "$KJOURNAL")" ]; then
+  # The kill left whole lines: tear the last one, as a kill inside an
+  # append would, so the restart must drop it and compact.
+  truncate -s -5 "$KJOURNAL"
+fi
+serve "$KSTORE" "$SERVE_Q" "$WORKDIR/serve_restart.out" \
+    || { echo "restarted serve loop failed"; cat "$WORKDIR/serve_restart.out.log"; exit 1; }
+serve "$WORKDIR/serve_ref" "$SERVE_CHECK" "$WORKDIR/check_ref.out" \
+    || { echo "reference check queries failed"; exit 1; }
+serve "$KSTORE" "$SERVE_CHECK" "$WORKDIR/check_kill.out" \
+    || { echo "check queries failed"; exit 1; }
+if [ "$(grep -c '"source":"cache"' "$WORKDIR/check_ref.out")" != \
+     "$(wc -l < "$SERVE_CHECK")" ]; then
+  echo "FAIL: check queries were not all cache answers"
+  cat "$WORKDIR/check_ref.out"
+  exit 1
+fi
+if ! cmp -s "$WORKDIR/check_ref.out" "$WORKDIR/check_kill.out"; then
+  echo "FAIL: final tallies differ after SIGKILL + restart"
+  diff "$WORKDIR/check_ref.out" "$WORKDIR/check_kill.out" | head -20
+  exit 1
+fi
+echo "PASS: every cell's final tally and interval match the uninterrupted loop"
+for side in ref kill; do
+  "$CLI" merge fig6_2 --store="$WORKDIR/compact_$side" \
+      "$WORKDIR"/serve_$side/*/cells.journal > "$WORKDIR/compact_$side.log" 2>&1 \
+      || { echo "compacting the $side store failed"; cat "$WORKDIR/compact_$side.log"; exit 1; }
+done
+if ! cmp -s "$WORKDIR"/compact_ref/*/cells.journal "$WORKDIR"/compact_kill/*/cells.journal; then
+  echo "FAIL: compacted journals differ after SIGKILL + restart"
+  exit 1
+fi
+echo "PASS: compacted journal is byte-identical to the uninterrupted loop's"
 
 echo "== list --fingerprints smoke =="
 "$CLI" list --fingerprints > "$WORKDIR/list.txt" \
