@@ -7,7 +7,7 @@
 // time, injector throughput, speedup vs. serial when requested).
 //
 // Common CLI flags (parsed by BenchContext):
-//   --trials=N         override the repetition count of every sweep
+//   --trials=N         override the fixed trial count of every sweep
 //   --rates=a,b,c      override the fault-rate axis of every sweep
 //   --threads=N        worker threads (default: ROBUSTIFY_THREADS, else all)
 //   --json=PATH        perf report path (default BENCH_<name>.json)
@@ -25,10 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "campaign/runner.h"
 #include "harness/csv.h"
 #include "harness/parallel.h"
 #include "harness/perf_report.h"
-#include "harness/sweep.h"
 #include "harness/table.h"
 #include "harness/timer.h"
 #include "telemetry/metrics_export.h"
@@ -129,25 +129,29 @@ class BenchContext {
     return options_.trials > 0 ? options_.trials : default_trials;
   }
 
-  // Applies the CLI overrides to a sweep configuration.
-  void Configure(harness::SweepConfig* sweep) const {
-    if (options_.trials > 0) sweep->trials = options_.trials;
-    if (!options_.rates.empty()) sweep->fault_rates = options_.rates;
-    if (options_.threads != 0) sweep->threads = options_.threads;
+  // Applies the CLI overrides to a fixed-budget sweep: --trials and --rates
+  // to the spec, --threads to the runner options (adaptive off, no journal).
+  void Configure(campaign::CampaignSpec* spec, campaign::RunnerOptions* runner) const {
+    if (options_.trials > 0) spec->fixed_trials = options_.trials;
+    if (!options_.rates.empty()) spec->fault_rates = options_.rates;
+    runner->threads = options_.threads;
+    runner->adaptive = false;
   }
 
-  // Configures, times, and runs one sweep; records a perf section.  With
-  // --compare-serial the sweep is rerun on one thread to measure speedup.
+  // Configures, times, and runs one fixed-budget sweep of `scenario` through
+  // the campaign runner; records a perf section.  With --compare-serial the
+  // sweep is rerun on one thread to measure speedup.
   std::vector<harness::Series> RunSweep(const std::string& label,
-                                        harness::SweepConfig sweep,
-                                        const std::vector<harness::NamedTrial>& trials) {
-    Configure(&sweep);
+                                        campaign::CampaignSpec spec,
+                                        const campaign::Scenario& scenario) {
+    campaign::RunnerOptions runner;
+    Configure(&spec, &runner);
     harness::WallTimer timer;
-    std::vector<harness::Series> series = harness::RunFaultRateSweep(sweep, trials);
+    campaign::CampaignResult result = campaign::RunCampaign(spec, scenario, runner);
     harness::PerfSection section;
     section.name = label;
     section.wall_seconds = timer.Seconds();
-    for (const harness::Series& s : series) {
+    for (const harness::Series& s : result.series) {
       for (const harness::SeriesPoint& p : s.points) {
         section.faulty_flops += p.summary.mean_faulty_flops * p.summary.trials;
       }
@@ -157,10 +161,9 @@ class BenchContext {
           section.faulty_flops / section.wall_seconds / 1e6;
     }
     if (options_.compare_serial) {
-      harness::SweepConfig serial = sweep;
-      serial.threads = 1;
+      runner.threads = 1;
       harness::WallTimer serial_timer;
-      harness::RunFaultRateSweep(serial, trials);
+      campaign::RunCampaign(spec, scenario, runner);
       section.serial_wall_seconds = serial_timer.Seconds();
       if (section.wall_seconds > 0.0) {
         section.speedup_vs_serial = section.serial_wall_seconds / section.wall_seconds;
@@ -173,7 +176,7 @@ class BenchContext {
     }
     std::cout << "\n";
     report_.sections.push_back(section);
-    return series;
+    return std::move(result.series);
   }
 
   // Records a bespoke timed section (benches without a sweep grid).

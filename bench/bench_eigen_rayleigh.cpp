@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
 
   const campaign::CampaignSpec& spec = campaign::RegistrySpec("eigen_rayleigh");
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  const auto series =
-      ctx.RunSweep("rayleigh", campaign::ToSweepConfig(spec), scenario.series);
+  const auto series = ctx.RunSweep("rayleigh", spec, scenario);
   bench::EmitSweep(scenario.title, series, scenario.value, scenario.value_label,
                    scenario.csv_name);
   return ctx.Finish();

@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
 
   const campaign::CampaignSpec& spec = campaign::RegistrySpec("fig6_2");
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  const auto series =
-      ctx.RunSweep("lsq", campaign::ToSweepConfig(spec), scenario.series);
+  const auto series = ctx.RunSweep("lsq", spec, scenario);
   bench::EmitSweep(scenario.title, series, scenario.value, scenario.value_label,
                    scenario.csv_name);
   bench::EmitSweep("Accuracy of Least Squares - success rate (rel. error < 1e-2)",

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
                                             "momentum_matching"}}) {
     const campaign::CampaignSpec& spec = campaign::RegistrySpec(name);
     const campaign::Scenario scenario = campaign::BuildScenario(spec);
-    const auto series =
-        ctx.RunSweep(label, campaign::ToSweepConfig(spec), scenario.series);
+    const auto series = ctx.RunSweep(label, spec, scenario);
     bench::EmitSweep(scenario.title, series, scenario.value, scenario.value_label,
                      scenario.csv_name);
   }

@@ -16,6 +16,7 @@
 #include <limits>
 
 #include "bench/bench_common.h"
+#include "campaign/runner.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "telemetry/telemetry.h"
@@ -34,8 +35,8 @@ int main(int argc, char** argv) {
   spec.fault_rates = {1e-5, 1e-4, 1e-3};
   spec.fixed_trials = 10;
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  harness::SweepConfig sweep = campaign::ToSweepConfig(spec);
-  ctx.Configure(&sweep);
+  campaign::RunnerOptions runner;
+  ctx.Configure(&spec, &runner);
 
   constexpr int kPairs = 5;
   const double allowed_overhead = 0.02;
@@ -45,9 +46,9 @@ int main(int argc, char** argv) {
   // the counters-only A/B gate, so pin it off even under ROBUSTIFY_TRACE=1.
   telemetry::StopTracing();
 
-  // Warm-up: builds the shared sampling tables and faults in the thread
-  // pool so neither arm pays first-run costs.
-  harness::RunFaultRateSweep(sweep, scenario.series);
+  // Warm-up: builds the shared sampling tables and faults in the worker
+  // threads' scratch so neither arm pays first-run costs.
+  campaign::RunCampaign(spec, scenario, runner);
 
   // Machine noise (shared CI runners, frequency scaling) can only inflate
   // the measured delta, never hide real overhead below it, so a single clean
@@ -62,12 +63,12 @@ int main(int argc, char** argv) {
     for (int pair = 0; pair < kPairs; ++pair) {
       telemetry::SetCountersEnabled(false);
       harness::WallTimer off_timer;
-      harness::RunFaultRateSweep(sweep, scenario.series);
+      campaign::RunCampaign(spec, scenario, runner);
       best_off = std::min(best_off, off_timer.Seconds());
 
       telemetry::SetCountersEnabled(true);
       harness::WallTimer on_timer;
-      harness::RunFaultRateSweep(sweep, scenario.series);
+      campaign::RunCampaign(spec, scenario, runner);
       best_on = std::min(best_on, on_timer.Seconds());
       ++pairs_measured;
     }

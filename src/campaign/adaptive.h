@@ -45,6 +45,9 @@ class CellController {
   // True when done() fired because the interval met the target (rather
   // than the budget running out).
   bool settled() const { return settled_; }
+  // The configuration in force, after clamping (min_trials >= 1,
+  // max_trials >= min_trials).
+  const AdaptiveConfig& config() const { return config_; }
 
   void Record(bool success);
 

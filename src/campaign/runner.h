@@ -1,14 +1,29 @@
-// Campaign execution: adaptive cells fanned across the harness thread pool.
+// Campaign execution: the one grid executor behind every figure bench, the
+// campaign CLI and the result store.
 //
-// The parallel unit is the *cell* — one (series, fault rate) point — not
-// the trial: cells have wildly unequal cost under adaptive allocation (a
-// saturated cell stops after a handful of trials, a transition cell runs to
-// its budget), which is exactly the skewed-load shape ParallelFor's dynamic
-// index claiming exists for.  Each cell runs its sequential controller
-// (campaign/adaptive.h) on one worker, journals accepted batches
-// (campaign/checkpoint.h), and the final reduction runs serially in cell
-// order — so campaign output is byte-identical for every thread count,
-// batch size, and kill/resume schedule.
+// The parallel unit is a (cell, batch) pair — one cell is one (series,
+// fault rate) point, one batch is spec.batch consecutive trials of it.
+// Units are claimed from one ParallelFor range in batch-major order
+// (unit u is batch u / cells of cell u % cells), so one cell's trials run
+// on several workers and a transition cell no longer pins one worker while
+// the rest idle.  Whether a batch runs is decided so the set of *executed*
+// trials is the same for every thread count and batch size:
+//   - a batch is *certain* when its first trial is below the cell's
+//     min_trials (the stopping rule cannot have fired yet); it runs as soon
+//     as it is claimed.  In a fixed-budget campaign every batch is certain.
+//   - any other batch waits until the cell's previous batch has been
+//     accepted, then runs only if the cell is not done.  The batch waits,
+//     not its worker: a claimed batch whose turn has not come is marked
+//     deferred, and the worker that accepts its predecessor runs it.  No
+//     worker ever blocks on another, so nothing can deadlock.
+// Finished batches write their outcomes in place into storage sized once
+// per cell, and are accepted strictly in trial order under a per-cell lock
+// through the cell's sequential controller (campaign/adaptive.h).  The
+// journal (campaign/checkpoint.h) is appended under the same lock, so each
+// cell's records stay in trial order.  The final reduction runs serially in
+// cell order — so campaign output is byte-identical for every thread
+// count, batch size, and kill/resume schedule, and so are the work
+// counters (injector ops and faults, solver iterations).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +34,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 
 namespace robustify::campaign {
 
@@ -36,8 +51,8 @@ struct CellStats {
 };
 
 struct CampaignResult {
-  // One Series per scenario series, one point per fault rate — the same
-  // shape the fixed sweep produces, so tables/CSV plumbing is shared.
+  // One Series per scenario series, one point per fault rate — the shape
+  // the table and CSV writers (harness/table.h, harness/csv.h) take.
   std::vector<harness::Series> series;
   std::vector<std::vector<CellStats>> cells;  // [series][rate]
   long total_trials = 0;     // accepted trials, all cells
@@ -65,6 +80,10 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
 // with ReduceRecords and the query service so every consumer of stored
 // records replays them under the same rule the runner journaled them under.
 AdaptiveConfig SpecAdaptiveConfig(const CampaignSpec& spec, bool adaptive);
+
+// The journal/store record of `out`, trial `trial` of cell (series, rate).
+TrialRecord ToRecord(const harness::TrialOutcome& out, int series, int rate,
+                     int trial);
 
 // Reduces already-recorded trials (a merged store's records, a journal) to
 // a CampaignResult without running anything: per cell, the contiguous

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "campaign/spec.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 #include "harness/table.h"
 
 namespace robustify::campaign {

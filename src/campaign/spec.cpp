@@ -425,15 +425,14 @@ const CampaignSpec& RegistrySpec(const std::string& name) {
                            ")");
 }
 
-harness::SweepConfig ToSweepConfig(const CampaignSpec& spec) {
-  harness::SweepConfig sweep;
-  sweep.fault_rates = spec.fault_rates;
-  sweep.trials = spec.fixed_trials;
-  sweep.base_seed = spec.base_seed;
-  sweep.bit_model = spec.bit_model;
-  sweep.model = spec.model;
-  sweep.guard = spec.guard;
-  return sweep;
+core::FaultEnvironment SpecEnvironment(const CampaignSpec& spec, int rate_index) {
+  core::FaultEnvironment env;
+  env.fault_rate = spec.fault_rates[static_cast<std::size_t>(rate_index)];
+  env.seed = spec.base_seed;
+  env.bit_model = spec.bit_model;
+  env.model = spec.model;
+  env.guard = spec.guard;
+  return env;
 }
 
 }  // namespace robustify::campaign

@@ -18,10 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/fault_env.h"
 #include "core/guard.h"
 #include "faulty/bit_distribution.h"
 #include "faulty/fault_model.h"
-#include "harness/sweep.h"
 
 namespace robustify::campaign {
 
@@ -37,16 +37,15 @@ struct CampaignSpec {
   int fixed_trials = 10;
 
   // Adaptive mode: per-cell budget cap, floor before the stopping rule may
-  // fire, trials executed (and journaled) per round, and the target Wilson
-  // 95% half-width on the success fraction.  The stopping point of a cell
-  // is a pure function of its outcome sequence in trial order — never of
-  // batch size or thread count (campaign/adaptive.h).  batch > 1 runs
-  // speculative trials that are discarded if the rule fires mid-round
-  // (deterministic, but wasted wall time — a cell settling at 9 executes
-  // 16 under batch=8); since trials within a cell are serial on one worker
-  // and the stop check is trivially cheap, batch=1 is the default and
-  // larger batches exist for coarser journal flushing and the
-  // batch-invariance tests.
+  // fire, trials per batch (the runner's unit of work, see
+  // campaign/runner.h), and the target Wilson 95% half-width on the success
+  // fraction.  The stopping point of a cell is a pure function of its
+  // outcome sequence in trial order — never of batch size or thread count
+  // (campaign/adaptive.h).  batch > 1 runs speculative trials that are
+  // discarded if the rule fires mid-batch (deterministic, but wasted wall
+  // time — a cell settling at 9 executes 16 under batch=8), so batch=1 is
+  // the default and larger batches exist for coarser journal flushing and
+  // the batch-invariance tests.
   int max_trials = 100;
   int min_trials = 4;
   int batch = 1;
@@ -142,8 +141,10 @@ const CampaignSpec* FindRegistrySpec(const std::string& name);
 // Throws std::runtime_error (listing the valid names) when unknown.
 const CampaignSpec& RegistrySpec(const std::string& name);
 
-// The fixed-budget bridge the bench mains run through: the spec's axis,
-// fixed trial count, seed, and bit model as a harness sweep configuration.
-harness::SweepConfig ToSweepConfig(const CampaignSpec& spec);
+// The fault environment every trial at rate-axis point `rate_index` runs
+// under: the spec's rate, seed, bit model, fault model and guard
+// (harness::RunSingleTrial then adds the trial index to the seed).  The
+// runner and the query service both build their trials' environment here.
+core::FaultEnvironment SpecEnvironment(const CampaignSpec& spec, int rate_index);
 
 }  // namespace robustify::campaign

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "telemetry/trace.h"
 
@@ -18,56 +20,6 @@ int ResolveThreadCount(int requested) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-ThreadPool::ThreadPool(int threads) {
-  if (threads < 1) threads = 1;
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      task = std::move(queue_.front());
-      queue_.pop();
-      ++active_;
-    }
-    task();  // tasks must not throw (ParallelFor wraps user fns)
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) all_idle_.notify_all();
-    }
-  }
 }
 
 void ParallelFor(int count, int threads, const std::function<void(int)>& fn) {
@@ -94,14 +46,15 @@ void ParallelFor(int count, int threads, const std::function<void(int)>& fn) {
     }
   };
 
-  ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) pool.Submit(drive);
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) pool.emplace_back(drive);
   {
-    // The submitting thread parks here while workers drain the grid; the
+    // The calling thread parks here while workers drain the range; the
     // attribution ledger books it as pool.wait so a parent span's self
     // time is its own machinery, not the wait.
     telemetry::SpanScope wait_span("pool.wait");
-    pool.Wait();
+    for (std::thread& worker : pool) worker.join();
   }
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -1,21 +1,16 @@
-// Small thread pool + parallel-for for the sweep harness.
+// Parallel-for for the campaign runner and the tiled solvers.
 //
-// The Monte-Carlo grid of a fault-rate sweep — (trial fn, rate, repetition)
-// cells — is embarrassingly parallel: every cell builds its own inputs from
-// its own deterministic seed and runs on the thread-local FaultInjector, so
-// cells never share mutable state.  ParallelFor fans a cell index range
-// across a pool of workers pulling from one atomic counter (good load
-// balancing: cells at different fault rates cost different amounts), and
-// callers reduce the preallocated per-cell results serially in index order —
-// which is what makes sweep output byte-identical for any thread count.
+// ParallelFor fans an index range across worker threads that pull indices
+// from one atomic counter (good load balancing: units at different fault
+// rates cost different amounts), and callers reduce their preallocated
+// per-unit results serially in index order — which is what makes campaign
+// output byte-identical for any thread count.  There is no pool: each call
+// starts its workers and joins them before returning, so a call owns its
+// threads for exactly its own duration (and telemetry shards retire when
+// the call's workers exit).
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace robustify::harness {
 
@@ -24,39 +19,12 @@ namespace robustify::harness {
 // Always at least 1.
 int ResolveThreadCount(int requested);
 
-class ThreadPool {
- public:
-  // Spawns `threads` workers (clamped to >= 1).
-  explicit ThreadPool(int threads);
-  ~ThreadPool();  // waits for submitted work, then joins the workers
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished.
-  void Wait();
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_available_;
-  std::condition_variable all_idle_;
-  int active_ = 0;
-  bool stopping_ = false;
-};
-
-// Runs fn(0) .. fn(count - 1) across ResolveThreadCount(threads) workers.
-// Indices are claimed from a shared atomic counter; each index runs exactly
-// once, in unspecified order and on an unspecified thread.  If any call
-// throws, the first exception is rethrown in the caller after all workers
-// finish.  With one worker (or count <= 1) this degenerates to a plain
-// in-order serial loop.
+// Runs fn(0) .. fn(count - 1) across ResolveThreadCount(threads) workers,
+// started for this call and joined before it returns.  Indices are claimed
+// from a shared atomic counter in increasing order; each index runs exactly
+// once, on an unspecified thread.  If any call throws, the first exception
+// is rethrown in the caller after all workers finish.  With one worker (or
+// count <= 1) this degenerates to a plain in-order serial loop.
 void ParallelFor(int count, int threads, const std::function<void(int)>& fn);
 
 }  // namespace robustify::harness

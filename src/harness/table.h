@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/sweep.h"
+#include "harness/trial.h"
 
 namespace robustify::harness {
 

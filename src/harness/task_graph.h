@@ -14,7 +14,7 @@
 // Run(threads <= 1, body) executes ready tasks inline with no locking and —
 // once the graph buffers are warmed — no allocation, which is what the
 // zero-allocation solver contract (tests/test_allocation.cpp) pins.  With
-// more workers it fans the ready set across a ParallelFor pool.
+// more workers it fans the ready set across ParallelFor's workers.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/guard.h"
-#include "harness/parallel.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -81,15 +80,6 @@ TrialSummary SummarizeOutcomes(const TrialOutcome* outcomes, int count) {
 
 TrialSummary SummarizeOutcomes(const std::vector<TrialOutcome>& outcomes) {
   return SummarizeOutcomes(outcomes.data(), static_cast<int>(outcomes.size()));
-}
-
-TrialSummary RunTrials(const TrialFn& fn, core::FaultEnvironment env, int trials,
-                       int threads) {
-  if (trials < 0) trials = 0;
-  std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(trials));
-  ParallelFor(trials, threads,
-              [&](int t) { outcomes[static_cast<std::size_t>(t)] = RunSingleTrial(fn, env, t); });
-  return SummarizeOutcomes(outcomes);
 }
 
 }  // namespace robustify::harness

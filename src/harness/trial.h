@@ -1,7 +1,8 @@
-// Trial primitives: run one robustness experiment many times at a fixed
-// fault environment and summarize success rate and quality metrics.
+// Trial primitives: run one robustness experiment at a fixed fault
+// environment, summarize many runs' success rate and quality metrics, and
+// the series/point shapes figures are built from.
 //
-// Scratch memory: the trial is the harness's unit of work, and each sweep
+// Scratch memory: the trial is the harness's unit of work, and each campaign
 // worker thread runs trials back to back, so hot-path scratch is owned at
 // the thread level — app kernels called inside a TrialFn draw their solver
 // buffers from opt::ThreadWorkspace<T>() (see opt/workspace.h), which stays
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/fault_env.h"
@@ -45,23 +47,34 @@ struct TrialSummary {
   int budget_exhausted = 0;
 };
 
+// One named trial function: a figure series.
+struct NamedTrial {
+  std::string name;
+  TrialFn fn;
+};
+
+// One figure point (a fault rate and its summary) and one figure curve.
+struct SeriesPoint {
+  double fault_rate = 0.0;
+  TrialSummary summary;
+};
+
+struct Series {
+  std::string name;
+  std::vector<SeriesPoint> points;
+};
+
 // Runs repetition `trial_index` of `fn`: env.seed = env.seed + trial_index,
 // so inputs and fault sequences differ per trial but are paired across
-// fault rates.  This is the unit of work the parallel sweep fans out.
+// fault rates.  This is the unit of work the campaign runner fans out.
 TrialOutcome RunSingleTrial(const TrialFn& fn, core::FaultEnvironment env,
                             int trial_index);
 
 // Deterministic in-order reduction of per-trial outcomes (the accumulation
 // order is fixed by the outcome order, never by thread scheduling).  The
-// pointer+count form lets the sweep reduce each cell in place out of its
-// preallocated grid.
+// pointer+count form lets the campaign runner reduce each cell in place out
+// of its preallocated outcome storage.
 TrialSummary SummarizeOutcomes(const TrialOutcome* outcomes, int count);
 TrialSummary SummarizeOutcomes(const std::vector<TrialOutcome>& outcomes);
-
-// Runs `trials` trials across `threads` workers (see ResolveThreadCount in
-// harness/parallel.h; the default keeps the historical serial behavior).
-// Results are identical for every thread count.
-TrialSummary RunTrials(const TrialFn& fn, core::FaultEnvironment env, int trials,
-                       int threads = 1);
 
 }  // namespace robustify::harness

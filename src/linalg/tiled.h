@@ -6,7 +6,7 @@
 // matrix by contiguous tiles and decomposes the factorization into the
 // classic potrf / trsm / syrk / gemm tile tasks (QR into Householder panel
 // tasks + trailing-block updates), executed by harness::TaskGraph on the
-// ParallelFor pool — parallelism *inside* one solve, faults per solve
+// ParallelFor workers — parallelism *inside* one solve, faults per solve
 // instead of per sweep.
 //
 // Determinism contract:

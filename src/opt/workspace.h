@@ -12,7 +12,7 @@
 // heap traffic, which tests/test_allocation.cpp locks in with a counting
 // operator new.
 //
-// Ownership model: the harness's unit of work is the trial, and each sweep
+// Ownership model: the harness's unit of work is the trial, and each campaign
 // worker thread runs many trials back to back, so the natural owner is the
 // thread — ThreadWorkspace<T>() hands every trial on a worker the same
 // warmed pool.  App entry points default to it and accept an explicit

@@ -177,12 +177,7 @@ Answer QueryService::AnswerCell(const CampaignSpec& spec,
     ++replayed;
   }
 
-  core::FaultEnvironment env;
-  env.fault_rate = spec.fault_rates[static_cast<std::size_t>(rate_index)];
-  env.seed = spec.base_seed;
-  env.bit_model = spec.bit_model;
-  env.model = spec.model;
-  env.guard = spec.guard;
+  const core::FaultEnvironment env = campaign::SpecEnvironment(spec, rate_index);
   const harness::TrialFn& fn =
       scenario.series[static_cast<std::size_t>(series_index)].fn;
 
@@ -191,16 +186,7 @@ Answer QueryService::AnswerCell(const CampaignSpec& spec,
     const int t = controller.next_trial();
     const harness::TrialOutcome out = harness::RunSingleTrial(fn, env, t);
     controller.Record(out.success);
-    TrialRecord r;
-    r.series = series_index;
-    r.rate = rate_index;
-    r.trial = t;
-    r.success = out.success;
-    r.metric = out.metric;
-    r.faulty_flops = out.fpu_stats.faulty_flops;
-    r.faults_injected = out.fpu_stats.faults_injected;
-    r.verdict = static_cast<int>(out.verdict);
-    fresh.push_back(r);
+    fresh.push_back(campaign::ToRecord(out, series_index, rate_index, t));
   }
 
   if (fresh.empty()) {

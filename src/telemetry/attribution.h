@@ -50,7 +50,6 @@ enum class AttrCategory : int {
   kSolveCgne,
   kPhase,
   kCheckpointFlush,
-  kSweep,
   kQuery,
   kStats,
   kReduce,

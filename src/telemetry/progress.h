@@ -1,16 +1,18 @@
 // Flight-recorder telemetry, part 3: the --progress stderr heartbeat.
 //
-// Long sweeps and campaigns are silent until their final table; with
-// --progress the runner emits a throttled heartbeat line to stderr:
+// Long campaigns (bench sweeps included) are silent until their final
+// table; with --progress the runner emits a throttled heartbeat line to
+// stderr:
 //
 //   [progress] campaign: 12/35 cells, 480 trials, 123.4 trials/s, ETA 8.2s
 //
-// Units are the runner's parallel grain (grid trials for a sweep, cells for
-// a campaign); the ETA comes from an EWMA of per-unit completion intervals,
-// so wildly unequal adaptive cells converge onto a usable estimate instead
-// of whipsawing on each cheap saturated cell.  Heartbeats go only to
-// stderr and never touch results, CSVs, or the simulation RNG.  Disabled
-// (the default) the per-unit cost is one relaxed bool load.
+// Units are campaign cells, each reported when its stopping rule fires
+// (however many (cell, batch) work units it took); the ETA comes from an
+// EWMA of per-unit completion intervals, so wildly unequal adaptive cells
+// converge onto a usable estimate instead of whipsawing on each cheap
+// saturated cell.  Heartbeats go only to stderr and never touch results,
+// CSVs, or the simulation RNG.  Disabled (the default) the per-unit cost is
+// one relaxed bool load.
 #pragma once
 
 #include <atomic>

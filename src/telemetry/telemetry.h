@@ -5,8 +5,8 @@
 // store to the calling thread's own slot — no atomic RMW, no cache-line
 // ping-pong, no allocation (shards are thread_local objects with static
 // storage).  SnapshotCounters() merges the live shards with the folded
-// totals of threads that have already exited (sweep worker pools are
-// created and joined per ParallelFor, so most shards retire quickly).
+// totals of threads that have already exited (ParallelFor starts and joins
+// its workers per call, so most shards retire quickly).
 //
 // Determinism contract: telemetry observes, it never participates.  No
 // counter or histogram touches the simulation RNG, reorders a fault

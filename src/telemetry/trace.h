@@ -5,13 +5,13 @@
 // Perfetto.  The span hierarchy mirrors the execution layers:
 //
 //   campaign            one RunCampaign invocation
-//     cell              one (series, fault-rate) adaptive cell
-//       trial           one RunSingleTrial (also under plain sweeps)
+//     cell              one (cell, batch) unit: a batch of one (series,
+//                       fault-rate) cell's trials
+//       trial           one RunSingleTrial
 //         solve.sgd     one MinimizeSgd descent
 //           phase       one phase-schedule segment
 //         solve.cgls    one restarted-CGLS solve
 //       checkpoint.flush one journal batch append
-//   sweep               one RunFaultRateSweep grid
 //
 // plus sampled "fault" instant events: every Nth injected fault per thread
 // (a deterministic modulo counter — telemetry consumes NO simulation RNG,

@@ -24,8 +24,9 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
+#include "fixed_sweep.h"
 #include "harness/csv.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 #include "telemetry/attribution.h"
 #include "telemetry/trace.h"
 
@@ -65,13 +66,12 @@ std::string CsvBytes(const std::vector<harness::Series>& series,
 }
 
 std::string SweepCsvBytes(int threads, const std::string& tag) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05};
-  config.trials = 4;
-  config.base_seed = 77;
-  config.threads = threads;
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.05};
+  spec.fixed_trials = 4;
+  spec.base_seed = 77;
   const auto series =
-      harness::RunFaultRateSweep(config, {{"SGD+AS,SQS", SortTrial()}});
+      test::RunFixedSweep(spec, {{"SGD+AS,SQS", SortTrial()}}, threads);
   return CsvBytes(series, tag);
 }
 
@@ -126,7 +126,7 @@ TEST(Attribution, DisabledByDefaultAndSnapshotEmptyUntilEnabled) {
   telemetry::SetAttributionEnabled(false);
   telemetry::ResetAttribution();
   EXPECT_FALSE(telemetry::AttributionActive());
-  { telemetry::SpanScope span("sweep"); }
+  { telemetry::SpanScope span("campaign"); }
   const telemetry::AttributionSnapshot snapshot =
       telemetry::SnapshotAttribution();
   for (const auto& ledger : snapshot.threads) {
@@ -242,7 +242,7 @@ TEST(Attribution, ResetClearsEveryLedger) {
   SweepCsvBytes(2, "reset_t2");
   telemetry::SetAttributionEnabled(false);
   EXPECT_GT(telemetry::SnapshotAttribution()
-                .total(telemetry::AttrCategory::kSweep)
+                .total(telemetry::AttrCategory::kCampaign)
                 .count,
             0u);
   telemetry::ResetAttribution();
@@ -267,7 +267,7 @@ TEST(Attribution, ReportFormatAndFileWriter) {
   telemetry::FormatAttributionReport(telemetry::SnapshotAttribution(), report);
   const std::string text = report.str();
   EXPECT_NE(text.find("# wall-time attribution"), std::string::npos);
-  EXPECT_NE(text.find("sweep"), std::string::npos);
+  EXPECT_NE(text.find("campaign"), std::string::npos);
   EXPECT_NE(text.find("trial"), std::string::npos);
   EXPECT_NE(text.find("merged"), std::string::npos);
 
@@ -289,7 +289,7 @@ TEST(Attribution, ReportFormatAndFileWriter) {
 TEST(Attribution, CompiledOutApiIsInert) {
   telemetry::SetAttributionEnabled(true);
   EXPECT_FALSE(telemetry::AttributionActive());
-  { telemetry::SpanScope span("sweep"); }
+  { telemetry::SpanScope span("campaign"); }
   const telemetry::AttributionSnapshot snapshot =
       telemetry::SnapshotAttribution();
   EXPECT_TRUE(snapshot.threads.empty());

@@ -25,8 +25,9 @@
 #include "apps/least_squares.h"
 #include "apps/svm_app.h"
 #include "core/fault_env.h"
+#include "fixed_sweep.h"
 #include "harness/csv.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 #include "linalg/faulty_blas.h"
 #include "linalg/lsq.h"
 #include "opt/cg.h"
@@ -321,12 +322,11 @@ harness::TrialFn CglsTrial(Engine engine, const apps::LsqProblem* problem) {
 
 std::string SweepCsvBytes(const std::vector<harness::NamedTrial>& trials,
                           const std::string& tag) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 1e-5, 1e-3, 0.05, 0.1, 0.25};
-  config.trials = 5;
-  config.base_seed = 71;
-  config.threads = 1;
-  const auto series = harness::RunFaultRateSweep(config, trials);
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 1e-5, 1e-3, 0.05, 0.1, 0.25};
+  spec.fixed_trials = 5;
+  spec.base_seed = 71;
+  const auto series = test::RunFixedSweep(spec, trials, 1);
   const std::string path = ::testing::TempDir() + "/robustify_engine_" + tag + ".csv";
   harness::WriteSweepCsv(path, series);
   std::ifstream in(path, std::ios::binary);

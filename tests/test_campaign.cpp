@@ -4,12 +4,18 @@
 // comparison on the real figure scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/adaptive.h"
@@ -388,6 +394,75 @@ TEST(Campaign, CsvByteIdenticalAcrossThreadsAndBatches) {
           "t" + std::to_string(threads) + "b" + std::to_string(batch));
       EXPECT_EQ(got, reference) << threads << " threads, batch " << batch;
     }
+  }
+}
+
+// The runner claims (cell, batch) units, so one cell's trials spread over
+// several workers: 16 sleeping trials of a single cell at 4 threads must
+// not all land on one thread.
+TEST(Campaign, OneCellRunsOnSeveralWorkers) {
+  std::mutex mu;
+  std::set<std::thread::id> workers;
+  campaign::Scenario scenario;
+  scenario.series = {{"sleepy", [&](const core::FaultEnvironment&) {
+                        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                        std::lock_guard<std::mutex> lock(mu);
+                        workers.insert(std::this_thread::get_id());
+                        return harness::TrialOutcome{};
+                      }}};
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0};
+  spec.fixed_trials = 16;
+  campaign::RunnerOptions options;
+  options.threads = 4;
+  options.adaptive = false;
+  const campaign::CampaignResult result = campaign::RunCampaign(spec, scenario, options);
+  EXPECT_EQ(result.total_trials, 16);
+  EXPECT_GT(workers.size(), 1u);
+}
+
+// Speculation is bounded the same way at every thread count: a batch past
+// min_trials runs only once the previous batch is accepted and the cell is
+// still open, so the number of trials *executed* (accepted or discarded) is
+// the per-cell sequential schedule's — run batch after batch until the
+// stopping rule fires — at 1, 2 and 8 threads.
+TEST(Campaign, ExecutedTrialsAreThreadInvariant) {
+  campaign::CampaignSpec spec = SyntheticSpec();
+  spec.batch = 3;
+  campaign::Scenario scenario = SyntheticScenario();
+
+  // The sequential schedule: each cell runs whole batches until its
+  // controller is done.
+  long expected = 0;
+  for (const harness::NamedTrial& series : scenario.series) {
+    for (std::size_t r = 0; r < spec.fault_rates.size(); ++r) {
+      const core::FaultEnvironment env =
+          campaign::SpecEnvironment(spec, static_cast<int>(r));
+      campaign::CellController controller(campaign::SpecAdaptiveConfig(spec, true));
+      for (int base = 0; !controller.done(); base += spec.batch) {
+        const int end = std::min(base + spec.batch, spec.max_trials);
+        expected += end - base;
+        for (int t = base; t < end && !controller.done(); ++t) {
+          controller.Record(harness::RunSingleTrial(series.fn, env, t).success);
+        }
+      }
+    }
+  }
+  ASSERT_LT(expected, static_cast<long>(spec.max_trials) * 6);  // rule fires early
+
+  std::atomic<long> executed{0};
+  for (harness::NamedTrial& series : scenario.series) {
+    series.fn = [&executed, fn = series.fn](const core::FaultEnvironment& env) {
+      executed.fetch_add(1);
+      return fn(env);
+    };
+  }
+  for (const int threads : {1, 2, 8}) {
+    executed.store(0);
+    campaign::RunnerOptions options;
+    options.threads = threads;
+    campaign::RunCampaign(spec, scenario, options);
+    EXPECT_EQ(executed.load(), expected) << threads << " threads";
   }
 }
 

@@ -23,7 +23,7 @@
 #include "core/guard.h"
 #include "faulty/fault_injector.h"
 #include "faulty/fault_model.h"
-#include "harness/sweep.h"
+#include "fixed_sweep.h"
 #include "harness/trial.h"
 #include "linalg/vector.h"
 
@@ -346,17 +346,15 @@ TEST(EngineEquivalence, StickyModelsBitIdenticalAcrossEngines) {
 TEST(EngineEquivalence, StuckSweepThreadCountInvariant) {
   FaultModel model;
   model.temporal = Temporal::kStuckAt;
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.02, 0.2};
-  config.trials = 4;
-  config.base_seed = 77;
-  config.model = model;
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.02, 0.2};
+  spec.fixed_trials = 4;
+  spec.base_seed = 77;
+  spec.model = model;
   const std::vector<harness::NamedTrial> trials = {
       {"sort", ModelSortTrial(model, Strategy::kSkipAhead, faulty::Engine::kBlock)}};
-  config.threads = 1;
-  const auto serial = harness::RunFaultRateSweep(config, trials);
-  config.threads = 4;
-  const auto parallel = harness::RunFaultRateSweep(config, trials);
+  const auto serial = test::RunFixedSweep(spec, trials, 1);
+  const auto parallel = test::RunFixedSweep(spec, trials, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t s = 0; s < serial.size(); ++s) {
     ASSERT_EQ(serial[s].points.size(), parallel[s].points.size());

@@ -1,5 +1,5 @@
-// Harness: trials, sweeps, table extraction, CSV writing, and the
-// golden-CSV determinism guarantees (thread-count and injector-strategy
+// Harness: trials, fixed-budget sweeps, table extraction, CSV writing, and
+// the golden-CSV determinism guarantees (thread-count and injector-strategy
 // invariance of sweep output).
 #include <gtest/gtest.h>
 
@@ -13,14 +13,24 @@
 #include "apps/configs.h"
 #include "apps/sort_app.h"
 #include "core/fault_env.h"
+#include "fixed_sweep.h"
 #include "harness/csv.h"
-#include "harness/sweep.h"
 #include "harness/table.h"
 #include "harness/trial.h"
 
 namespace {
 
 using namespace robustify;
+using test::RunFixedSweep;
+
+// The outcomes of trials 0 .. count-1 of `fn` at `env`, summarized in
+// trial order.
+harness::TrialSummary RunAndSummarize(const harness::TrialFn& fn,
+                                      const core::FaultEnvironment& env, int count) {
+  std::vector<harness::TrialOutcome> outcomes;
+  for (int t = 0; t < count; ++t) outcomes.push_back(harness::RunSingleTrial(fn, env, t));
+  return harness::SummarizeOutcomes(outcomes);
+}
 
 harness::TrialFn FailAboveRate(double cutoff) {
   return [cutoff](const core::FaultEnvironment& env) {
@@ -31,7 +41,7 @@ harness::TrialFn FailAboveRate(double cutoff) {
   };
 }
 
-TEST(RunTrials, CountsSuccessesAndVariesSeeds) {
+TEST(Trials, CountsSuccessesAndVariesSeeds) {
   std::vector<std::uint64_t> seeds;
   const harness::TrialFn fn = [&seeds](const core::FaultEnvironment& env) {
     seeds.push_back(env.seed);
@@ -42,14 +52,14 @@ TEST(RunTrials, CountsSuccessesAndVariesSeeds) {
   };
   core::FaultEnvironment env;
   env.seed = 10;
-  const harness::TrialSummary s = harness::RunTrials(fn, env, 4);
+  const harness::TrialSummary s = RunAndSummarize(fn, env, 4);
   EXPECT_EQ(s.trials, 4);
   EXPECT_EQ(s.successes, 2);
   EXPECT_DOUBLE_EQ(s.success_rate_pct, 50.0);
   EXPECT_EQ(seeds, (std::vector<std::uint64_t>{10, 11, 12, 13}));
 }
 
-TEST(RunTrials, NonFiniteMetricsCountAsInfinityInMedian) {
+TEST(Trials, NonFiniteMetricsCountAsInfinityInMedian) {
   int call = 0;
   const harness::TrialFn fn = [&call](const core::FaultEnvironment&) {
     harness::TrialOutcome out;
@@ -57,18 +67,18 @@ TEST(RunTrials, NonFiniteMetricsCountAsInfinityInMedian) {
     return out;
   };
   core::FaultEnvironment env;
-  const harness::TrialSummary s = harness::RunTrials(fn, env, 4);
+  const harness::TrialSummary s = RunAndSummarize(fn, env, 4);
   EXPECT_TRUE(std::isinf(s.median_metric));  // upper median of {1, 1, inf, inf}
   EXPECT_DOUBLE_EQ(s.mean_metric, 1.0);      // mean over finite metrics
 }
 
 TEST(Sweep, RunsEverySeriesAtEveryRate) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.1, 0.2};
-  config.trials = 3;
-  config.base_seed = 1;
-  const auto series = harness::RunFaultRateSweep(
-      config, {{"lenient", FailAboveRate(0.15)}, {"strict", FailAboveRate(0.05)}});
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.1, 0.2};
+  spec.fixed_trials = 3;
+  spec.base_seed = 1;
+  const auto series = RunFixedSweep(
+      spec, {{"lenient", FailAboveRate(0.15)}, {"strict", FailAboveRate(0.05)}});
   ASSERT_EQ(series.size(), 2u);
   ASSERT_EQ(series[0].points.size(), 3u);
   EXPECT_DOUBLE_EQ(series[0].points[1].summary.success_rate_pct, 100.0);
@@ -76,11 +86,10 @@ TEST(Sweep, RunsEverySeriesAtEveryRate) {
 }
 
 TEST(Table, PrintsOneRowPerRateAndOneColumnPerSeries) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.5};
-  config.trials = 2;
-  const auto series =
-      harness::RunFaultRateSweep(config, {{"SGD+AS,LS", FailAboveRate(0.25)}});
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.5};
+  spec.fixed_trials = 2;
+  const auto series = RunFixedSweep(spec, {{"SGD+AS,LS", FailAboveRate(0.25)}});
   std::ostringstream os;
   harness::PrintSweepTable(os, "title", series, harness::TableValue::kSuccessRatePct,
                            "success (%)");
@@ -92,11 +101,10 @@ TEST(Table, PrintsOneRowPerRateAndOneColumnPerSeries) {
 }
 
 TEST(Csv, WritesQuotedHeadersAndThrowsOnBadPath) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0};
-  config.trials = 1;
-  const auto series =
-      harness::RunFaultRateSweep(config, {{"SGD+AS,LS", FailAboveRate(1.0)}});
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0};
+  spec.fixed_trials = 1;
+  const auto series = RunFixedSweep(spec, {{"SGD+AS,LS", FailAboveRate(1.0)}});
   const std::string path = ::testing::TempDir() + "/robustify_test_sweep.csv";
   harness::WriteSweepCsv(path, series);
   std::ifstream in(path);
@@ -133,10 +141,10 @@ harness::TrialFn SortTrial(faulty::FaultInjector::Strategy strategy) {
   };
 }
 
-std::string SweepCsvBytes(const harness::SweepConfig& config,
+std::string SweepCsvBytes(const campaign::CampaignSpec& spec,
                           const std::vector<harness::NamedTrial>& trials,
-                          const std::string& tag) {
-  const auto series = harness::RunFaultRateSweep(config, trials);
+                          int threads, const std::string& tag) {
+  const auto series = RunFixedSweep(spec, trials, threads);
   const std::string path = ::testing::TempDir() + "/robustify_golden_" + tag + ".csv";
   harness::WriteSweepCsv(path, series);
   std::ifstream in(path, std::ios::binary);
@@ -146,24 +154,21 @@ std::string SweepCsvBytes(const harness::SweepConfig& config,
   return buffer.str();
 }
 
-// The sweep contract: output is a pure function of (config, trial fns) —
+// The sweep contract: output is a pure function of (spec, trial fns) —
 // never of the worker count.  Byte-identical CSVs for 1, 2, and 8 threads,
 // at rate 0 and under heavy fault injection alike.
 TEST(Sweep, GoldenCsvByteIdenticalAcrossThreadCounts) {
   using Strategy = faulty::FaultInjector::Strategy;
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05};
-  config.trials = 4;
-  config.base_seed = 33;
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.05};
+  spec.fixed_trials = 4;
+  spec.base_seed = 33;
   const std::vector<harness::NamedTrial> trials = {
       {"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}};
 
-  config.threads = 1;
-  const std::string one = SweepCsvBytes(config, trials, "t1");
-  config.threads = 2;
-  const std::string two = SweepCsvBytes(config, trials, "t2");
-  config.threads = 8;
-  const std::string eight = SweepCsvBytes(config, trials, "t8");
+  const std::string one = SweepCsvBytes(spec, trials, 1, "t1");
+  const std::string two = SweepCsvBytes(spec, trials, 2, "t2");
+  const std::string eight = SweepCsvBytes(spec, trials, 8, "t8");
 
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, two);
@@ -175,16 +180,15 @@ TEST(Sweep, GoldenCsvByteIdenticalAcrossThreadCounts) {
 // to produce byte-identical sweep output.
 TEST(Sweep, GoldenCsvByteIdenticalAcrossStrategiesAtRateZero) {
   using Strategy = faulty::FaultInjector::Strategy;
-  harness::SweepConfig config;
-  config.fault_rates = {0.0};
-  config.trials = 3;
-  config.base_seed = 44;
-  config.threads = 1;
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0};
+  spec.fixed_trials = 3;
+  spec.base_seed = 44;
 
   const std::string skip = SweepCsvBytes(
-      config, {{"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}}, "skip");
+      spec, {{"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}}, 1, "skip");
   const std::string perop = SweepCsvBytes(
-      config, {{"SGD+AS,SQS", SortTrial(Strategy::kPerOp)}}, "perop");
+      spec, {{"SGD+AS,SQS", SortTrial(Strategy::kPerOp)}}, 1, "perop");
 
   EXPECT_FALSE(skip.empty());
   EXPECT_EQ(skip, perop);

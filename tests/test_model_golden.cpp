@@ -27,8 +27,8 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
+#include "fixed_sweep.h"
 #include "harness/csv.h"
-#include "harness/sweep.h"
 #include "harness/trial.h"
 
 #ifndef ROBUSTIFY_SOURCE_DIR
@@ -92,13 +92,12 @@ harness::TrialFn SortTrial(Strategy strategy, faulty::Engine engine) {
 }
 
 std::string SweepCsvBytes(Strategy strategy, faulty::Engine engine, int threads) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05, 0.25};
-  config.trials = 4;
-  config.base_seed = 33;
-  config.threads = threads;
-  const auto series = harness::RunFaultRateSweep(
-      config, {{"SGD+AS,SQS", SortTrial(strategy, engine)}});
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.05, 0.25};
+  spec.fixed_trials = 4;
+  spec.base_seed = 33;
+  const auto series = test::RunFixedSweep(
+      spec, {{"SGD+AS,SQS", SortTrial(strategy, engine)}}, threads);
   const std::string path = ::testing::TempDir() + "/robustify_model_golden.csv";
   harness::WriteSweepCsv(path, series);
   std::ifstream in(path, std::ios::binary);

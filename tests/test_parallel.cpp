@@ -1,6 +1,5 @@
-// Parallel harness: thread pool, parallel-for, thread-count resolution, and
-// the determinism guarantee — sweep output is identical for every worker
-// count.
+// Parallel harness: parallel-for, thread-count resolution, and the
+// determinism guarantee — sweep output is identical for every worker count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +13,8 @@
 
 #include "core/fault_env.h"
 #include "faulty/real.h"
+#include "fixed_sweep.h"
 #include "harness/parallel.h"
-#include "harness/sweep.h"
 #include "harness/trial.h"
 
 namespace {
@@ -33,16 +32,6 @@ TEST(ResolveThreadCount, EnvOverrideAppliesWhenUnspecified) {
   EXPECT_EQ(harness::ResolveThreadCount(2), 2);  // explicit still wins
   ASSERT_EQ(unsetenv("ROBUSTIFY_THREADS"), 0);
   EXPECT_GE(harness::ResolveThreadCount(0), 1);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  harness::ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 100);
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
@@ -172,13 +161,13 @@ bool SummariesIdentical(const harness::TrialSummary& a, const harness::TrialSumm
 
 TEST(Sweep, ByteIdenticalResultsForEveryThreadCount) {
   const auto run = [](int threads) {
-    harness::SweepConfig config;
-    config.fault_rates = {0.0, 0.01, 0.3};  // spans skip-ahead and per-op
-    config.trials = 6;
-    config.base_seed = 17;
-    config.threads = threads;
-    return harness::RunFaultRateSweep(
-        config, {{"a", FaultyAccumulateTrial()}, {"b", FaultyAccumulateTrial()}});
+    campaign::CampaignSpec spec;
+    spec.fault_rates = {0.0, 0.01, 0.3};  // spans skip-ahead and per-op
+    spec.fixed_trials = 6;
+    spec.base_seed = 17;
+    return test::RunFixedSweep(
+        spec, {{"a", FaultyAccumulateTrial()}, {"b", FaultyAccumulateTrial()}},
+        threads);
   };
   const auto serial = run(1);
   for (const int threads : {2, 8}) {
@@ -197,14 +186,17 @@ TEST(Sweep, ByteIdenticalResultsForEveryThreadCount) {
   }
 }
 
-TEST(RunTrials, ParallelMatchesSerial) {
-  core::FaultEnvironment env;
-  env.fault_rate = 0.02;
-  env.seed = 5;
-  const harness::TrialFn fn = FaultyAccumulateTrial();
-  const harness::TrialSummary serial = harness::RunTrials(fn, env, 8, 1);
-  const harness::TrialSummary parallel = harness::RunTrials(fn, env, 8, 4);
-  EXPECT_TRUE(SummariesIdentical(serial, parallel));
+// One cell's trials spread over several workers still reduce to the serial
+// summary.
+TEST(Trials, ParallelMatchesSerial) {
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.02};
+  spec.fixed_trials = 8;
+  spec.base_seed = 5;
+  const auto serial = test::RunFixedSweep(spec, {{"a", FaultyAccumulateTrial()}}, 1);
+  const auto parallel = test::RunFixedSweep(spec, {{"a", FaultyAccumulateTrial()}}, 4);
+  EXPECT_TRUE(SummariesIdentical(serial[0].points[0].summary,
+                                 parallel[0].points[0].summary));
 }
 
 }  // namespace

@@ -28,9 +28,10 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
+#include "fixed_sweep.h"
 #include "harness/csv.h"
 #include "harness/parallel.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 #include "linalg/scalar.h"
 #include "service/query_service.h"
 #include "store/result_store.h"
@@ -60,13 +61,12 @@ harness::TrialFn SortTrial() {
   };
 }
 
-harness::SweepConfig SmallSweep(int threads) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05};
-  config.trials = 4;
-  config.base_seed = 77;
-  config.threads = threads;
-  return config;
+campaign::CampaignSpec SmallSweep() {
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0, 0.05};
+  spec.fixed_trials = 4;
+  spec.base_seed = 77;
+  return spec;
 }
 
 std::string CsvBytes(const std::vector<harness::Series>& series,
@@ -82,8 +82,8 @@ std::string CsvBytes(const std::vector<harness::Series>& series,
 }
 
 std::string SweepCsvBytes(int threads, const std::string& tag) {
-  const auto series = harness::RunFaultRateSweep(
-      SmallSweep(threads), {{"SGD+AS,SQS", SortTrial()}});
+  const auto series =
+      test::RunFixedSweep(SmallSweep(), {{"SGD+AS,SQS", SortTrial()}}, threads);
   return CsvBytes(series, tag);
 }
 
@@ -178,14 +178,14 @@ TEST(Telemetry, CounterTotalsThreadCountInvariant) {
 TEST(Telemetry, ModelAndGuardCountersThreadCountInvariant) {
   telemetry::SetCountersEnabled(true);
   const auto run = [](int threads) {
-    harness::SweepConfig config = SmallSweep(threads);
-    config.fault_rates = {0.05, 0.25};
-    config.trials = 8;
-    config.model.temporal = faulty::Temporal::kStuckAt;
-    config.guard.max_iterations = 5;  // trips long before SGD converges
-    config.guard.nonfinite_bailout = true;
+    campaign::CampaignSpec spec = SmallSweep();
+    spec.fault_rates = {0.05, 0.25};
+    spec.fixed_trials = 8;
+    spec.model.temporal = faulty::Temporal::kStuckAt;
+    spec.guard.max_iterations = 5;  // trips long before SGD converges
+    spec.guard.nonfinite_bailout = true;
     telemetry::ResetCounters();
-    harness::RunFaultRateSweep(config, {{"SGD+AS,SQS", SortTrial()}});
+    test::RunFixedSweep(spec, {{"SGD+AS,SQS", SortTrial()}}, threads);
     return telemetry::SnapshotCounters();
   };
   const telemetry::CounterSnapshot one = run(1);
@@ -256,7 +256,7 @@ TEST(Telemetry, HistogramBucketsAreLog2) {
 }
 
 // Shards of exited threads fold into the retired totals: counts made on
-// short-lived pool workers must survive the workers.
+// ParallelFor's short-lived workers must survive the workers.
 TEST(Telemetry, RegistryMergesRetiredWorkerShards) {
   telemetry::SetCountersEnabled(true);
   telemetry::ResetCounters();
@@ -264,7 +264,7 @@ TEST(Telemetry, RegistryMergesRetiredWorkerShards) {
   harness::ParallelFor(kUnits, 4, [](int) {
     telemetry::Count(telemetry::Counter::kCampaignTrials, 3);
   });
-  // The pool is created and joined inside ParallelFor, so every worker
+  // The workers are started and joined inside ParallelFor, so every worker
   // shard has retired by now.
   const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
   EXPECT_EQ(snap.value(telemetry::Counter::kCampaignTrials),
@@ -378,7 +378,7 @@ TEST(Telemetry, WriteTraceEmitsBalancedChromeJson) {
   const std::string json = buffer.str();
   ASSERT_FALSE(json.empty());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"sweep\""), std::string::npos);
+  EXPECT_NE(json.find("\"campaign\""), std::string::npos);
   EXPECT_NE(json.find("\"trial\""), std::string::npos);
   EXPECT_NE(json.find("\"solve.sgd\""), std::string::npos);
   EXPECT_NE(json.find("\"phase\""), std::string::npos);

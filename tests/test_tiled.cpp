@@ -16,8 +16,9 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
+#include "fixed_sweep.h"
 #include "harness/csv.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 #include "linalg/lsq.h"
 #include "linalg/tiled.h"
 
@@ -205,18 +206,17 @@ TEST(Tiled, SolveSeedChangesTheFaultStream) {
 // tiled_cholesky scenario is swept at 1, 2, and 8 workers and the CSV bytes
 // compared.
 TEST(Tiled, CampaignCsvBytesIndependentOfTileWorkers) {
-  const campaign::CampaignSpec& spec = campaign::RegistrySpec("tiled_cholesky");
+  campaign::CampaignSpec spec = campaign::RegistrySpec("tiled_cholesky");
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  harness::SweepConfig sweep = campaign::ToSweepConfig(spec);
-  sweep.fault_rates = {0.0, 1e-5, 1e-3};
-  sweep.trials = 2;
-  sweep.threads = 1;  // outer trial loop serial; the knob under test is inner
+  spec.fault_rates = {0.0, 1e-5, 1e-3};
+  spec.fixed_trials = 2;
 
   std::string reference;
   for (const int workers : {1, 2, 8}) {
     ::setenv("ROBUSTIFY_TILE_THREADS", std::to_string(workers).c_str(), 1);
+    // Outer trial loop serial; the knob under test is inner.
     const std::vector<harness::Series> series =
-        harness::RunFaultRateSweep(sweep, scenario.series);
+        test::RunFixedSweep(spec, scenario.series, 1);
     const std::string path =
         "tiled_csv_w" + std::to_string(workers) + ".csv";
     harness::WriteSweepCsv(path, series);

@@ -31,7 +31,7 @@ VALID_PHASES = {"B", "E", "i", "X", "M"}
 # the attribution categories in telemetry/attribution.cpp).
 KNOWN_NAMES = {
     "campaign", "cell", "trial", "solve.sgd", "solve.cgls", "solve.cgne",
-    "phase", "checkpoint.flush", "sweep", "query", "stats", "reduce",
+    "phase", "checkpoint.flush", "query", "stats", "reduce",
     "pool.wait", "calibrate", "fault", "trace.dropped", "process_name",
 }
 MAX_REPORTED = 10
