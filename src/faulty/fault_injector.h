@@ -210,7 +210,8 @@ class FaultInjector {
   // fault by flipping `bit` in the result of op `offset`.  Observationally
   // identical to `ops` Execute calls: the RNG is consumed in FaultPath's
   // order (the next gap, then this fault's bit) and the stats, counters and
-  // per-fault telemetry match.  Precondition: SchedulesFaults().
+  // per-fault telemetry match.  The walk's alias-table draws are booked
+  // once, after it.  Precondition: SchedulesFaults().
   template <class OnFault>
   void ScheduleFaults(std::uint64_t ops, const OnFault& on_fault) {
     // Local copies: stores the callback makes cannot alias them, so the RNG
@@ -219,10 +220,11 @@ class FaultInjector {
     std::uint64_t countdown = countdown_;
     std::uint64_t scheduled = scheduled_;
     std::uint64_t faults = 0;
+    std::uint64_t table_draws = 0;
     std::uint64_t at = 0;  // offset of the next unscheduled op
     while (countdown < ops - at) {
       at += countdown;
-      countdown = gaps_->Sample(rng);
+      countdown = gaps_->Sample(rng, &table_draws);
       scheduled += countdown + 1;  // this op plus the next clean stretch
       telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, countdown);
       telemetry::FaultInstant();
@@ -235,6 +237,7 @@ class FaultInjector {
     scheduled_ = scheduled;
     faults_ += faults;
     faults_arith_ += faults;
+    if (table_draws != 0) telemetry::Count(telemetry::Counter::kGapDrawsTable, table_draws);
   }
 
   ContextStats stats() const {

@@ -55,17 +55,29 @@ class GeometricGapSampler {
   bool uses_table() const { return table_; }
 
   // One gap draw from `rng`; kNever when the sampled gap exceeds 2^64.
-  // Forced inline: it is the first half of every scheduled fault, and the
-  // compiler's size heuristics otherwise leave it as a call.
-  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng) const {
+  // Adds the alias-table draws it made (tail redraws included) to
+  // *table_draws, for the caller to book as gap.draws.table; the
+  // inverse-CDF form books its own (rare) draw.  Forced inline: it is the
+  // first half of every scheduled fault, and the compiler's size heuristics
+  // otherwise leave it as a call.
+  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng,
+                                               std::uint64_t* table_draws) const {
     if (!table_) return InverseCdf(rng.next());
-    telemetry::Count(telemetry::Counter::kGapDrawsTable);
     std::uint64_t base = 0;
     for (;;) {
+      ++*table_draws;
       const int outcome = AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
       if (outcome < kTableGaps) return base + static_cast<std::uint64_t>(outcome);
       base += kTableGaps;  // tail: gap >= 63; memorylessness restarts the draw
     }
+  }
+
+  // One gap draw, its table draws booked right away.
+  std::uint64_t Sample(Lfsr& rng) const {
+    std::uint64_t draws = 0;
+    const std::uint64_t gap = Sample(rng, &draws);
+    if (draws != 0) telemetry::Count(telemetry::Counter::kGapDrawsTable, draws);
+    return gap;
   }
 
   // Process-wide cache keyed by the rate's bit pattern: built on first use,

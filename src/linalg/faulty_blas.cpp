@@ -22,6 +22,59 @@ namespace {
 
 using faulty::FaultInjector;
 
+// a + b with `a` as the add's first operand.  When both operands are NaNs,
+// x86 returns the first one's payload; a plain `+` leaves that choice to
+// the register allocator, which treats the add as commutative.  The matrix
+// kernels pin their chain adds with this (and the lane-wise AddLanes) so
+// the order is a property of the source.
+#if defined(__SSE2__) && (defined(__GNUC__) || defined(__clang__))
+#define BLAS_PINNED_ADDS 1
+inline double AddFirst(double a, double b) {
+  __asm__("addsd %1, %0" : "+x"(a) : "x"(b));
+  return a;
+}
+#else
+inline double AddFirst(double a, double b) { return a + b; }
+#endif
+
+// Two independent op chains side by side: one SSE2 register, or a plain
+// pair of doubles off SSE2.  Lane 0 is the low half.
+#if defined(__SSE2__)
+using Lanes = __m128d;
+inline Lanes LoadLanes(const double* p) { return _mm_loadu_pd(p); }
+inline Lanes PairLanes(double lane0, double lane1) { return _mm_set_pd(lane1, lane0); }
+inline Lanes SplatLanes(double v) { return _mm_set1_pd(v); }
+inline void StoreLanes(double* p, Lanes v) { _mm_storeu_pd(p, v); }
+// Lane-wise AddFirst.
+inline Lanes AddLanes(Lanes a, Lanes b) {
+#if defined(BLAS_PINNED_ADDS)
+  __asm__("addpd %1, %0" : "+x"(a) : "x"(b));
+  return a;
+#else
+  return _mm_add_pd(a, b);
+#endif
+}
+inline Lanes MulLanes(Lanes a, Lanes b) { return _mm_mul_pd(a, b); }
+// [a.lane0, b.lane0] and [a.lane1, b.lane1]: a 2x2 transpose.
+inline Lanes LowLanes(Lanes a, Lanes b) { return _mm_unpacklo_pd(a, b); }
+inline Lanes HighLanes(Lanes a, Lanes b) { return _mm_unpackhi_pd(a, b); }
+#else
+struct Lanes {
+  double lane0, lane1;
+};
+inline Lanes LoadLanes(const double* p) { return {p[0], p[1]}; }
+inline Lanes PairLanes(double lane0, double lane1) { return {lane0, lane1}; }
+inline Lanes SplatLanes(double v) { return {v, v}; }
+inline void StoreLanes(double* p, Lanes v) {
+  p[0] = v.lane0;
+  p[1] = v.lane1;
+}
+inline Lanes AddLanes(Lanes a, Lanes b) { return {a.lane0 + b.lane0, a.lane1 + b.lane1}; }
+inline Lanes MulLanes(Lanes a, Lanes b) { return {a.lane0 * b.lane0, a.lane1 * b.lane1}; }
+inline Lanes LowLanes(Lanes a, Lanes b) { return {a.lane0, b.lane0}; }
+inline Lanes HighLanes(Lanes a, Lanes b) { return {a.lane1, b.lane1}; }
+#endif
+
 // How a kernel body passes each op result through the injector.  Every
 // family writes its loop body once, generic in this policy, and
 // RunKernelDyn below instantiates it three ways.  `op` is the op's offset from the first
@@ -30,11 +83,18 @@ using faulty::FaultInjector;
 //  * Clean  — the raw result: no injector, or a run the schedule keeps clean.
 //  * Masked — result ^ mask[op], the window's faults applied as data.
 //  * PerOp  — per-scalar Execute: non-default models and the per-op oracle.
+//
+// Clean and Masked also take two ops at once, one per lane, with each
+// lane's own offset (kLanes).  PerOp has no two-lane form: Execute must see
+// the ops in the flattened order, so bodies keep their scalar loop for it.
 struct Clean {
+  static constexpr bool kLanes = true;
   double operator()(double v, std::size_t) const { return v; }
+  Lanes operator()(Lanes v, std::size_t, std::size_t) const { return v; }
 };
 
 struct Masked {
+  static constexpr bool kLanes = true;
   const std::uint64_t* mask;
   double operator()(double v, std::size_t op) const {
 #if defined(__SSE2__)
@@ -51,9 +111,20 @@ struct Masked {
     return v;
 #endif
   }
+  Lanes operator()(Lanes v, std::size_t op0, std::size_t op1) const {
+#if defined(__SSE2__)
+    const __m128i m =
+        _mm_unpacklo_epi64(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(mask + op0)),
+                           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(mask + op1)));
+    return _mm_xor_pd(v, _mm_castsi128_pd(m));
+#else
+    return {(*this)(v.lane0, op0), (*this)(v.lane1, op1)};
+#endif
+  }
 };
 
 struct PerOp {
+  static constexpr bool kLanes = false;
   FaultInjector* inj;
   double operator()(double v, std::size_t) const { return inj->Execute(v); }
 };
@@ -293,30 +364,163 @@ double Nrm2(std::size_t n, const double* x) {
   return OneOp(std::sqrt(DotAcc(n, 0.0, x, 1, x, 1)));
 }
 
-// The matrix kernels run over the m*n (row, column) elements flattened in
-// row-major order, so a run — and a mask window — may start or end mid-row.
-// y is zeroed by reliable stores first; MatVec keeps each row's running sum
-// in y[r], which is how a run that starts mid-row resumes it.
+// ---- Matrix kernels ----------------------------------------------------------
+//
+// MatVec and MatTVec run over the m*n (row, column) elements flattened in
+// row-major order, two ops each, so a run — and a mask window — may start
+// or end mid-row.  y is zeroed by reliable stores first.  A partial row at
+// either end of a run takes the scalar loop, with each chain's running sum
+// in y (which is how a run that starts mid-row resumes it).  The whole rows
+// in between run their independent chains side by side in lanes: MatVec a
+// row's sum per lane, MatTVec a column's.  Each chain adds its terms in the
+// flattened order and every op keeps its offset, so the interleaving
+// changes neither a value nor which op a mask hits.  Every add keeps the
+// operand order the scalar loop always had, pinned with AddFirst: MatVec's
+// running sum first, MatTVec's term first (its sum lived in y[j]).
+
+namespace {
+
+// Rows r .. r + 2 * kPairs - 1 of y = A x, whole; `op` is the offset of row
+// r's first op.  Lane k of pair p carries row r + 2p + k.  Columns go two at
+// a time: each row multiplies its column pair against x's in one register,
+// and a 2x2 transpose turns a row pair's products into the terms its two
+// chains add next, column j's before column j + 1's.
+template <int kPairs, class Fx>
+inline void MatVecRowBlock(std::size_t n, const double* BLAS_RESTRICT a,
+                           const double* BLAS_RESTRICT x, double* BLAS_RESTRICT y,
+                           std::size_t r, std::size_t op, const Fx& fx) {
+  const std::size_t row_ops = 2 * n;
+  const double* BLAS_RESTRICT row = a + r * n;
+  Lanes acc[kPairs];
+  for (int p = 0; p < kPairs; ++p) acc[p] = LoadLanes(y + r + 2 * p);
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2, op += 4) {
+    const Lanes xj = LoadLanes(x + j);
+    for (int p = 0; p < kPairs; ++p) {
+      const double* BLAS_RESTRICT r0 = row + 2 * p * n + j;
+      const std::size_t o0 = op + 2 * p * row_ops;  // element (r + 2p, j)
+      const std::size_t o1 = o0 + row_ops;          // element (r + 2p + 1, j)
+      const Lanes t0 = fx(MulLanes(LoadLanes(r0), xj), o0, o0 + 2);
+      const Lanes t1 = fx(MulLanes(LoadLanes(r0 + n), xj), o1, o1 + 2);
+      acc[p] = fx(AddLanes(acc[p], LowLanes(t0, t1)), o0 + 1, o1 + 1);
+      acc[p] = fx(AddLanes(acc[p], HighLanes(t0, t1)), o0 + 3, o1 + 3);
+    }
+  }
+  if (j < n) {  // odd last column
+    const Lanes xj = SplatLanes(x[j]);
+    for (int p = 0; p < kPairs; ++p) {
+      const double* BLAS_RESTRICT r0 = row + 2 * p * n + j;
+      const std::size_t o0 = op + 2 * p * row_ops;
+      const std::size_t o1 = o0 + row_ops;
+      const Lanes t = fx(MulLanes(PairLanes(r0[0], r0[n]), xj), o0, o1);
+      acc[p] = fx(AddLanes(acc[p], t), o0 + 1, o1 + 1);
+    }
+  }
+  for (int p = 0; p < kPairs; ++p) StoreLanes(y + r + 2 * p, acc[p]);
+}
+
+// Columns j .. j + 2 * kPairs - 1 of y = A^T x over whole rows [r0, r1);
+// `op` is the offset of element (r0, j)'s first op.  Lane k of pair p
+// carries column j + 2p + k.
+template <int kPairs, class Fx>
+inline void MatTVecColumnBlock(std::size_t n, const double* BLAS_RESTRICT a,
+                               const double* BLAS_RESTRICT x, double* BLAS_RESTRICT y,
+                               std::size_t j, std::size_t r0, std::size_t r1,
+                               std::size_t op, const Fx& fx) {
+  Lanes acc[kPairs];
+  for (int p = 0; p < kPairs; ++p) acc[p] = LoadLanes(y + j + 2 * p);
+  for (std::size_t r = r0; r < r1; ++r, op += 2 * n) {
+    const double* BLAS_RESTRICT row = a + r * n + j;
+    const Lanes alpha = SplatLanes(x[r]);
+    for (int p = 0; p < kPairs; ++p) {
+      const std::size_t o = op + 4 * p;
+      const Lanes t = fx(MulLanes(LoadLanes(row + 2 * p), alpha), o, o + 2);
+      acc[p] = fx(AddLanes(t, acc[p]), o + 1, o + 3);
+    }
+  }
+  for (int p = 0; p < kPairs; ++p) StoreLanes(y + j + 2 * p, acc[p]);
+}
+
+// Whole rows [r0, r1) of y = A^T x: columns in blocks of at most
+// kMaxPairs register pairs, an odd last column as a scalar chain.  `op` is
+// the offset of element (r0, 0)'s first op.
+template <class Fx>
+void MatTVecRows(std::size_t n, const double* a, const double* x, double* y,
+                 std::size_t r0, std::size_t r1, std::size_t op, const Fx& fx) {
+  constexpr std::size_t kMaxPairs = 6;
+  std::size_t j = 0;
+  for (; j + 2 * kMaxPairs <= n; j += 2 * kMaxPairs) {
+    MatTVecColumnBlock<kMaxPairs>(n, a, x, y, j, r0, r1, op + 2 * j, fx);
+  }
+  const std::size_t pairs = (n - j) / 2;
+  switch (pairs) {
+    case 5: MatTVecColumnBlock<5>(n, a, x, y, j, r0, r1, op + 2 * j, fx); break;
+    case 4: MatTVecColumnBlock<4>(n, a, x, y, j, r0, r1, op + 2 * j, fx); break;
+    case 3: MatTVecColumnBlock<3>(n, a, x, y, j, r0, r1, op + 2 * j, fx); break;
+    case 2: MatTVecColumnBlock<2>(n, a, x, y, j, r0, r1, op + 2 * j, fx); break;
+    case 1: MatTVecColumnBlock<1>(n, a, x, y, j, r0, r1, op + 2 * j, fx); break;
+    default: break;
+  }
+  j += 2 * pairs;
+  if (j == n) return;
+  double acc = y[j];
+  op += 2 * j;
+  for (std::size_t r = r0; r < r1; ++r, op += 2 * n) {
+    const double t = fx(a[r * n + j] * x[r], op);
+    acc = fx(AddFirst(t, acc), op + 1);
+  }
+  y[j] = acc;
+}
+
+// Splits run [lo, hi) of an m x n matrix kernel into its partial first row,
+// its whole rows and its partial last row.  `partial(r, j, end)` runs
+// elements [j, end) of row r; `whole(r0, r1)` runs rows [r0, r1).
+template <class Partial, class Whole>
+inline void SplitRows(std::size_t n, std::size_t lo, std::size_t hi,
+                      const Partial& partial, const Whole& whole) {
+  std::size_t r = lo / n;
+  const std::size_t j = lo - r * n;
+  const std::size_t r_end = hi / n;
+  const std::size_t j_end = hi - r_end * n;
+  if (r == r_end) {
+    partial(r, j, j_end);
+    return;
+  }
+  if (j != 0) partial(r++, j, n);
+  if (r < r_end) whole(r, r_end);
+  if (j_end != 0) partial(r_end, 0, j_end);
+}
+
+}  // namespace
+
 void MatVecInto(std::size_t m, std::size_t n, const double* a, const double* x,
                 double* y) {
   for (std::size_t r = 0; r < m; ++r) y[r] = 0.0;
   if (n == 0) return;
   RunKernel<2>(m * n, [&](std::size_t lo, std::size_t hi, auto fx) {
-    const double* BLAS_RESTRICT xp = x;
-    std::size_t r = lo / n;
-    std::size_t j = lo - r * n;
-    std::size_t op = 0;
-    for (std::size_t left = hi - lo; left != 0; ++r, j = 0) {
-      const std::size_t end = n - j < left ? n : j + left;
-      left -= end - j;
+    const auto partial = [&](std::size_t r, std::size_t j, std::size_t end) {
       const double* BLAS_RESTRICT row = a + r * n;
+      std::size_t op = 2 * (r * n + j - lo);
       double acc = y[r];
       for (; j < end; ++j, op += 2) {
-        const double t = fx(row[j] * xp[j], op);
-        acc = fx(acc + t, op + 1);
+        const double t = fx(row[j] * x[j], op);
+        acc = fx(AddFirst(acc, t), op + 1);
       }
       y[r] = acc;
-    }
+    };
+    SplitRows(n, lo, hi, partial, [&](std::size_t r, std::size_t r_end) {
+      if constexpr (decltype(fx)::kLanes) {
+        const std::size_t row_ops = 2 * n;
+        std::size_t op = 2 * (r * n - lo);
+        for (; r + 8 <= r_end; r += 8, op += 8 * row_ops) {
+          MatVecRowBlock<4>(n, a, x, y, r, op, fx);
+        }
+        for (; r + 2 <= r_end; r += 2, op += 2 * row_ops) {
+          MatVecRowBlock<1>(n, a, x, y, r, op, fx);
+        }
+      }
+      for (; r < r_end; ++r) partial(r, 0, n);
+    });
   });
 }
 
@@ -325,20 +529,21 @@ void MatTVecInto(std::size_t m, std::size_t n, const double* a, const double* x,
   for (std::size_t j = 0; j < n; ++j) y[j] = 0.0;
   if (n == 0) return;
   RunKernel<2>(m * n, [&](std::size_t lo, std::size_t hi, auto fx) {
-    double* BLAS_RESTRICT yp = y;
-    std::size_t r = lo / n;
-    std::size_t j = lo - r * n;
-    std::size_t op = 0;
-    for (std::size_t left = hi - lo; left != 0; ++r, j = 0) {
-      const std::size_t end = n - j < left ? n : j + left;
-      left -= end - j;
+    const auto partial = [&](std::size_t r, std::size_t j, std::size_t end) {
       const double* BLAS_RESTRICT row = a + r * n;
       const double alpha = x[r];
-      for (; j < end; ++j, op += 2) {
+      for (std::size_t op = 2 * (r * n + j - lo); j < end; ++j, op += 2) {
         const double t = fx(row[j] * alpha, op);
-        yp[j] = fx(yp[j] + t, op + 1);
+        y[j] = fx(AddFirst(t, y[j]), op + 1);
       }
-    }
+    };
+    SplitRows(n, lo, hi, partial, [&](std::size_t r, std::size_t r_end) {
+      if constexpr (decltype(fx)::kLanes) {
+        MatTVecRows(n, a, x, y, r, r_end, 2 * (r * n - lo), fx);
+      } else {
+        for (; r < r_end; ++r) partial(r, 0, n);
+      }
+    });
   });
 }
 

@@ -18,6 +18,17 @@
 // to hand out; under them a kernel steps the element holding each fault
 // through per-scalar Execute (a third instantiation of the body).
 //
+// Chains side by side.  MatVec and MatTVec run independent accumulator
+// chains interleaved in SSE2 lanes: MatVec one row's sum per lane, MatTVec
+// one column's.  That keeps the fault stream because a mask belongs to an
+// op offset, not to a moment in time: ScheduleFaults fixes every fault's
+// offset before the loop runs, each op still reads mask[its own offset],
+// and each chain adds its terms in the flattened order, so every op sees
+// the same inputs and the same mask in any interleaving.  Only the Clean
+// and Masked forms interleave.  The per-scalar Execute form has no
+// two-lane version and keeps the flattened op order, because there the
+// order of the Execute calls is the fault stream.
+//
 // Fault-stream contract: for a fixed (seed, rate, strategy) every kernel
 // consumes the injector's gap/bit RNG streams in exactly the order the
 // per-scalar faulty::Real code it replaces does, and the clean values are
@@ -79,12 +90,14 @@ void Xpby(std::size_t n, const double* s, double beta, double* p);
 double Nrm2(std::size_t n, const double* x);
 
 // y = A x (A row-major m x n)      per row: DotAcc(0, row, x).
-// y is zeroed by reliable stores first.
+// y is zeroed by reliable stores first.  Each add keeps the running sum as
+// its first operand (the one x86 keeps when two NaNs meet).
 void MatVecInto(std::size_t m, std::size_t n, const double* a, const double* x,
                 double* y);
 
 // y = A^T x (A row-major m x n); y is zeroed by reliable stores first.
-// Per row: Axpy(x[row], a_row, y).
+// Per row: Axpy(x[row], a_row, y).  Each add keeps the term as its first
+// operand, y[j] second.
 void MatTVecInto(std::size_t m, std::size_t n, const double* a, const double* x,
                  double* y);
 

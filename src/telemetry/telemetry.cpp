@@ -101,7 +101,7 @@ std::atomic<bool> g_counters_enabled{true};
 namespace {
 
 // Registry of live shards plus the folded totals of exited threads.  A
-// Meyers singleton so it outlives every thread_local ShardHolder (function
+// Meyers singleton so it outlives every thread's ShardRetirer (function
 // statics are destroyed after thread-local storage on normal exit).
 struct Registry {
   std::mutex mu;
@@ -140,25 +140,43 @@ void ZeroShard(Shard* shard) {
 
 }  // namespace
 
-ShardHolder::ShardHolder() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  shard.next = registry.head;
-  shard.prev = nullptr;
-  if (registry.head != nullptr) registry.head->prev = &shard;
-  registry.head = &shard;
-}
+namespace {
 
-ShardHolder::~ShardHolder() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  FoldInto(shard, registry.retired_counters, registry.retired_histograms);
-  if (shard.prev != nullptr) {
-    shard.prev->next = shard.next;
-  } else {
-    registry.head = shard.next;
+// Folds the thread's shard into the retired totals and unlinks it when the
+// thread exits.  The shard stays marked registered: a count from a later
+// thread-exit destructor lands in the unlinked shard and is dropped, never
+// re-registers.
+struct ShardRetirer {
+  ~ShardRetirer() {
+    Shard& shard = tls_shard;
+    Registry& registry = GetRegistry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    FoldInto(shard, registry.retired_counters, registry.retired_histograms);
+    if (shard.prev != nullptr) {
+      shard.prev->next = shard.next;
+    } else {
+      registry.head = shard.next;
+    }
+    if (shard.next != nullptr) shard.next->prev = shard.prev;
   }
-  if (shard.next != nullptr) shard.next->prev = shard.prev;
+};
+
+}  // namespace
+
+void RegisterThreadShard() {
+  Shard& shard = tls_shard;
+  {
+    Registry& registry = GetRegistry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    shard.next = registry.head;
+    shard.prev = nullptr;
+    if (registry.head != nullptr) registry.head->prev = &shard;
+    registry.head = &shard;
+  }
+  shard.registered = true;
+  // Constructed here, after the registry: destroyed at thread exit, before it.
+  static thread_local ShardRetirer retirer;
+  (void)retirer;
 }
 
 }  // namespace detail

@@ -3,10 +3,11 @@
 // A process-wide registry of named uint64 counters and fixed-bucket (log2)
 // histograms, sharded per thread so a hot-path increment is one relaxed
 // store to the calling thread's own slot — no atomic RMW, no cache-line
-// ping-pong, no allocation (shards are thread_local objects with static
-// storage).  SnapshotCounters() merges the live shards with the folded
-// totals of threads that have already exited (ParallelFor starts and joins
-// its workers per call, so most shards retire quickly).
+// ping-pong, no allocation (shards are constant-initialized thread_local
+// objects, registered on their thread's first count).  SnapshotCounters()
+// merges the live shards with the folded totals of threads that have
+// already exited (ParallelFor starts and joins its workers per call, so
+// most shards retire quickly).
 //
 // Determinism contract: telemetry observes, it never participates.  No
 // counter or histogram touches the simulation RNG, reorders a fault
@@ -42,7 +43,7 @@ enum class Counter : int {
   kInjectorScopes,       // WithFaultyFpu activations (≈ trials)
   kInjectorFaults,       // bits flipped / predicates inverted
   kInjectorFlops,        // FP ops routed through the injector
-  kGapDrawsTable,        // gap samples served by the Walker alias table
+  kGapDrawsTable,        // Walker alias-table draws (tail redraws included)
   kGapDrawsInvCdf,       // gap samples served by the inverse-CDF form
   kSgdSolves,            // MinimizeSgd calls
   kSgdIterations,        // descent iterations across all solves
@@ -117,22 +118,28 @@ namespace detail {
 // One thread's slice of every counter and histogram.  The slots are
 // relaxed atomics so the owning thread's plain-speed increments and a
 // concurrent SnapshotCounters() read are race-free; only the owner writes.
+// No member initializers: the thread-local shard must be constant (zero)
+// initialized, so reaching it never calls a TLS init function.
 struct Shard {
   std::atomic<std::uint64_t> counters[kNumCounters];
   std::atomic<std::uint64_t> histograms[kNumHistograms][kHistogramBuckets];
-  Shard* next = nullptr;  // intrusive registry list: no allocation, ever
-  Shard* prev = nullptr;
+  Shard* next;  // intrusive registry list: no allocation, ever
+  Shard* prev;
+  bool registered;  // linked into the registry (set on the first count)
 };
 
-// Registers with the process registry on construction (first touch on the
-// thread) and folds its totals into the retired accumulator on thread exit.
-struct ShardHolder {
-  Shard shard{};
-  ShardHolder();
-  ~ShardHolder();
-};
+inline thread_local Shard tls_shard;
 
-inline thread_local ShardHolder tls_shard;
+// Links this thread's shard into the process registry and arranges for its
+// totals to fold into the retired accumulator on thread exit.  Out of line:
+// runs once per thread, on its first count.
+void RegisterThreadShard();
+
+inline Shard& ThreadShard() {
+  Shard& shard = tls_shard;
+  if (!shard.registered) RegisterThreadShard();
+  return shard;
+}
 
 // Master switch for counter/histogram collection.  On by default when
 // compiled in; bench_telemetry_overhead toggles it to measure the cost of
@@ -160,15 +167,14 @@ inline std::uint64_t Log2Bucket(std::uint64_t value) {
 inline void Count(Counter c, std::uint64_t n = 1) {
   if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
   std::atomic<std::uint64_t>& slot =
-      detail::tls_shard.shard.counters[static_cast<int>(c)];
+      detail::ThreadShard().counters[static_cast<int>(c)];
   slot.store(slot.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
 
 inline void Observe(Histogram h, std::uint64_t value) {
   if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
   std::atomic<std::uint64_t>& slot =
-      detail::tls_shard.shard
-          .histograms[static_cast<int>(h)][detail::Log2Bucket(value)];
+      detail::ThreadShard().histograms[static_cast<int>(h)][detail::Log2Bucket(value)];
   slot.store(slot.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 

@@ -1,7 +1,8 @@
 // Allocation regression tests: the hot paths must not touch the heap.
 //
-// This TU replaces the global operator new/delete for the test binary with
-// counting wrappers (test-only: nothing in the library depends on them).
+// This TU replaces the global operator new/delete (every replaceable form)
+// for the test binary with counting wrappers (test-only: nothing in the
+// library depends on them).
 // The counter is thread-local and only armed inside an AllocationProbe
 // scope, so gtest's own bookkeeping outside the probe is never counted.
 //
@@ -46,21 +47,65 @@ class AllocationProbe {
 
 std::int64_t ArmedAllocations() { return tls_alloc_count; }
 
-void* CountingAlloc(std::size_t size) {
+// Counts an armed allocation; null when out of memory.  `align` 0 is the
+// default alignment.
+void* CountedMalloc(std::size_t size, std::size_t align) noexcept {
   if (tls_alloc_armed) ++tls_alloc_count;
-  void* p = std::malloc(size == 0 ? 1 : size);
+  if (size == 0) size = 1;
+  if (align == 0) return std::malloc(size);
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void* CountingAlloc(std::size_t size, std::size_t align = 0) {
+  void* p = CountedMalloc(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
+std::size_t Align(std::align_val_t align) { return static_cast<std::size_t>(align); }
+
 }  // namespace
 
+// Every replaceable form, so no allocation bypasses the count and no block
+// is freed by a different allocator than the one that made it (under ASan,
+// an unreplaced nothrow `new` paired with the replaced `delete` aborts with
+// alloc-dealloc-mismatch: std::stable_sort takes its buffer that way).
 void* operator new(std::size_t size) { return CountingAlloc(size); }
 void* operator new[](std::size_t size) { return CountingAlloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountingAlloc(size, Align(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountingAlloc(size, Align(align));
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size, Align(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size, Align(align));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -10,6 +10,7 @@
 // "no faults" to "fault every ~4 ops".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -19,12 +20,18 @@
 #include <string>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "apps/configs.h"
 #include "apps/eigen_app.h"
 #include "apps/iir_app.h"
 #include "apps/least_squares.h"
 #include "apps/svm_app.h"
 #include "core/fault_env.h"
+#include "faulty/fault_injector.h"
+#include "faulty/gap_sampler.h"
 #include "fixed_sweep.h"
 #include "harness/csv.h"
 #include "harness/trial.h"
@@ -365,8 +372,9 @@ TEST(BlockEngine, GoldenSweepCsvByteIdenticalAcrossEngines) {
 // seed also puts a fault on the last op of a full window.  Faults flip only
 // the low 12 bits (BitModel::kLsbOnly): every value stays finite, so no
 // NaN meets another NaN and the comparison can stay bitwise (see
-// DirectBaselinesBitIdenticalAcrossEngines).  Where a fault lands, and how
-// many RNG words it takes, does not depend on the bit model.
+// DirectBaselinesBitIdenticalAcrossEngines; NanMeetsNanKeepsAddOperandOrder
+// pins the matrix kernels' add order where NaNs do meet).  Where a fault
+// lands, and how many RNG words it takes, does not depend on the bit model.
 
 namespace blas = linalg::blas;
 using Doubles = std::vector<double>;
@@ -392,6 +400,29 @@ constexpr std::size_t CallLength(std::uint64_t ops) { return 3 * Window(ops) + 5
 constexpr std::size_t kCols = 7;
 constexpr std::size_t kRows = 3 * Window(2) / kCols + 2;
 constexpr std::size_t kIirTaps = 3;
+
+// Per-scalar references for the matrix kernels, in their documented op
+// order: MatVec row by row (mul, add per column), MatTVec row by row
+// updating every column's running sum.
+Doubles ScalarMatVec(std::size_t m, std::size_t n, const Doubles& a, const Doubles& x) {
+  Doubles y(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    Real acc(0.0);
+    for (std::size_t j = 0; j < n; ++j) acc = acc + Real(a[r * n + j]) * Real(x[j]);
+    y[r] = acc.value();
+  }
+  return y;
+}
+
+Doubles ScalarMatTVec(std::size_t m, std::size_t n, const Doubles& a, const Doubles& x) {
+  Doubles y(n, 0.0);
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      y[j] = (Real(y[j]) + Real(a[r * n + j]) * Real(x[r])).value();
+    }
+  }
+  return y;
+}
 
 struct MaskedFamily {
   const char* name;
@@ -522,33 +553,16 @@ const MaskedFamily kMaskedFamilies[] = {
      [](bool block) {
        const Doubles a = Fill(kRows * kCols, 1), x = Fill(kCols, 2);
        Doubles y(kRows, -1.0);
-       if (block) {
-         blas::MatVecInto(kRows, kCols, a.data(), x.data(), y.data());
-         return y;
-       }
-       for (std::size_t r = 0; r < kRows; ++r) {
-         Real acc(0.0);
-         for (std::size_t j = 0; j < kCols; ++j) {
-           acc = acc + Real(a[r * kCols + j]) * Real(x[j]);
-         }
-         y[r] = acc.value();
-       }
+       if (!block) return ScalarMatVec(kRows, kCols, a, x);
+       blas::MatVecInto(kRows, kCols, a.data(), x.data(), y.data());
        return y;
      }},
     {"MatTVecInto", 2, kRows * kCols,
      [](bool block) {
        const Doubles a = Fill(kRows * kCols, 1), x = Fill(kRows, 2);
        Doubles y(kCols, -1.0);
-       if (block) {
-         blas::MatTVecInto(kRows, kCols, a.data(), x.data(), y.data());
-         return y;
-       }
-       for (std::size_t j = 0; j < kCols; ++j) y[j] = 0.0;
-       for (std::size_t r = 0; r < kRows; ++r) {
-         for (std::size_t j = 0; j < kCols; ++j) {
-           y[j] = (Real(y[j]) + Real(a[r * kCols + j]) * Real(x[r])).value();
-         }
-       }
+       if (!block) return ScalarMatTVec(kRows, kCols, a, x);
+       blas::MatTVecInto(kRows, kCols, a.data(), x.data(), y.data());
        return y;
      }},
     {"ResidualSsqAcc", 3, CallLength(3),
@@ -688,6 +702,36 @@ void ExpectWordsEqual(const Doubles& a, const Doubles& b) {
   }
 }
 
+// What one kernel call under a fresh injector leaves behind.
+struct KernelRun {
+  Doubles out;
+  faulty::ContextStats stats;
+  std::uint64_t clean_after = 0;
+};
+
+// Runs `fn` under a fresh (rate, seed) injector whose first `skip` ops were
+// consumed clean.
+template <class Fn>
+KernelRun UnderInjector(double rate, std::uint64_t seed, faulty::BitModel model,
+                        std::uint64_t skip, const Fn& fn) {
+  faulty::FaultInjector inj(rate, faulty::SharedBitDistribution(model), seed);
+  inj.ConsumeClean(skip);
+  faulty::FaultInjector* prev = faulty::detail::ExchangeThreadInjector(&inj);
+  KernelRun run;
+  run.out = fn();
+  faulty::detail::ExchangeThreadInjector(prev);
+  run.stats = inj.stats();
+  run.clean_after = inj.CleanRun();
+  return run;
+}
+
+void ExpectSameRun(const KernelRun& scalar, const KernelRun& block) {
+  ExpectWordsEqual(scalar.out, block.out);
+  EXPECT_EQ(scalar.stats.faulty_flops, block.stats.faulty_flops);
+  EXPECT_EQ(scalar.stats.faults_injected, block.stats.faults_injected);
+  EXPECT_EQ(scalar.clean_after, block.clean_after);
+}
+
 TEST(MaskedKernels, MatchScalarAcrossWindowEdges) {
   const faulty::BitDistribution& bits =
       faulty::SharedBitDistribution(faulty::BitModel::kLsbOnly);
@@ -714,23 +758,13 @@ TEST(MaskedKernels, MatchScalarAcrossWindowEdges) {
             });
           }
         }
-        Doubles out[2];
-        faulty::ContextStats stats[2];
-        std::uint64_t clean_after[2];
-        for (int block = 0; block < 2; ++block) {
-          faulty::FaultInjector inj(rate, bits, seed);
-          inj.ConsumeClean(skip);
-          faulty::FaultInjector* prev = faulty::detail::ExchangeThreadInjector(&inj);
-          out[block] = family.run(block == 1);
-          faulty::detail::ExchangeThreadInjector(prev);
-          stats[block] = inj.stats();
-          clean_after[block] = inj.CleanRun();
-        }
-        ExpectWordsEqual(out[0], out[1]);
-        EXPECT_EQ(stats[0].faulty_flops, stats[1].faulty_flops);
-        EXPECT_EQ(stats[0].faults_injected, stats[1].faults_injected);
-        EXPECT_GT(stats[1].faults_injected, 0u);
-        EXPECT_EQ(clean_after[0], clean_after[1]);
+        const auto run = [&](bool block) {
+          return UnderInjector(rate, seed, faulty::BitModel::kLsbOnly, skip,
+                               [&] { return family.run(block); });
+        };
+        const KernelRun block = run(true);
+        ExpectSameRun(run(false), block);
+        EXPECT_GT(block.stats.faults_injected, 0u);
       }
     }
     if (family.ops != 0) {
@@ -738,6 +772,215 @@ TEST(MaskedKernels, MatchScalarAcrossWindowEdges) {
       EXPECT_TRUE(last_op_fault) << "no seed faulted a window's last op";
     }
   }
+}
+
+// The lane paths of MatVec (8-row blocks, row pairs, a scalar odd row) and
+// MatTVec (12-column blocks, smaller pair blocks, a scalar odd column)
+// across shapes that leave every remainder, at rates from clean to a fault
+// every ~4 ops.  The skip shifts where the first window opens relative to
+// the rows; the test requires that some masked run starts and ends mid-row
+// with whole rows in between that are not a multiple of a MatVec block.
+TEST(MaskedKernels, MatrixLanesMatchScalar) {
+  const std::size_t kShapeRows[] = {1, 2, 7, 8, 9, 17, 100};
+  const std::size_t kShapeCols[] = {1, 2, 3, 10, 11, 13, 25};
+  bool starts_mid_row = false, ends_mid_row = false, partial_block = false;
+  for (const std::size_t m : kShapeRows) {
+    for (const std::size_t n : kShapeCols) {
+      const Doubles a = Fill(m * n, m * 100 + n);
+      const Doubles xv = Fill(n, 1), xt = Fill(m, 2);
+      for (const double rate : {0.0, 1e-3, 0.1, 0.25}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+          SCOPED_TRACE(testing::Message() << m << "x" << n << " rate " << rate
+                                          << " seed " << seed);
+          std::uint64_t skip = 0;
+          if (rate > 0.0) {
+            // Replay the first masked run the kernels will take.
+            faulty::FaultInjector probe(rate, faulty::SharedBitDistribution(
+                                                  faulty::BitModel::kLsbOnly),
+                                        seed);
+            skip = probe.CleanRun() % (2 * n + seed);
+            probe.ConsumeClean(skip);
+            const std::size_t start = static_cast<std::size_t>(probe.CleanRun() / 2);
+            if (start < m * n) {
+              probe.ConsumeClean(2 * start);
+              const std::size_t w = std::min(Window(2), m * n - start);
+              std::uint64_t last = 0;
+              probe.ScheduleFaults(2 * w, [&](std::uint64_t at, int) { last = at; });
+              const std::size_t end = start + static_cast<std::size_t>(last / 2) + 1;
+              const std::size_t whole = end / n - (start + n - 1) / n;
+              if (start % n != 0) starts_mid_row = true;
+              if (end % n != 0) ends_mid_row = true;
+              if (end / n > (start + n - 1) / n && whole % 8 != 0 && whole > 2) {
+                partial_block = true;
+              }
+            }
+          }
+          const auto run = [&](auto kernel) {
+            return UnderInjector(rate, seed, faulty::BitModel::kLsbOnly, skip, kernel);
+          };
+          ExpectSameRun(run([&] { return ScalarMatVec(m, n, a, xv); }), run([&] {
+                          Doubles y(m, -1.0);
+                          blas::MatVecInto(m, n, a.data(), xv.data(), y.data());
+                          return y;
+                        }));
+          ExpectSameRun(run([&] { return ScalarMatTVec(m, n, a, xt); }), run([&] {
+                          Doubles y(n, -1.0);
+                          blas::MatTVecInto(m, n, a.data(), xt.data(), y.data());
+                          return y;
+                        }));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(starts_mid_row) << "no masked run started mid-row";
+  EXPECT_TRUE(ends_mid_row) << "no masked run ended mid-row";
+  EXPECT_TRUE(partial_block) << "no masked run held a partial MatVec block";
+}
+
+// a + b with `a` as the add's first operand, which x86 keeps when both
+// are NaNs (a plain `+` may be commuted by the compiler).
+double AddKeepFirst(double a, double b) {
+#if defined(__SSE2__)
+  return _mm_cvtsd_f64(_mm_add_sd(_mm_set_sd(a), _mm_set_sd(b)));
+#else
+  return a + b;
+#endif
+}
+
+// Two quiet NaNs with distinct payloads meet in an accumulate, and x86
+// keeps the first operand's payload.  The kernels keep the operand order
+// of their loops: MatVec adds the term to the running sum (the sum first),
+// MatTVec adds y[j] to the term (the term first).  Every MatVec row is
+// NaN_A, NaN_B, finite...; MatTVec's rows 0 and 1 are all NaN_A and all
+// NaN_B.  Clean, every MatVec output is NaN_A and every MatTVec output
+// NaN_B; masked, both match per-scalar loops with that order pinned.  The
+// payloads sit above the low 12 bits the faults flip, so they stay distinct
+// NaNs through the masked runs.
+TEST(MaskedKernels, NanMeetsNanKeepsAddOperandOrder) {
+#if !defined(__SSE2__)
+  GTEST_SKIP() << "the NaN payload rule tested here is x86's";
+#endif
+  const auto nan = [](std::uint64_t payload) {
+    const std::uint64_t word = 0x7ff8000000000000ull | payload;
+    double v;
+    std::memcpy(&v, &word, sizeof(v));
+    return v;
+  };
+  const double nan_a = nan(0xA5ull << 24), nan_b = nan(0x5Aull << 32);
+  constexpr std::size_t m = 17, n = 13;
+  Doubles av = Fill(m * n, 3), at = Fill(m * n, 3);
+  for (std::size_t r = 0; r < m; ++r) {
+    av[r * n] = nan_a;
+    av[r * n + 1] = nan_b;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    at[j] = nan_a;
+    at[n + j] = nan_b;
+  }
+  const Doubles xv = Fill(n, 4), xt = Fill(m, 5);
+  const auto ref_matvec = [&] {
+    Doubles y(m);
+    for (std::size_t r = 0; r < m; ++r) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double t = faulty::Execute(av[r * n + j] * xv[j]);
+        acc = faulty::Execute(AddKeepFirst(acc, t));
+      }
+      y[r] = acc;
+    }
+    return y;
+  };
+  const auto ref_mattvec = [&] {
+    Doubles y(n, 0.0);
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const double t = faulty::Execute(at[r * n + j] * xt[r]);
+        y[j] = faulty::Execute(AddKeepFirst(t, y[j]));
+      }
+    }
+    return y;
+  };
+  for (const double rate : {0.0, 0.25}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(testing::Message() << "rate " << rate << " seed " << seed);
+      const auto run = [&](auto kernel) {
+        return UnderInjector(rate, seed, faulty::BitModel::kLsbOnly, 0, kernel);
+      };
+      const KernelRun mv = run([&] {
+        Doubles y(m, -1.0);
+        blas::MatVecInto(m, n, av.data(), xv.data(), y.data());
+        return y;
+      });
+      const KernelRun mt = run([&] {
+        Doubles y(n, -1.0);
+        blas::MatTVecInto(m, n, at.data(), xt.data(), y.data());
+        return y;
+      });
+      ExpectSameRun(run(ref_matvec), mv);
+      ExpectSameRun(run(ref_mattvec), mt);
+      if (rate == 0.0) {
+        ExpectWordsEqual(mv.out, Doubles(m, nan_a));
+        ExpectWordsEqual(mt.out, Doubles(n, nan_b));
+      } else {
+        EXPECT_GT(mv.stats.faults_injected, 0u);
+      }
+    }
+  }
+}
+
+// Counts the LFSR words between two states of one stream.
+std::uint64_t WordsBetween(faulty::Lfsr from, const faulty::Lfsr& to) {
+  std::uint64_t words = 0;
+  for (; from.state() != to.state(); ++words) from.next();
+  return words;
+}
+
+// gap.draws.table books every alias-table draw of a fault walk, tail
+// redraws included, once per ScheduleFaults call.  At rate 1/64 the tail
+// slot (gap >= 63) has probability (63/64)^63 ~ 0.37, so the draws clearly
+// outnumber the faults: booking one per fault would fail.  The expected
+// count comes from a bare Sample loop over the injector's stream, with
+// each gap's draws counted as the LFSR words it consumed.
+TEST(MaskedKernels, BooksEveryAliasDrawOncePerCall) {
+#if ROBUSTIFY_TELEMETRY_ENABLED
+  constexpr double kRate = 1.0 / 64;
+  constexpr std::uint64_t kSeed = 11;
+  constexpr std::size_t m = 100, n = 25;
+  const faulty::BitDistribution& bits =
+      faulty::SharedBitDistribution(faulty::BitModel::kBimodal);
+  const faulty::GeometricGapSampler& gaps = faulty::GeometricGapSampler::Shared(kRate);
+  ASSERT_TRUE(gaps.uses_table());
+
+  faulty::FaultInjector inj(kRate, bits, kSeed);
+  faulty::Lfsr rng(kSeed ^ 0xA5A5A5A55A5A5A5Aull);  // the injector's stream seed
+  std::uint64_t countdown = gaps.Sample(rng);
+  ASSERT_EQ(countdown, inj.CleanRun()) << "not the injector's stream";
+  std::uint64_t draws = 0, faults = 0;
+  for (std::uint64_t left = 2 * m * n; countdown < left; ++faults) {
+    left -= countdown + 1;
+    const faulty::Lfsr before = rng;
+    countdown = gaps.Sample(rng);
+    draws += WordsBetween(before, rng);
+    bits.sample(rng);
+  }
+  ASSERT_GT(draws, faults + 10) << "too few tail redraws to tell draws from faults";
+
+  const Doubles a = Fill(m * n, 1), x = Fill(n, 2);
+  Doubles y(m);
+  telemetry::SetCountersEnabled(true);
+  const telemetry::CounterSnapshot before = telemetry::SnapshotCounters();
+  faulty::FaultInjector* prev = faulty::detail::ExchangeThreadInjector(&inj);
+  blas::MatVecInto(m, n, a.data(), x.data(), y.data());
+  faulty::detail::ExchangeThreadInjector(prev);
+  const telemetry::CounterSnapshot after = telemetry::SnapshotCounters();
+
+  EXPECT_EQ(inj.stats().faults_injected, faults);
+  EXPECT_EQ(after.value(telemetry::Counter::kGapDrawsTable) -
+                before.value(telemetry::Counter::kGapDrawsTable),
+            draws);
+#else
+  GTEST_SKIP() << "telemetry compiled out";
+#endif
 }
 
 }  // namespace
