@@ -21,11 +21,13 @@
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.h"
+#include "campaign/spec.h"
 #include "harness/csv.h"
 #include "harness/parallel.h"
 #include "harness/perf_report.h"
@@ -84,9 +86,10 @@ class BenchContext {
       if (arg.rfind("--trials=", 0) == 0) {
         options_.trials = ParseIntOrDie("--trials", arg.substr(9));
       } else if (arg.rfind("--rates=", 0) == 0) {
-        if (!ParseRates(arg.substr(8), &options_.rates) || options_.rates.empty()) {
-          std::cerr << "malformed --rates list: " << arg.substr(8)
-                    << " (expected comma-separated numbers)\n";
+        try {
+          options_.rates = campaign::ParseRateAxis(arg.substr(8));
+        } catch (const std::exception& e) {
+          std::cerr << "malformed --rates list: " << e.what() << "\n";
           std::exit(2);
         }
       } else if (arg.rfind("--threads=", 0) == 0) {
@@ -261,28 +264,6 @@ class BenchContext {
       std::exit(2);
     }
     return static_cast<int>(parsed);
-  }
-
-  // Strict comma-separated parse: any trailing garbage rejects the whole
-  // flag (a silently-truncated rate axis would still produce a plausible
-  // sweep and a wrong perf baseline).
-  static bool ParseRates(const std::string& csv, std::vector<double>* rates) {
-    rates->clear();
-    const char* p = csv.c_str();
-    while (*p != '\0') {
-      char* end = nullptr;
-      const double v = std::strtod(p, &end);
-      if (end == p) return false;
-      rates->push_back(v);
-      if (*end == ',') {
-        p = end + 1;
-      } else if (*end == '\0') {
-        p = end;
-      } else {
-        return false;
-      }
-    }
-    return !rates->empty();
   }
 
   BenchOptions options_;

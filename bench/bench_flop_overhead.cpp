@@ -39,16 +39,13 @@ void Row(const char* app, double base, double robust) {
   std::printf("%-18s %-14.0f %-14.0f %-10.1fx\n", app, base, robust, robust / base);
 }
 
-// Clean-path throughput of one faulty-BLAS kernel under one engine: run
-// `fn` (a batch of kernel calls on faulty::Real data) inside a rate-0
-// fault scope — the injector is live, so the block path exercises its
-// clean-run accounting and the scalar path its per-op countdown — and
-// report Mops/s through the injector.
+// Clean-path throughput of one faulty-BLAS kernel: run `fn` (a batch of
+// kernel calls on faulty::Real data) inside a rate-0 fault scope — the
+// injector is live, so the block path exercises its clean-run accounting —
+// and report Mops/s through the injector.
 template <class Fn>
-double KernelMops(bench::BenchContext& ctx, const std::string& label,
-                  faulty::Engine engine, const Fn& fn) {
+double KernelMops(bench::BenchContext& ctx, const std::string& label, const Fn& fn) {
   core::FaultEnvironment env;  // rate 0: clean path, full accounting
-  env.engine = engine;
   faulty::ContextStats stats;
   core::WithFaultyFpu(env, fn, &stats);  // warm-up + op count
   const double flops = static_cast<double>(stats.faulty_flops);
@@ -128,12 +125,11 @@ int main(int argc, char** argv) {
   }
   ctx.RecordSection("flop-count-table", table_timer.Seconds(), 0.0);
 
-  // Clean-path Mops/s per faulty-BLAS kernel under both engines: the
-  // block/scalar ratio is the bulk-kernel dividend the sweeps collect at
-  // realistic fault rates, where >99.99% of ops run on the clean path.
+  // Clean-path Mops/s per faulty-BLAS kernel: the rate the sweeps run at
+  // realistic fault rates, where >99.99% of ops take the clean path.
   std::printf("\nclean-path kernel throughput (Mops/s through the injector)\n");
-  std::printf("%-18s %-14s %-14s %-10s\n", "kernel", "scalar", "block", "block/scalar");
-  std::printf("------------------------------------------------------------\n");
+  std::printf("%-18s %-14s\n", "kernel", "block");
+  std::printf("--------------------------------\n");
   {
     const std::size_t n = 2048;
     const std::size_t rows = 192, cols = 96;
@@ -173,12 +169,9 @@ int main(int argc, char** argv) {
          }},
     };
     for (const Kernel& kernel : kernels) {
-      const double scalar = KernelMops(ctx, std::string(kernel.name) + "-scalar",
-                                       faulty::Engine::kScalar, kernel.fn);
-      const double block = KernelMops(ctx, std::string(kernel.name) + "-block",
-                                      faulty::Engine::kBlock, kernel.fn);
-      std::printf("%-18s %-14.0f %-14.0f %-10.2fx\n", kernel.name, scalar, block,
-                  scalar > 0.0 ? block / scalar : 0.0);
+      const double block =
+          KernelMops(ctx, std::string(kernel.name) + "-block", kernel.fn);
+      std::printf("%-18s %-14.0f\n", kernel.name, block);
     }
   }
   return ctx.Finish();

@@ -104,15 +104,13 @@ opt::CgResult SolveLsqCg(const LsqProblem& problem, const opt::CgOptions& option
 
 // Per-solve fault configuration for the tiled engine, built from a trial's
 // FaultEnvironment — the same injector a WithFaultyFpu scope would build
-// (shared bit tables, model, test-oracle strategy and engine).
+// (shared bit tables, rate, seed and model), one per tile task.
 inline linalg::TileFaultConfig TileConfigFromEnv(const core::FaultEnvironment& env) {
   linalg::TileFaultConfig cfg;
   cfg.inject = env.fault_rate > 0.0;
   cfg.fault_rate = env.fault_rate;
   cfg.bits = &faulty::SharedBitDistribution(env.bit_model);
   cfg.seed = env.seed;
-  cfg.strategy = env.strategy;
-  cfg.engine = env.engine;
   cfg.model = env.model;
   return cfg;
 }

@@ -21,7 +21,9 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+// Line 0 is text from outside a spec file (ParseRateAxis).
 [[noreturn]] void Fail(int line, const std::string& what) {
+  if (line == 0) throw std::runtime_error(what);
   throw std::runtime_error("spec line " + std::to_string(line) + ": " + what);
 }
 
@@ -72,7 +74,13 @@ std::vector<double> ParseRateList(int line, const std::string& value) {
         Trim(comma == std::string::npos ? value.substr(pos)
                                         : value.substr(pos, comma - pos));
     if (item.empty()) Fail(line, "empty entry in rates list");
-    rates.push_back(ParseDouble(line, "rates", item));
+    const double rate = ParseDouble(line, "rates", item);
+    // A fault rate is a per-op probability: the injector cannot scale NaN
+    // to its threshold, and would silently clamp the rest to 0 or 1.
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      Fail(line, "fault rate outside [0, 1] in rates list: " + item);
+    }
+    rates.push_back(rate);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

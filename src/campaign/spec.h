@@ -101,8 +101,9 @@ CampaignSpec ParseSpec(std::istream& is);
 CampaignSpec ParseSpecFile(const std::string& path);
 
 // The rate-axis list parser the spec format uses ("0, 1e-4, 0.25"); shared
-// with the CLI's --rates flag so the two surfaces cannot drift.  Throws
-// std::runtime_error on malformed or empty input.
+// with the --rates flag of the CLI and the figure benches so the surfaces
+// cannot drift.  Throws std::runtime_error on malformed or empty input and
+// on a rate outside [0, 1] (NaN included).
 std::vector<double> ParseRateAxis(const std::string& text);
 
 // The "i/N" shard selector parser, shared between the spec format's `shard`

@@ -1,7 +1,7 @@
 // FaultEnvironment + WithFaultyFpu: scoped activation of the faulty FPU.
 //
 // A FaultEnvironment describes one operating point of the stochastic
-// processor (per-op fault rate, bit-position model, RNG seed).
+// processor (per-op fault rate, bit-position model, RNG seed, fault model).
 // WithFaultyFpu(env, fn, &stats) installs a FaultInjector for the current
 // thread, runs fn — every faulty::Real op inside routes through the
 // injector — and restores the previous (normally clean) FPU state on exit,
@@ -23,12 +23,6 @@ struct FaultEnvironment {
   double fault_rate = 0.0;  // probability a given FP op is corrupted
   std::uint64_t seed = 1;   // drives the injector LFSR (and trial inputs)
   faulty::BitModel bit_model = faulty::BitModel::kBimodal;
-  // Test oracles only: the per-op Bernoulli injector (statistically, not
-  // bitwise, equivalent — tests/test_statistical.cpp) and the per-scalar
-  // kernel engine (bit-identical — tests/test_block_engine.cpp).  Campaigns
-  // always run the defaults.
-  faulty::FaultInjector::Strategy strategy = faulty::FaultInjector::Strategy::kSkipAhead;
-  faulty::Engine engine = faulty::Engine::kBlock;
   // What a scheduled fault does (temporal model + op-class mask).  The
   // default transient model reproduces the historical injector bit-for-bit.
   faulty::FaultModel model;
@@ -108,7 +102,7 @@ auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
   // per trial was measurable across a sweep's thousands of trials).
   faulty::FaultInjector injector(env.fault_rate,
                                  faulty::SharedBitDistribution(env.bit_model),
-                                 env.seed, env.model, env.strategy, env.engine);
+                                 env.seed, env.model);
   detail::TrialFaultSession& session = detail::tls_trial_session;
   if (session.active) injector.AdoptWindow(session.window);
   if constexpr (std::is_void_v<decltype(fn())>) {

@@ -5,7 +5,7 @@
 namespace robustify::faulty {
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
-                             std::uint64_t seed, Strategy strategy, Engine engine)
+                             std::uint64_t seed)
     : bits_(&bits), rng_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
   if (fault_rate <= 0.0) {
     threshold_ = 0;
@@ -17,16 +17,9 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
     gaps_ = &GeometricGapSampler::Shared(fault_rate);
   }
 
-  // Skip-ahead covers the whole rate range (the gap sampler's alias table
-  // keeps the per-fault cost flat even at rate 0.5); per-op exists only as
-  // the explicitly requested reference oracle.
-  per_op_ = strategy == Strategy::kPerOp;
-  block_kernels_ = engine == Engine::kBlock;
-  schedules_faults_ = !per_op_ && gaps_ != nullptr;
+  schedules_faults_ = gaps_ != nullptr;
 
-  if (per_op_) {
-    countdown_ = 0;  // every op takes the fault path's Bernoulli decision
-  } else if (threshold_ == 0) {
+  if (threshold_ == 0) {
     countdown_ = kNever;
     scheduled_ = kNever;
   } else if (threshold_ == kNever) {
@@ -39,9 +32,8 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
 }
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
-                             std::uint64_t seed, const FaultModel& model,
-                             Strategy strategy, Engine engine)
-    : FaultInjector(fault_rate, bits, seed, strategy, engine) {
+                             std::uint64_t seed, const FaultModel& model)
+    : FaultInjector(fault_rate, bits, seed) {
   model_ = model;
   // Clamp the sampled-law parameters into their supported domains once, so
   // the per-fault samplers and window bookkeeping never re-validate.
@@ -55,7 +47,6 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
   if (!model_default_) {
     schedules_faults_ = false;
     routes_loads_ = (model_.op_classes & kOpClassMemory) != 0;
-    if (routes_loads_) block_kernels_ = false;
     if (model_.window_rate > 0.0) {
       window_threshold_ = model_.window_rate >= 1.0
                               ? kNever
@@ -162,7 +153,7 @@ void FaultInjector::ArmStuckWindow() {
 }
 
 // Opens (or, from a nested fire, replaces) a sticky window of `length`
-// routed ops.  On first open in skip-ahead mode the remainder of the live
+// routed ops.  On first open the remainder of the live
 // gap moves to pending_gap_ and countdown_ is pinned at zero: CleanRun()
 // reports 0, bulk clean runs are disabled, and every routed op takes the
 // model path until the window expires.  scheduled_ gives the suspended gap
@@ -172,7 +163,7 @@ void FaultInjector::OpenWindow(std::uint64_t length) {
   ++windows_opened_;
   const bool was_open = window_ops_left_ != 0;
   window_ops_left_ = length;
-  if (!per_op_ && !was_open) {
+  if (!was_open) {
     pending_gap_ = countdown_;
     scheduled_ -= pending_gap_;
     countdown_ = 0;
@@ -184,11 +175,9 @@ void FaultInjector::OpenWindow(std::uint64_t length) {
 void FaultInjector::CloseWindow() {
   stuck_or_ = 0;
   stuck_and_ = ~0ull;
-  if (!per_op_) {
-    countdown_ = pending_gap_;
-    scheduled_ += pending_gap_;
-    pending_gap_ = 0;
-  }
+  countdown_ = pending_gap_;
+  scheduled_ += pending_gap_;
+  pending_gap_ = 0;
 }
 
 // Applies one scheduled fault to an arithmetic or memory-load result under
@@ -244,7 +233,7 @@ void FaultInjector::AdoptWindow(const CarriedWindow& window) {
   // Suspend the fresh gap schedule exactly as OpenWindow does on first open
   // (adoption happens right after construction, before any routed op, but
   // guard on an already-open window for safety).
-  if (!per_op_ && window_ops_left_ == 0) {
+  if (window_ops_left_ == 0) {
     pending_gap_ = countdown_;
     scheduled_ -= pending_gap_;
     countdown_ = 0;
@@ -255,17 +244,13 @@ void FaultInjector::AdoptWindow(const CarriedWindow& window) {
 }
 
 // The whole per-op decision for arithmetic/load results under a non-default
-// model: schedule bookkeeping (fresh gap, suspended-gap countdown inside a
-// window, or the per-op Bernoulli oracle), firing, and the live window
-// effect.  Reached via FaultPath / the per-op branch / ExecuteLoad, always
-// with countdown_ == 0.
+// model: schedule bookkeeping (fresh gap, or the suspended-gap countdown
+// inside a window), firing, and the live window effect.  Reached via
+// FaultPath / ExecuteLoad, always with countdown_ == 0.
 double FaultInjector::ModelFault(double clean_result, unsigned op_class) {
   const bool in_window = window_ops_left_ != 0;
   bool fire = false;
-  if (per_op_) {
-    ++scheduled_;
-    fire = threshold_ != 0 && rng_.next() < threshold_;
-  } else if (in_window) {
+  if (in_window) {
     // The window pins countdown_ at 0; the base gap schedule keeps running
     // in pending_gap_ so the scheduled fault rate is unchanged inside the
     // window.  Each windowed op is accounted for individually.
@@ -301,7 +286,7 @@ double FaultInjector::ModelFault(double clean_result, unsigned op_class) {
         // every forced op counts as a fault — including ops whose result
         // already carried the stuck value.  Counting only value-changing ops
         // would make the count depend on the exact bits of intermediate
-        // results, which are not stable across kernel engines (bulk loops
+        // results, which are not stable across kernel paths (bulk loops
         // and per-scalar code round identically but the compiler is free to
         // schedule them differently); the structural count depends only on
         // the op stream and window placement, which are.
@@ -334,10 +319,7 @@ double FaultInjector::ModelFault(double clean_result, unsigned op_class) {
 bool FaultInjector::ModelComparisonFault(bool clean_result) {
   const bool in_window = window_ops_left_ != 0;
   bool fire = false;
-  if (per_op_) {
-    ++scheduled_;
-    fire = threshold_ != 0 && rng_.next() < threshold_;
-  } else if (in_window) {
+  if (in_window) {
     ++scheduled_;
     if (threshold_ == kNever) {
       fire = true;

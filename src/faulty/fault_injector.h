@@ -7,21 +7,21 @@
 // injector, which counts the op and, with probability `fault_rate`, flips
 // one bit sampled from the configured BitDistribution.
 //
-// Hot path (geometric skip-ahead): instead of one Bernoulli RNG draw per
-// op, the injector samples the number of clean ops until the next fault
-// once per *fault* — from a shared per-rate GeometricGapSampler — and
-// Execute() is then a single counter decrement + compare until the
-// countdown hits zero.  The gap sampler's alias-table form keeps the
-// per-fault cost at one draw + one probe even when a fault lands every few
-// ops, so skip-ahead is the single strategy for the whole rate range
-// (1e-7 .. 0.5 and beyond); the original per-op Bernoulli implementation
-// survives only as the statistical test oracle (Strategy::kPerOp, selected
-// explicitly by tests and benches).  Flop accounting stays exact in both
-// modes (skip-ahead derives it from the scheduled-gap arithmetic, so the hot
-// path does not even touch a counter), and a fixed seed + strategy still
-// reproduces the trial bit-for-bit.  Note: the *fault stream* for a given
-// seed differs between the strategies — they are statistically, not
-// bitwise, equivalent (tests/test_statistical.cpp holds them to that).
+// One fault process, simulated by geometric skip-ahead: instead of one
+// Bernoulli RNG draw per op, the injector samples the number of clean ops
+// until the next fault once per *fault* — from a shared per-rate
+// GeometricGapSampler — and Execute() is then a single counter decrement +
+// compare until the countdown hits zero.  The gap sampler's alias-table
+// form keeps the per-fault cost at one draw + one probe even when a fault
+// lands every few ops, so the one schedule covers the whole rate range
+// (1e-7 .. 0.5 and beyond).  Flop accounting is exact (it derives from the
+// scheduled-gap arithmetic, so the hot path does not even touch a
+// counter), and a fixed seed reproduces the trial bit-for-bit.
+//
+// The linalg layer runs faulty::Real kernels in bulk against the same
+// schedule (the block-kernel API below, linalg/faulty_blas.h).  The
+// equivalence oracles it is tested against — a per-op Bernoulli injector
+// and a per-scalar faulty type — live with the tests, in tests/oracle/.
 #pragma once
 
 #include <cstdint>
@@ -56,26 +56,6 @@ struct ContextStats {
   std::uint64_t windows_opened = 0;
 };
 
-// Kernel engine for the linalg layer under one injector.  Both engines
-// produce the *same* fault stream for a fixed seed:
-//
-//  * block  — linalg kernels run the stretch the deterministic gap schedule
-//    guarantees clean (CleanRun) as a tight loop over raw doubles, then
-//    take the faults of the next window up front (ScheduleFaults) and apply
-//    them as XOR masks on the op results of a second, branch-free
-//    instantiation of the same loop (src/linalg/faulty_blas.h).  The
-//    production engine.
-//  * scalar — every faulty::Real op routes through Execute one scalar at a
-//    time: the equivalence oracle, selected only by tests and benches.
-//
-// The block path executes the identical IEEE-754 op sequence (the build pins
-// -ffp-contract=off) and consumes the RNG at the same op positions, so
-// trials are bit-identical across engines (tests/test_block_engine.cpp).
-enum class Engine {
-  kBlock,   // bulk clean runs between scheduled faults (production)
-  kScalar,  // per-scalar Execute for every op (equivalence oracle)
-};
-
 // A live sticky (stuck-at / intermittent) window snapshotted at injector
 // scope exit so the next scope of the same trial can resume it — a stuck
 // line in silicon doesn't heal between kernel calls (see
@@ -91,38 +71,20 @@ struct CarriedWindow {
 
 class FaultInjector {
  public:
-  enum class Strategy {
-    kSkipAhead,  // geometric countdown (the production strategy, all rates)
-    kPerOp,      // per-op Bernoulli draw (reference oracle for the tests)
-  };
-
   // `bits` is captured by pointer and must outlive the injector; use
-  // SharedBitDistribution() for the built-in models.  `engine` only tells
-  // the linalg kernels running under this injector which path to take.
+  // SharedBitDistribution() for the built-in models.
+  FaultInjector(double fault_rate, const BitDistribution& bits, std::uint64_t seed);
   FaultInjector(double fault_rate, const BitDistribution& bits, std::uint64_t seed,
-                Strategy strategy = Strategy::kSkipAhead, Engine engine = Engine::kBlock);
-  FaultInjector(double fault_rate, const BitDistribution& bits, std::uint64_t seed,
-                const FaultModel& model, Strategy strategy = Strategy::kSkipAhead,
-                Engine engine = Engine::kBlock);
+                const FaultModel& model);
   // A temporary would dangle (only a pointer is kept); make it a compile
   // error instead of a use-after-free on the first injected fault.
-  FaultInjector(double fault_rate, BitDistribution&& bits, std::uint64_t seed,
-                Strategy strategy = Strategy::kSkipAhead,
-                Engine engine = Engine::kBlock) = delete;
+  FaultInjector(double fault_rate, BitDistribution&& bits, std::uint64_t seed) = delete;
 
-  // Hot path: clean until the countdown expires.  In per-op mode the
-  // countdown is pinned to zero, so control falls through to the original
-  // inline Bernoulli decision on every op.
+  // Hot path: clean until the countdown expires.
   double Execute(double clean_result) {
     const std::uint64_t remaining = countdown_;
     if (ROBUSTIFY_LIKELY(remaining != 0)) {
       countdown_ = remaining - 1;
-      return clean_result;
-    }
-    if (per_op_) {
-      if (!model_default_) return ModelFault(clean_result, kOpClassArith);
-      ++scheduled_;
-      if (threshold_ != 0 && rng_.next() < threshold_) return Corrupt(clean_result);
       return clean_result;
     }
     return FaultPath(clean_result);
@@ -134,16 +96,6 @@ class FaultInjector {
     const std::uint64_t remaining = countdown_;
     if (ROBUSTIFY_LIKELY(remaining != 0)) {
       countdown_ = remaining - 1;
-      return clean_result;
-    }
-    if (per_op_) {
-      if (!model_default_) return ModelComparisonFault(clean_result);
-      ++scheduled_;
-      if (threshold_ != 0 && rng_.next() < threshold_) {
-        ++faults_;
-        ++faults_compare_;
-        return !clean_result;
-      }
       return clean_result;
     }
     return FaultPathComparison(clean_result);
@@ -170,38 +122,29 @@ class FaultInjector {
 
   const FaultModel& model() const { return model_; }
 
-  // True when faulty::Real kernels under this injector take the bulk
-  // faulty-BLAS path: the block engine, unless the model routes memory
-  // loads — the load hooks (faulty::LoadElem) live in the templated
-  // per-scalar loops, so routed loads force them on both engines.
-  bool block_kernels() const { return block_kernels_; }
-
-  // ---- block-engine API (Engine::kBlock, linalg/faulty_blas) -------------
+  // ---- block-kernel API (linalg/faulty_blas) ------------------------------
   //
   // A block kernel executes the next `CleanRun()` ops as one tight loop over
   // raw doubles and then accounts for them with a single ConsumeClean —
   // observationally identical to that many Execute calls (the countdown is
   // the only per-op state, and stats derive from it), but with nothing of
   // the injector on the clean path.  Past the clean run, ScheduleFaults
-  // hands the kernel the next window's faults as data.  In per-op oracle
-  // mode the countdown is pinned at zero, so CleanRun() is 0 and block
-  // kernels degrade to the per-scalar boundary path op by op, preserving
-  // the oracle's RNG stream.
+  // hands the kernel the next window's faults as data.
 
   // Ops guaranteed clean from now under the deterministic gap schedule.
   // While a sticky window (stuck-at / intermittent) is live the countdown
   // is pinned at zero, so this returns 0 and block kernels degrade to the
   // per-scalar boundary path op by op — which is exactly what keeps the
-  // block and scalar engines bit-identical under the sticky models.
+  // block kernels bit-identical to per-scalar code under the sticky models.
   std::uint64_t CleanRun() const { return countdown_; }
 
   // Accounts for `n` clean ops executed outside Execute().  Precondition:
   // n <= CleanRun().
   void ConsumeClean(std::uint64_t n) { countdown_ -= n; }
 
-  // True when ScheduleFaults may be called: the default transient model
-  // under skip-ahead at a rate in (0, 1).  Otherwise (a non-default model,
-  // the per-op oracle, rates 0 and 1) kernels step faults through Execute.
+  // True when ScheduleFaults may be called: the default transient model at
+  // a rate in (0, 1).  Otherwise (a non-default model, rates 0 and 1)
+  // kernels step faults through Execute.
   bool SchedulesFaults() const { return schedules_faults_; }
 
   // Walks the faults that land in the next `ops` ops, calling
@@ -242,13 +185,11 @@ class FaultInjector {
 
   ContextStats stats() const {
     ContextStats s;
-    // Single invariant for both strategies (mod 2^64): ops executed =
-    // scheduled_ - countdown_.  Skip-ahead keeps countdown_ inside the last
-    // sampled gap; per-op mode pins countdown_ at 0 and bumps scheduled_
-    // once per op, so the same subtraction is the plain op count.  A live
-    // sticky window moves the suspended remainder of the gap to
-    // pending_gap_ (outside both terms) and restores it symmetrically on
-    // expiry, so the invariant holds through every window transition.
+    // One invariant (mod 2^64): ops executed = scheduled_ - countdown_,
+    // with countdown_ inside the last sampled gap.  A live sticky window
+    // moves the suspended remainder of the gap to pending_gap_ (outside
+    // both terms) and restores it symmetrically on expiry, so the invariant
+    // holds through every window transition.
     s.faulty_flops = scheduled_ - countdown_;
     s.faults_injected = faults_;
     s.faults_arith = faults_arith_;
@@ -257,8 +198,6 @@ class FaultInjector {
     s.windows_opened = windows_opened_;
     return s;
   }
-
-  Strategy strategy() const { return per_op_ ? Strategy::kPerOp : Strategy::kSkipAhead; }
 
   // ---- window hand-off across scopes (core::TrialFaultScope) -------------
   //
@@ -278,7 +217,7 @@ class FaultInjector {
   static constexpr std::uint64_t kNever = ~0ull;
 
   // Cold paths (out of line, src/faulty/fault_injector.cpp): corrupt the
-  // result and, in skip-ahead mode, re-arm the countdown.
+  // result and re-arm the countdown.
   double FaultPath(double clean_result);
   bool FaultPathComparison(bool clean_result);
   // Clean ops before the next fault, K ~ Geometric(rate), from the shared
@@ -304,12 +243,9 @@ class FaultInjector {
   const GeometricGapSampler* gaps_ = nullptr;  // null at rates 0 and 1
   Lfsr rng_;
   std::uint64_t countdown_ = 0;   // clean ops left before the next fault
-  std::uint64_t scheduled_ = 0;   // ops covered: sampled gaps (skip-ahead)
-                                  // or one per op (per-op oracle)
+  std::uint64_t scheduled_ = 0;   // ops covered by the sampled gaps
   std::uint64_t faults_ = 0;
   std::uint64_t threshold_ = 0;   // fault_rate scaled to the uint64 range
-  bool per_op_ = false;
-  bool block_kernels_ = true;     // see block_kernels()
   bool schedules_faults_ = false; // see SchedulesFaults()
 
   // ---- temporal-model state (untouched under the default model) ----------
@@ -361,13 +297,6 @@ inline bool InjectorActive() { return detail::tls_injector != nullptr; }
 inline bool LoadsRouted() {
   const FaultInjector* inj = detail::tls_injector;
   return inj != nullptr && inj->routes_loads();
-}
-
-// True when faulty::Real kernels on this thread take the bulk path: always
-// on a clean FPU, else as the active injector's engine and model say.
-inline bool BlockKernelsActive() {
-  const FaultInjector* inj = detail::tls_injector;
-  return inj == nullptr || inj->block_kernels();
 }
 
 // Routes one memory load through the thread's injector.  Callers must have

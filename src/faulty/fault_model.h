@@ -21,8 +21,8 @@
 //    the next D routed ops the bit is forced in every arithmetic/load
 //    result (comparisons have no result word and pass through).  While the
 //    window is live the injector reports CleanRun() == 0, so block kernels
-//    degrade to the per-scalar boundary path and both engines stay
-//    bit-identical.
+//    degrade to the per-scalar boundary path and stay bit-identical to
+//    per-scalar code.
 //  * kBurst      — the scheduled fault flips k adjacent bits starting at
 //    the sampled position, k ~ Uniform{1..burst_width_max} (clamped at the
 //    word edge).
@@ -30,7 +30,7 @@
 //    window of W ~ Geometric(1/window_mean_ops) routed ops during which
 //    every op additionally faults with probability window_rate (each an
 //    independent single-bit flip).  CleanRun() is 0 while the window is
-//    open, for the same engine-equivalence reason as stuck-at.
+//    open, for the same bit-identity reason as stuck-at.
 //
 // The op-class mask thins the scheduled stream per class: a scheduled
 // fault landing on an op whose class is masked out re-arms the schedule

@@ -62,31 +62,37 @@ inline Real abs(Real a) { return fabs(a); }
 inline bool isfinite(Real a) { return std::isfinite(a.value()); }
 inline bool isnan(Real a) { return std::isnan(a.value()); }
 
-// A memory load of a kernel element, routed through the injector when the
-// active fault model corrupts loads (kOpClassMemory — see
-// fault_model.h).  Identity under the default model and for clean double
-// data, so the historical op stream is untouched; when loads are routed,
-// the engine dispatch forces the templated per-scalar kernels so every
-// element read passes through here on both engines.
-inline Real LoadElem(Real a) {
-  return LoadsRouted() ? Real(ExecuteLoad(a.value())) : a;
+// The block kernel layer (linalg/faulty_blas.h) executes arrays of a faulty
+// scalar as raw double arrays — storage is reliable either way, only the
+// arithmetic performed on it differs.  Any standard-layout scalar one double
+// wide qualifies (Real, plain double, and the test oracles' faulty types);
+// the asserts are what the reinterpretation relies on.
+template <class T>
+inline double* AsDoubleArray(T* p) {
+  static_assert(sizeof(T) == sizeof(double) && std::is_standard_layout_v<T>,
+                "a faulty scalar must wrap exactly one double");
+  return reinterpret_cast<double*>(p);
 }
-inline double LoadElem(double v) { return v; }
-
-// The block kernel layer (linalg/faulty_blas.h) executes arrays of Real as
-// raw double arrays — storage is reliable either way, only the arithmetic
-// performed on it differs.  Real is a single stored double by construction;
-// these asserts are what that layer's reinterpretation relies on.
-static_assert(sizeof(Real) == sizeof(double), "Real must wrap exactly one double");
-static_assert(std::is_standard_layout_v<Real>, "Real must be standard-layout");
-inline double* AsDoubleArray(Real* p) { return reinterpret_cast<double*>(p); }
-inline const double* AsDoubleArray(const Real* p) {
+template <class T>
+inline const double* AsDoubleArray(const T* p) {
+  static_assert(sizeof(T) == sizeof(double) && std::is_standard_layout_v<T>,
+                "a faulty scalar must wrap exactly one double");
   return reinterpret_cast<const double*>(p);
 }
-// Identity overloads so generic dispatch code type-checks when instantiated
-// with T = double (the branch is dead there — UseBlockKernels<double>() is a
-// compile-time false — but it must still compile).
-inline double* AsDoubleArray(double* p) { return p; }
-inline const double* AsDoubleArray(const double* p) { return p; }
+
+// A memory load of a kernel element, routed through the injector when the
+// active fault model corrupts loads (kOpClassMemory — see fault_model.h).
+// Identity under the default model and for clean double data, so the
+// historical op stream is untouched; when loads are routed, the kernel
+// dispatch keeps Real data off the bulk path so every element read passes
+// through here.
+template <class T>
+inline T LoadElem(T a) {
+  if constexpr (std::is_same_v<T, double>) {
+    return a;
+  } else {
+    return LoadsRouted() ? T(ExecuteLoad(*AsDoubleArray(&a))) : a;
+  }
+}
 
 }  // namespace robustify::faulty

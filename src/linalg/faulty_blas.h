@@ -14,9 +14,9 @@
 // (mean gap 1e3..1e7 ops) a whole kernel is one clean run; at rate 0.1 a
 // window holds ~100 faults and still costs no branch per fault.
 //
-// Non-default fault models and the per-op oracle injector have no schedule
-// to hand out; under them a kernel steps the element holding each fault
-// through per-scalar Execute (a third instantiation of the body).
+// Non-default fault models and rate 1 have no schedule to hand out; under
+// them a kernel steps the element holding each fault through per-scalar
+// Execute (a third instantiation of the body).
 //
 // Chains side by side.  MatVec and MatTVec run independent accumulator
 // chains interleaved in SSE2 lanes: MatVec one row's sum per lane, MatTVec
@@ -29,19 +29,18 @@
 // two-lane version and keeps the flattened op order, because there the
 // order of the Execute calls is the fault stream.
 //
-// Fault-stream contract: for a fixed (seed, rate, strategy) every kernel
+// Fault-stream contract: for a fixed (seed, rate, model) every kernel
 // consumes the injector's gap/bit RNG streams in exactly the order the
 // per-scalar faulty::Real code it replaces does, and the clean values are
 // bit-identical (each kernel documents its per-element op sequence; the
 // build pins -ffp-contract=off so a bulk loop never fuses a mul+add the
 // scalar path rounds separately).  tests/test_block_engine.cpp holds every
-// kernel to bitwise equivalence against the scalar engine, across mask
-// window edges.
+// kernel to bitwise equivalence against the per-scalar test oracle
+// (tests/oracle/), across mask window edges.
 //
-// With no injector active the kernels are plain clean loops, so the clean
-// oracle path benefits too.  Callers dispatch here only for faulty::Real
-// data (see the linalg vector/matrix headers); `double` math never touches
-// the injector in either engine.
+// With no injector active the kernels are plain clean loops.  Callers
+// dispatch here only for faulty::Real data (linalg::detail::UseBlockKernels
+// in the linalg vector header); `double` math never touches the injector.
 //
 // Strides are in elements; kernels with stride parameters take 1 for the
 // contiguous fast path (column access in the row-major direct solvers uses

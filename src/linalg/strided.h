@@ -75,7 +75,7 @@ void StridedAxmy(std::size_t n, const T& alpha, const T* x, std::ptrdiff_t incx,
 
 // Jacobi rotation (x, y) <- (c x - s y, s x + c y).
 // Per element: mul, mul, mul, mul, sub, add — spelled out with temporaries
-// so both engines execute the same deterministic op order.
+// so the block kernel and the per-scalar loop execute the same op order.
 template <class T>
 void StridedRot(std::size_t n, T* x, std::ptrdiff_t incx, T* y, std::ptrdiff_t incy,
                 const T& c, const T& s) {

@@ -50,18 +50,15 @@
 
 namespace robustify::linalg {
 
-// Per-solve fault configuration.  With inject == false (the default) the
-// solve is clean regardless of scalar type — the oracle path.  `strategy`
-// and `engine` select the test oracles (per-op injector, per-scalar
-// kernels) for every task injector.
+// Per-solve fault configuration: every tile task of a solve runs its own
+// injector built from these fields, seeded per task.  With inject == false
+// (the default) the solve is clean regardless of scalar type.
 struct TileFaultConfig {
   bool inject = false;
   double fault_rate = 0.0;
   // Captured by pointer; must outlive the solve (use SharedBitDistribution).
   const faulty::BitDistribution* bits = nullptr;
   std::uint64_t seed = 1;
-  faulty::FaultInjector::Strategy strategy = faulty::FaultInjector::Strategy::kSkipAhead;
-  faulty::Engine engine = faulty::Engine::kBlock;
   faulty::FaultModel model;
 };
 
@@ -352,19 +349,19 @@ class TiledLsqEngine {
     task_stats_.assign(static_cast<std::size_t>(graph_.size()), faulty::ContextStats{});
     const int workers = detail::ResolveTileThreads(opts.threads);
     graph_.Run(workers, [&](int id, const harness::TaskTag& tag) {
-      if constexpr (std::is_same_v<T, faulty::Real>) {
+      if constexpr (!std::is_same_v<T, double>) {
         if (cfg.inject) {
           faulty::FaultInjector injector(
               cfg.fault_rate, *cfg.bits,
               faulty::DeriveStreamSeed(cfg.seed, static_cast<std::uint64_t>(id)),
-              cfg.model, cfg.strategy, cfg.engine);
+              cfg.model);
           detail::TileInjectorScope scope(&injector);
           exec(tag);
           task_stats_[static_cast<std::size_t>(id)] = injector.stats();
           return;
         }
       }
-      // Clean path (oracle scalar type or inject == false): make sure no
+      // Clean path (double data or inject == false): make sure no
       // ambient injector leaks into the tile kernels.
       detail::TileInjectorScope scope(nullptr);
       exec(tag);

@@ -69,14 +69,15 @@ class Vector {
 
 namespace detail {
 
-// The engine fork every faulty::Real kernel takes: block dispatches to the
-// bulk faulty-BLAS layer, scalar (the equivalence oracle) falls through to
-// the templated per-op loop below it.  `double` data never forks — clean
-// math touches the injector in neither engine.
+// The kernel fork every templated loop takes: faulty::Real data goes to the
+// bulk faulty-BLAS layer unless the active model routes memory loads (the
+// load hooks, faulty::LoadElem, live in the templated per-scalar loops
+// below each fork).  Any other scalar type never forks: `double` math
+// touches no injector, and a faulty test type runs the loop per scalar.
 template <class T>
 inline bool UseBlockKernels() {
   if constexpr (std::is_same_v<T, faulty::Real>) {
-    return faulty::BlockKernelsActive();
+    return !faulty::LoadsRouted();
   } else {
     return false;
   }

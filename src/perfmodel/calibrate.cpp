@@ -64,7 +64,7 @@ constexpr double kFlopsPerElement = 1.0 + 4.0 * (kHalfTerms - 1) + 2.0;
 
 // Non-GCC builds may still vectorize this variant; the scalar peak then
 // degrades to a duplicate of the vector peak, which only loosens the
-// scalar engine's (informational) ceiling.
+// per-scalar loops' (informational) ceiling.
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-tree-vectorize")))
 #endif

@@ -4,10 +4,10 @@
 // (perfmodel/roofline.h) places kernels against:
 //
 //   scalar peak   interleaved independent mul+add chains, vectorization
-//                 disabled — the per-scalar engine's compute ceiling;
+//                 disabled — the per-scalar loops' compute ceiling;
 //   vector peak   the same arithmetic auto-vectorized (dual interleaved
 //                 Horner chains per element, L1-resident) — the block
-//                 engine's compute ceiling;
+//                 kernels' compute ceiling;
 //   bandwidth     STREAM-style triad a[i] = b[i] + s*c[i] on buffers far
 //                 past the LLC, counting 24 B/element (two reads + one
 //                 write, STREAM convention), plus an in-place scale

@@ -56,8 +56,8 @@ struct RooflinePlacement {
 };
 
 // Places one kernel's measured clean-path throughput (Gops/s) under the
-// profile's ceilings.  `use_vector_peak` selects the block engine's
-// compute roof (default) vs. the scalar engine's.
+// profile's ceilings.  `use_vector_peak` selects the block kernels'
+// compute roof (default) vs. the per-scalar loops'.
 RooflinePlacement PlaceKernel(const KernelTraits& traits, double measured_gops,
                               const MachineProfile& profile,
                               bool use_vector_peak = true);

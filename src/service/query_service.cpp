@@ -303,8 +303,8 @@ Answer QueryService::HandleQuery(const Query& query) {
       return Fail("unknown series '" + query.series + "' for app '" +
                   query.app + "' (valid: " + names + ")");
     }
-    if (!(query.rate >= 0.0) || !std::isfinite(query.rate)) {
-      return Fail("rate must be a finite nonnegative number");
+    if (!(query.rate >= 0.0 && query.rate <= 1.0)) {
+      return Fail("rate must be a number in [0, 1]");
     }
     const double ci =
         query.ci > 0.0 ? query.ci : app->spec.ci_half_width;

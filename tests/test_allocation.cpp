@@ -27,6 +27,7 @@
 #include "opt/cg.h"
 #include "opt/sgd.h"
 #include "opt/workspace.h"
+#include "oracle/per_scalar.h"
 
 namespace {
 
@@ -248,49 +249,49 @@ TEST(AllocationFree, CglsUnderFaultInjection) {
   EXPECT_EQ(allocations, 0) << "faulty CGLS solve allocated on a warmed workspace";
 }
 
-// The block-engine kernels (linalg/faulty_blas.h) must uphold the same
-// contract: bulk clean runs borrow no scratch, the fault-mask windows use
-// per-thread pre-sized masks, and the engine fork itself allocates
-// nothing.  Each engine is pinned explicitly.
-void ExpectEnginesAllocationFree(double rate, std::uint64_t seed) {
+// The block kernels (linalg/faulty_blas.h) must uphold the same contract:
+// bulk clean runs borrow no scratch, the fault-mask windows use per-thread
+// pre-sized masks, and the kernel fork itself allocates nothing.  T is
+// faulty::Real (block kernels) or the per-scalar oracle type.
+template <class T>
+void ExpectAllocationFree(double rate, std::uint64_t seed, const char* name) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(40, 8, 37);
-  for (const faulty::Engine engine :
-       {faulty::Engine::kBlock, faulty::Engine::kScalar}) {
-    opt::Workspace<faulty::Real> ws;
-    const linalg::Matrix<faulty::Real> a = linalg::Cast<faulty::Real>(problem.a);
-    const linalg::Vector<faulty::Real> b = linalg::Cast<faulty::Real>(problem.b);
-    apps::detail::LsqObjective<faulty::Real> objective(a, b, &ws);
-    const opt::SgdOptions options = EverythingOnSgd(40);
-    opt::CgOptions cg;
-    cg.iterations = 12;
-    cg.restart_every = 4;
+  opt::Workspace<T> ws;
+  const linalg::Matrix<T> a = linalg::Cast<T>(problem.a);
+  const linalg::Vector<T> b = linalg::Cast<T>(problem.b);
+  apps::detail::LsqObjective<T> objective(a, b, &ws);
+  const opt::SgdOptions options = EverythingOnSgd(40);
+  opt::CgOptions cg;
+  cg.iterations = 12;
+  cg.restart_every = 4;
 
-    core::FaultEnvironment env;
-    env.fault_rate = rate;
-    env.seed = seed;
-    env.engine = engine;
+  core::FaultEnvironment env;
+  env.fault_rate = rate;
+  env.seed = seed;
 
-    linalg::Vector<faulty::Real> warm(a.cols());
-    opt::CgResult cg_result;
+  linalg::Vector<T> warm(a.cols());
+  opt::CgResult cg_result;
+  core::WithFaultyFpu(env, [&] {
+    warm = opt::MinimizeSgd(objective, std::move(warm), options, &ws);
+    opt::SolveCglsInto(a, b, cg, &ws, &cg_result);
+  });
+
+  linalg::Vector<T> x(a.cols());
+  std::int64_t allocations;
+  {
+    AllocationProbe probe;
     core::WithFaultyFpu(env, [&] {
-      warm = opt::MinimizeSgd(objective, std::move(warm), options, &ws);
+      x = opt::MinimizeSgd(objective, std::move(x), options, &ws);
       opt::SolveCglsInto(a, b, cg, &ws, &cg_result);
     });
-
-    linalg::Vector<faulty::Real> x(a.cols());
-    std::int64_t allocations;
-    {
-      AllocationProbe probe;
-      core::WithFaultyFpu(env, [&] {
-        x = opt::MinimizeSgd(objective, std::move(x), options, &ws);
-        opt::SolveCglsInto(a, b, cg, &ws, &cg_result);
-      });
-      allocations = ArmedAllocations();
-    }
-    EXPECT_EQ(allocations, 0)
-        << (engine == faulty::Engine::kBlock ? "block" : "scalar")
-        << " engine allocated on a warmed workspace at rate " << rate;
+    allocations = ArmedAllocations();
   }
+  EXPECT_EQ(allocations, 0) << name << " allocated on a warmed workspace at rate " << rate;
+}
+
+void ExpectEnginesAllocationFree(double rate, std::uint64_t seed) {
+  ExpectAllocationFree<faulty::Real>(rate, seed, "faulty::Real (block kernels)");
+  ExpectAllocationFree<oracle::ScalarReal>(rate, seed, "per-scalar oracle");
 }
 
 TEST(AllocationFree, BlockAndScalarEnginesAllocationFreeAfterWarmup) {

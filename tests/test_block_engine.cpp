@@ -1,13 +1,14 @@
-// Block-engine equivalence: the faulty-BLAS bulk kernels must be
-// observationally identical to the per-scalar faulty::Real path.
+// Block-kernel equivalence: the faulty-BLAS bulk kernels must be
+// observationally identical to per-scalar code.
 //
-// The contract (faulty::Engine in src/faulty/fault_injector.h): for a fixed
-// (seed, rate, strategy), the block and scalar engines execute the same IEEE-754 op
-// sequence and consume the injector RNG at the same op positions, so every
-// trial result is bit-identical and the flop/fault accounting matches
-// exactly.  These tests hold each dispatched kernel family to that, and the
-// sweep harness to byte-identical CSVs across engines at rates spanning
-// "no faults" to "fault every ~4 ops".
+// The contract (src/linalg/faulty_blas.h): for a fixed (seed, rate, model),
+// a solve on faulty::Real — whose kernels run in bulk — and the same solve
+// on the per-scalar oracle type oracle::ScalarReal (tests/oracle/) execute
+// the same IEEE-754 op sequence and consume the injector RNG at the same op
+// positions, so every trial result is bit-identical and the flop/fault
+// accounting matches exactly.  These tests hold each dispatched kernel
+// family to that, and the sweep harness to byte-identical CSVs across the
+// two types at rates spanning "no faults" to "fault every ~4 ops".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +39,7 @@
 #include "linalg/faulty_blas.h"
 #include "linalg/lsq.h"
 #include "opt/cg.h"
+#include "oracle/per_scalar.h"
 #include "opt/workspace.h"
 #include "signal/signals.h"
 #include "telemetry/telemetry.h"
@@ -45,7 +47,7 @@
 namespace {
 
 using namespace robustify;
-using faulty::Engine;
+using oracle::ScalarReal;
 
 // What one engine run leaves behind besides its result: the scope's
 // flop/fault accounting and the exact telemetry that depends only on the
@@ -58,17 +60,18 @@ struct EngineStats {
   std::uint64_t clean_run[telemetry::kHistogramBuckets] = {};
 };
 
-// Runs `fn` under a fault scope pinned to `engine`, returning the result;
-// the scope's accounting and telemetry deltas land in *stats.
-template <class Fn>
-auto RunEngine(Engine engine, double rate, std::uint64_t seed, const Fn& fn,
-               EngineStats* stats) {
+// Runs `solve(T{})` — a solve on scalar type T — under a fault scope,
+// returning the result; the scope's accounting and telemetry deltas land in
+// *stats.
+template <class T, class Solve>
+auto RunEngine(double rate, std::uint64_t seed, const Solve& solve, EngineStats* stats,
+               const faulty::FaultModel& model = faulty::FaultModel()) {
   core::FaultEnvironment env;
   env.fault_rate = rate;
   env.seed = seed;
-  env.engine = engine;
+  env.model = model;
   const telemetry::CounterSnapshot before = telemetry::SnapshotCounters();
-  auto result = core::WithFaultyFpu(env, fn, &stats->fpu);
+  auto result = core::WithFaultyFpu(env, [&] { return solve(T{}); }, &stats->fpu);
   const telemetry::CounterSnapshot after = telemetry::SnapshotCounters();
   stats->gap_draws_table = after.value(telemetry::Counter::kGapDrawsTable) -
                            before.value(telemetry::Counter::kGapDrawsTable);
@@ -81,7 +84,7 @@ auto RunEngine(Engine engine, double rate, std::uint64_t seed, const Fn& fn,
   return result;
 }
 
-// The engines must agree on everything the fault stream determines.
+// The two types must agree on everything the fault stream determines.
 void ExpectSameAccounting(const EngineStats& scalar, const EngineStats& block,
                           double rate) {
   EXPECT_EQ(scalar.fpu.faulty_flops, block.fpu.faulty_flops) << "rate " << rate;
@@ -116,16 +119,11 @@ TEST(BlockEngine, LsqSgdBitIdenticalAcrossEngines) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(23, 7, 11);
   opt::SgdOptions options = apps::LsqSgdAsLs();
   options.iterations = 120;
+  const auto solve = [&](auto t) { return apps::SolveLsqSgd<decltype(t)>(problem, options); };
   for (const double rate : kRates) {
     EngineStats scalar_stats, block_stats;
-    const linalg::Vector<double> scalar = RunEngine(
-        Engine::kScalar, rate, 77,
-        [&] { return apps::SolveLsqSgd<faulty::Real>(problem, options); },
-        &scalar_stats);
-    const linalg::Vector<double> block = RunEngine(
-        Engine::kBlock, rate, 77,
-        [&] { return apps::SolveLsqSgd<faulty::Real>(problem, options); },
-        &block_stats);
+    const linalg::Vector<double> scalar = RunEngine<ScalarReal>(rate, 77, solve, &scalar_stats);
+    const linalg::Vector<double> block = RunEngine<faulty::Real>(rate, 77, solve, &block_stats);
     ExpectBitEqual(scalar, block, "lsq sgd");
     ExpectSameAccounting(scalar_stats, block_stats, rate);
   }
@@ -136,16 +134,11 @@ TEST(BlockEngine, CglsBitIdenticalAcrossEngines) {
   opt::CgOptions options;
   options.iterations = 12;
   options.restart_every = 4;
+  const auto solve = [&](auto t) { return apps::SolveLsqCg<decltype(t)>(problem, options); };
   for (const double rate : kRates) {
     EngineStats scalar_stats, block_stats;
-    const opt::CgResult scalar = RunEngine(
-        Engine::kScalar, rate, 91,
-        [&] { return apps::SolveLsqCg<faulty::Real>(problem, options); },
-        &scalar_stats);
-    const opt::CgResult block = RunEngine(
-        Engine::kBlock, rate, 91,
-        [&] { return apps::SolveLsqCg<faulty::Real>(problem, options); },
-        &block_stats);
+    const opt::CgResult scalar = RunEngine<ScalarReal>(rate, 91, solve, &scalar_stats);
+    const opt::CgResult block = RunEngine<faulty::Real>(rate, 91, solve, &block_stats);
     ExpectBitEqual(scalar.x, block.x, "cgls");
     EXPECT_EQ(scalar.iterations, block.iterations);
     std::uint64_t ra, rb;
@@ -160,7 +153,7 @@ TEST(BlockEngine, CglsBitIdenticalAcrossEngines) {
 // Cholesky: DotAcc[Neg], Axpy/Axmy, Rot, JacobiDots).  From rate 0.1 on
 // the direct solves drown in NaNs, and when two NaNs meet in an op, x86
 // returns the payload of whichever operand the compiler made the
-// destination — an order neither engine pins (README: the determinism
+// destination — an order neither kernel path pins (README: the determinism
 // caveat on propagated NaNs).  A later fault can then flip the payloads
 // into different infinities or finite values, so at those rates only the
 // fault stream and its accounting must match exactly.
@@ -168,16 +161,13 @@ TEST(BlockEngine, DirectBaselinesBitIdenticalAcrossEngines) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(19, 6, 17);
   for (const auto which : {linalg::LsqBaseline::kQr, linalg::LsqBaseline::kSvd,
                            linalg::LsqBaseline::kCholesky}) {
+    const auto solve = [&](auto t) {
+      return apps::SolveLsqBaseline<decltype(t)>(problem, which);
+    };
     for (const double rate : kRates) {
       EngineStats scalar_stats, block_stats;
-      const linalg::Vector<double> scalar = RunEngine(
-          Engine::kScalar, rate, 29,
-          [&] { return apps::SolveLsqBaseline<faulty::Real>(problem, which); },
-          &scalar_stats);
-      const linalg::Vector<double> block = RunEngine(
-          Engine::kBlock, rate, 29,
-          [&] { return apps::SolveLsqBaseline<faulty::Real>(problem, which); },
-          &block_stats);
+      const linalg::Vector<double> scalar = RunEngine<ScalarReal>(rate, 29, solve, &scalar_stats);
+      const linalg::Vector<double> block = RunEngine<faulty::Real>(rate, 29, solve, &block_stats);
       if (rate < 0.1) ExpectBitEqual(scalar, block, "direct baseline");
       ExpectSameAccounting(scalar_stats, block_stats, rate);
     }
@@ -190,16 +180,13 @@ TEST(BlockEngine, IirBitIdenticalAcrossEngines) {
   const linalg::Vector<double> input = signal::SineMix(64, {3.0, 7.0}, {1.0, 0.4});
   opt::SgdOptions options = apps::IirSgdLs();
   options.iterations = 60;
+  const auto solve = [&](auto t) {
+    return apps::RobustIir<decltype(t)>(coeffs, input, options);
+  };
   for (const double rate : kRates) {
     EngineStats scalar_stats, block_stats;
-    const linalg::Vector<double> scalar = RunEngine(
-        Engine::kScalar, rate, 41,
-        [&] { return apps::RobustIir<faulty::Real>(coeffs, input, options); },
-        &scalar_stats);
-    const linalg::Vector<double> block = RunEngine(
-        Engine::kBlock, rate, 41,
-        [&] { return apps::RobustIir<faulty::Real>(coeffs, input, options); },
-        &block_stats);
+    const linalg::Vector<double> scalar = RunEngine<ScalarReal>(rate, 41, solve, &scalar_stats);
+    const linalg::Vector<double> block = RunEngine<faulty::Real>(rate, 41, solve, &block_stats);
     ExpectBitEqual(scalar, block, "iir");
     ExpectSameAccounting(scalar_stats, block_stats, rate);
   }
@@ -213,16 +200,11 @@ TEST(BlockEngine, SvmBitIdenticalAcrossEngines) {
   options.iterations = 80;
   options.base_step = 0.5;
   options.scaling = opt::StepScaling::kLinear;
+  const auto solve = [&](auto t) { return apps::TrainSvm<decltype(t)>(data, 0.01, options); };
   for (const double rate : kRates) {
     EngineStats scalar_stats, block_stats;
-    const apps::SvmResult scalar = RunEngine(
-        Engine::kScalar, rate, 53,
-        [&] { return apps::TrainSvm<faulty::Real>(data, 0.01, options); },
-        &scalar_stats);
-    const apps::SvmResult block = RunEngine(
-        Engine::kBlock, rate, 53,
-        [&] { return apps::TrainSvm<faulty::Real>(data, 0.01, options); },
-        &block_stats);
+    const apps::SvmResult scalar = RunEngine<ScalarReal>(rate, 53, solve, &scalar_stats);
+    const apps::SvmResult block = RunEngine<faulty::Real>(rate, 53, solve, &block_stats);
     ExpectBitEqual(scalar.w, block.w, "svm weights");
     EXPECT_EQ(scalar.train_accuracy, block.train_accuracy);
     ExpectSameAccounting(scalar_stats, block_stats, rate);
@@ -243,16 +225,13 @@ TEST(BlockEngine, EigenBitIdenticalAcrossEngines) {
   }
   apps::RayleighOptions options;
   options.iterations = 40;
+  const auto solve = [&](auto t) {
+    return apps::TopEigenpairsRayleigh<decltype(t)>(a, 2, options);
+  };
   for (const double rate : kRates) {
     EngineStats scalar_stats, block_stats;
-    const auto scalar = RunEngine(
-        Engine::kScalar, rate, 67,
-        [&] { return apps::TopEigenpairsRayleigh<faulty::Real>(a, 2, options); },
-        &scalar_stats);
-    const auto block = RunEngine(
-        Engine::kBlock, rate, 67,
-        [&] { return apps::TopEigenpairsRayleigh<faulty::Real>(a, 2, options); },
-        &block_stats);
+    const auto scalar = RunEngine<ScalarReal>(rate, 67, solve, &scalar_stats);
+    const auto block = RunEngine<faulty::Real>(rate, 67, solve, &block_stats);
     ASSERT_EQ(scalar.size(), block.size());
     for (std::size_t p = 0; p < scalar.size(); ++p) {
       std::uint64_t va, vb;
@@ -265,62 +244,56 @@ TEST(BlockEngine, EigenBitIdenticalAcrossEngines) {
   }
 }
 
-// Under the per-op oracle injector the clean run is always zero, so block
-// kernels must walk op by op and reproduce the oracle stream exactly.
-TEST(BlockEngine, PerOpInjectorBitIdenticalAcrossEngines) {
+// Without a fault schedule to hand out — under a non-default fault model —
+// the block kernels run the stretch the countdown guarantees clean in bulk
+// and step each element that holds a fault op by op through Execute (the
+// boundary path).  Burst faults flip several adjacent bits but schedule
+// exactly like transient ones, so the solve and its accounting must still
+// match the per-scalar run bit for bit.
+TEST(BlockEngine, BoundaryPathBitIdenticalAcrossEngines) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(17, 5, 19);
   opt::SgdOptions options = apps::LsqSgdLs();
   options.iterations = 60;
+  faulty::FaultModel burst;
+  burst.temporal = faulty::Temporal::kBurst;
+  const auto solve = [&](auto t) { return apps::SolveLsqSgd<decltype(t)>(problem, options); };
   for (const double rate : {1e-3, 0.05}) {
-    linalg::Vector<double> results[2];
-    faulty::ContextStats stats[2];
-    int i = 0;
-    for (const Engine engine : {Engine::kScalar, Engine::kBlock}) {
-      core::FaultEnvironment env;
-      env.fault_rate = rate;
-      env.seed = 101;
-      env.engine = engine;
-      env.strategy = faulty::FaultInjector::Strategy::kPerOp;
-      results[i] = core::WithFaultyFpu(
-          env, [&] { return apps::SolveLsqSgd<faulty::Real>(problem, options); },
-          &stats[i]);
-      ++i;
-    }
-    ExpectBitEqual(results[0], results[1], "per-op oracle");
-    EXPECT_EQ(stats[0].faulty_flops, stats[1].faulty_flops) << "rate " << rate;
-    EXPECT_EQ(stats[0].faults_injected, stats[1].faults_injected);
+    EngineStats scalar_stats, block_stats;
+    const linalg::Vector<double> scalar =
+        RunEngine<ScalarReal>(rate, 101, solve, &scalar_stats, burst);
+    const linalg::Vector<double> block =
+        RunEngine<faulty::Real>(rate, 101, solve, &block_stats, burst);
+    ExpectBitEqual(scalar, block, "boundary path");
+    ExpectSameAccounting(scalar_stats, block_stats, rate);
+    EXPECT_GT(block_stats.fpu.faults_injected, 0u) << "rate " << rate;
   }
 }
 
 // --- sweep-level golden CSVs -------------------------------------------------
 
-harness::TrialFn LsqSgdTrial(Engine engine, const apps::LsqProblem* problem) {
-  return [engine, problem](const core::FaultEnvironment& base) {
-    core::FaultEnvironment env = base;
-    env.engine = engine;
+template <class T>
+harness::TrialFn LsqSgdTrial(const apps::LsqProblem* problem) {
+  return [problem](const core::FaultEnvironment& env) {
     opt::SgdOptions options = apps::LsqSgdAsLs();
     options.iterations = 100;
     harness::TrialOutcome out;
     const linalg::Vector<double> x = core::WithFaultyFpu(
-        env, [&] { return apps::SolveLsqSgd<faulty::Real>(*problem, options); },
-        &out.fpu_stats);
+        env, [&] { return apps::SolveLsqSgd<T>(*problem, options); }, &out.fpu_stats);
     out.metric = linalg::AsDouble(Norm(x));
     out.success = std::isfinite(out.metric);
     return out;
   };
 }
 
-harness::TrialFn CglsTrial(Engine engine, const apps::LsqProblem* problem) {
-  return [engine, problem](const core::FaultEnvironment& base) {
-    core::FaultEnvironment env = base;
-    env.engine = engine;
+template <class T>
+harness::TrialFn CglsTrial(const apps::LsqProblem* problem) {
+  return [problem](const core::FaultEnvironment& env) {
     opt::CgOptions options;
     options.iterations = 10;
     options.restart_every = 5;
     harness::TrialOutcome out;
     const opt::CgResult r = core::WithFaultyFpu(
-        env, [&] { return apps::SolveLsqCg<faulty::Real>(*problem, options); },
-        &out.fpu_stats);
+        env, [&] { return apps::SolveLsqCg<T>(*problem, options); }, &out.fpu_stats);
     out.metric = r.residual_norm;
     out.success = std::isfinite(out.metric);
     return out;
@@ -344,16 +317,16 @@ std::string SweepCsvBytes(const std::vector<harness::NamedTrial>& trials,
 }
 
 // The headline guarantee: whole sweep CSVs (success rates, median metrics,
-// mean flop counts) are byte-identical between the engines at every rate.
+// mean flop counts) are byte-identical between the two types at every rate.
 TEST(BlockEngine, GoldenSweepCsvByteIdenticalAcrossEngines) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(23, 7, 5);
   const std::string scalar = SweepCsvBytes(
-      {{"SGD+AS,LS", LsqSgdTrial(Engine::kScalar, &problem)},
-       {"CG,N=10", CglsTrial(Engine::kScalar, &problem)}},
+      {{"SGD+AS,LS", LsqSgdTrial<ScalarReal>(&problem)},
+       {"CG,N=10", CglsTrial<ScalarReal>(&problem)}},
       "scalar");
   const std::string block = SweepCsvBytes(
-      {{"SGD+AS,LS", LsqSgdTrial(Engine::kBlock, &problem)},
-       {"CG,N=10", CglsTrial(Engine::kBlock, &problem)}},
+      {{"SGD+AS,LS", LsqSgdTrial<faulty::Real>(&problem)},
+       {"CG,N=10", CglsTrial<faulty::Real>(&problem)}},
       "block");
   EXPECT_FALSE(scalar.empty());
   EXPECT_EQ(scalar, block);
@@ -361,11 +334,11 @@ TEST(BlockEngine, GoldenSweepCsvByteIdenticalAcrossEngines) {
 
 // --- fault-mask windows --------------------------------------------------------
 //
-// The block engine applies faults as XOR masks in windows of
+// The block kernels apply faults as XOR masks in windows of
 // blas::kMaskWindowOps ops, each opening at the element that holds the next
 // fault.  Every kernel family below runs one call several windows long at
 // rates 0.1 and 0.25, once through the faulty-BLAS kernel and once as a
-// per-scalar faulty::Real loop written in the kernel's documented op order,
+// per-scalar oracle loop written in the kernel's documented op order,
 // under identical injectors.  Half the seeds are steered (by consuming the
 // clean ops before the first fault modulo the element width) so the first
 // window opens on a faulting first op, and the test requires that some
@@ -378,7 +351,7 @@ TEST(BlockEngine, GoldenSweepCsvByteIdenticalAcrossEngines) {
 
 namespace blas = linalg::blas;
 using Doubles = std::vector<double>;
-using faulty::Real;
+using Real = oracle::ScalarReal;
 
 Doubles Fill(std::size_t count, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -547,7 +520,7 @@ const MaskedFamily kMaskedFamilies[] = {
        if (block) return Doubles{blas::Nrm2(n, x.data())};
        Real acc(0.0);
        for (std::size_t i = 0; i < n; ++i) acc = acc + Real(x[i]) * Real(x[i]);
-       return Doubles{faulty::sqrt(acc).value()};
+       return Doubles{sqrt(acc).value()};
      }},
     {"MatVecInto", 2, kRows * kCols,
      [](bool block) {
@@ -929,7 +902,7 @@ TEST(MaskedKernels, NanMeetsNanKeepsAddOperandOrder) {
 }
 
 // Counts the LFSR words between two states of one stream.
-std::uint64_t WordsBetween(faulty::Lfsr from, const faulty::Lfsr& to) {
+[[maybe_unused]] std::uint64_t WordsBetween(faulty::Lfsr from, const faulty::Lfsr& to) {
   std::uint64_t words = 0;
   for (; from.state() != to.state(); ++words) from.next();
   return words;

@@ -73,9 +73,17 @@ TEST(CampaignSpec, FingerprintIgnoresBatch) {
 TEST(CampaignSpec, ParseRateAxisSharedWithCli) {
   EXPECT_EQ(campaign::ParseRateAxis("0, 1e-4 ,0.25"),
             (std::vector<double>{0.0, 1e-4, 0.25}));
+  EXPECT_EQ(campaign::ParseRateAxis("0,1"), (std::vector<double>{0.0, 1.0}));
   EXPECT_THROW(campaign::ParseRateAxis("0.1,"), std::runtime_error);
   EXPECT_THROW(campaign::ParseRateAxis(""), std::runtime_error);
   EXPECT_THROW(campaign::ParseRateAxis("0.1,x"), std::runtime_error);
+  // A rate is a per-op probability: NaN (which the injector cannot scale to
+  // its threshold) and rates outside [0, 1] (which it would clamp) are
+  // refused, not run.
+  for (const char* axis : {"nan", "0,nan", "-nan", "inf", "-inf", "-0.5,2", "-0.5",
+                           "2", "0,1.0000001", "1e-3,-1e-9"}) {
+    EXPECT_THROW(campaign::ParseRateAxis(axis), std::runtime_error) << axis;
+  }
 }
 
 TEST(CampaignSpec, FingerprintSeesEveryOutcomeField) {
@@ -177,6 +185,14 @@ TEST(CampaignSpec, ParseRejectsMalformedInput) {
                std::runtime_error);
   EXPECT_EQ(parse("app = fig6_1\nrates = 0\nseed = 18446744073709551615\n").base_seed,
             ~std::uint64_t{0});
+  // A rate outside [0, 1] names its line.
+  try {
+    parse("app = fig6_6\n# rates next\nrates = 0, nan\n");
+    ADD_FAILURE() << "a NaN rate parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("spec line 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("[0, 1]"), std::string::npos) << e.what();
+  }
 }
 
 TEST(CampaignSpec, ParseAcceptsCommentsAndSeriesLines) {

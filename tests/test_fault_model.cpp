@@ -26,6 +26,7 @@
 #include "fixed_sweep.h"
 #include "harness/trial.h"
 #include "linalg/vector.h"
+#include "oracle/per_scalar.h"
 
 namespace {
 
@@ -33,13 +34,10 @@ using namespace robustify;
 using faulty::FaultInjector;
 using faulty::FaultModel;
 using faulty::Temporal;
-using Strategy = FaultInjector::Strategy;
 
-FaultInjector MakeInjector(const FaultModel& model, double rate,
-                           std::uint64_t seed,
-                           Strategy strategy = Strategy::kSkipAhead) {
+FaultInjector MakeInjector(const FaultModel& model, double rate, std::uint64_t seed) {
   return FaultInjector(rate, faulty::SharedBitDistribution(faulty::BitModel::kBimodal),
-                       seed, model, strategy);
+                       seed, model);
 }
 
 std::uint64_t WordOf(double v) {
@@ -54,47 +52,45 @@ TEST(StuckAtModel, ForcesOneBitAndPinsCleanRunWhileLive) {
   FaultModel model;
   model.temporal = Temporal::kStuckAt;
   model.stuck_mean_ops = 32.0;
-  for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-    FaultInjector injector = MakeInjector(model, 5e-3, 99, strategy);
-    // clean = 0.0: a stuck-at-1 window sets exactly its bit on every forced
-    // op (visible); stuck-at-0 windows are invisible on this input.
-    const double clean = 0.0;
-    int corruptions = 0;
-    int sticky_repeats = 0;  // corrupting op forcing the same bit as the last
-    std::uint64_t run_diff = 0;
-    for (int i = 0; i < 200000; ++i) {
-      const std::uint64_t clean_run = injector.CleanRun();
-      const double out = injector.Execute(clean);
-      const std::uint64_t diff = WordOf(out) ^ WordOf(clean);
-      if (diff == 0) {
-        run_diff = 0;
-        continue;
-      }
-      ++corruptions;
-      // Any corrupting op must have been reachable by the schedule or a
-      // live window — either way the clean-run promise was 0.
-      EXPECT_EQ(clean_run, 0u) << "op " << i;
-      // Forced ops set exactly one bit.
-      EXPECT_EQ(__builtin_popcountll(diff), 1) << "op " << i;
-      if (diff == run_diff) ++sticky_repeats;
-      run_diff = diff;
+  FaultInjector injector = MakeInjector(model, 5e-3, 99);
+  // clean = 0.0: a stuck-at-1 window sets exactly its bit on every forced
+  // op (visible); stuck-at-0 windows are invisible on this input.
+  const double clean = 0.0;
+  int corruptions = 0;
+  int sticky_repeats = 0;  // corrupting op forcing the same bit as the last
+  std::uint64_t run_diff = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t clean_run = injector.CleanRun();
+    const double out = injector.Execute(clean);
+    const std::uint64_t diff = WordOf(out) ^ WordOf(clean);
+    if (diff == 0) {
+      run_diff = 0;
+      continue;
     }
-    const faulty::ContextStats stats = injector.stats();
-    EXPECT_EQ(stats.faulty_flops, 200000u);
-    EXPECT_GT(stats.windows_opened, 0u);
-    EXPECT_GT(corruptions, 0);
-    // Stickiness: most corrupting ops repeat the previous op's forced bit
-    // (a nested scheduled fault may re-arm a new bit mid-run, so the runs
-    // are not perfectly uniform — but a transient model would almost never
-    // repeat the exact bit back to back).
-    EXPECT_GT(sticky_repeats, corruptions / 2);
-    // Visible windows force the bit across many ops: far more corruptions
-    // than scheduled window-openers.
-    EXPECT_GT(stats.faults_injected, stats.windows_opened);
-    EXPECT_EQ(stats.faults_injected, stats.faults_arith);
-    EXPECT_EQ(stats.faults_compare, 0u);
-    EXPECT_EQ(stats.faults_memory, 0u);
+    ++corruptions;
+    // Any corrupting op must have been reachable by the schedule or a
+    // live window — either way the clean-run promise was 0.
+    EXPECT_EQ(clean_run, 0u) << "op " << i;
+    // Forced ops set exactly one bit.
+    EXPECT_EQ(__builtin_popcountll(diff), 1) << "op " << i;
+    if (diff == run_diff) ++sticky_repeats;
+    run_diff = diff;
   }
+  const faulty::ContextStats stats = injector.stats();
+  EXPECT_EQ(stats.faulty_flops, 200000u);
+  EXPECT_GT(stats.windows_opened, 0u);
+  EXPECT_GT(corruptions, 0);
+  // Stickiness: most corrupting ops repeat the previous op's forced bit
+  // (a nested scheduled fault may re-arm a new bit mid-run, so the runs
+  // are not perfectly uniform — but a transient model would almost never
+  // repeat the exact bit back to back).
+  EXPECT_GT(sticky_repeats, corruptions / 2);
+  // Visible windows force the bit across many ops: far more corruptions
+  // than scheduled window-openers.
+  EXPECT_GT(stats.faults_injected, stats.windows_opened);
+  EXPECT_EQ(stats.faults_injected, stats.faults_arith);
+  EXPECT_EQ(stats.faults_compare, 0u);
+  EXPECT_EQ(stats.faults_memory, 0u);
 }
 
 TEST(StuckAtModel, ComparisonsPassThroughButOpenWindows) {
@@ -120,28 +116,26 @@ TEST(BurstModel, FlipsContiguousBitsWithinConfiguredWidth) {
   FaultModel model;
   model.temporal = Temporal::kBurst;
   model.burst_width_max = 6;
-  for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-    FaultInjector injector = MakeInjector(model, 0.01, 123, strategy);
-    const double clean = 1.5;
-    int bursts = 0;
-    for (int i = 0; i < 100000; ++i) {
-      const double out = injector.Execute(clean);
-      const std::uint64_t diff = WordOf(out) ^ WordOf(clean);
-      if (diff == 0) continue;
-      ++bursts;
-      const int base = __builtin_ctzll(diff);
-      const int width = __builtin_popcountll(diff);
-      EXPECT_GE(width, 1);
-      EXPECT_LE(width, 6);
-      EXPECT_EQ(diff >> base, (1ull << width) - 1)
-          << "burst bits must be adjacent, op " << i;
-    }
-    EXPECT_GT(bursts, 100);
-    const faulty::ContextStats stats = injector.stats();
-    EXPECT_EQ(stats.faulty_flops, 100000u);
-    EXPECT_EQ(stats.windows_opened, 0u);  // bursts are memoryless
-    EXPECT_EQ(stats.faults_injected, static_cast<std::uint64_t>(bursts));
+  FaultInjector injector = MakeInjector(model, 0.01, 123);
+  const double clean = 1.5;
+  int bursts = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double out = injector.Execute(clean);
+    const std::uint64_t diff = WordOf(out) ^ WordOf(clean);
+    if (diff == 0) continue;
+    ++bursts;
+    const int base = __builtin_ctzll(diff);
+    const int width = __builtin_popcountll(diff);
+    EXPECT_GE(width, 1);
+    EXPECT_LE(width, 6);
+    EXPECT_EQ(diff >> base, (1ull << width) - 1)
+        << "burst bits must be adjacent, op " << i;
   }
+  EXPECT_GT(bursts, 100);
+  const faulty::ContextStats stats = injector.stats();
+  EXPECT_EQ(stats.faulty_flops, 100000u);
+  EXPECT_EQ(stats.windows_opened, 0u);  // bursts are memoryless
+  EXPECT_EQ(stats.faults_injected, static_cast<std::uint64_t>(bursts));
 }
 
 TEST(BurstModel, ComparisonFaultInvertsPredicate) {
@@ -189,41 +183,39 @@ TEST(IntermittentModel, WindowsClusterFaultsAboveTheBaseRate) {
 // ---- op-class thinning -------------------------------------------------------
 
 TEST(OpClassMask, DisabledClassSeesZeroFaults) {
-  for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-    // Arithmetic only: comparisons never invert.
-    FaultModel arith_only;
-    arith_only.temporal = Temporal::kTransient;
-    arith_only.op_classes = faulty::kOpClassArith;
-    FaultInjector a = MakeInjector(arith_only, 0.05, 17, strategy);
-    int arith_faults = 0;
-    for (int i = 0; i < 40000; ++i) {
-      if (i % 3 == 0) {
-        EXPECT_EQ(a.ExecuteComparison(true), true);
-      } else if (WordOf(a.Execute(2.5)) != WordOf(2.5)) {
-        ++arith_faults;
-      }
+  // Arithmetic only: comparisons never invert.
+  FaultModel arith_only;
+  arith_only.temporal = Temporal::kTransient;
+  arith_only.op_classes = faulty::kOpClassArith;
+  FaultInjector a = MakeInjector(arith_only, 0.05, 17);
+  int arith_faults = 0;
+  for (int i = 0; i < 40000; ++i) {
+    if (i % 3 == 0) {
+      EXPECT_EQ(a.ExecuteComparison(true), true);
+    } else if (WordOf(a.Execute(2.5)) != WordOf(2.5)) {
+      ++arith_faults;
     }
-    EXPECT_GT(arith_faults, 0);
-    EXPECT_EQ(a.stats().faults_compare, 0u);
-    EXPECT_EQ(a.stats().faults_arith, static_cast<std::uint64_t>(arith_faults));
-
-    // Comparison only: arithmetic results come back bit-clean.
-    FaultModel cmp_only;
-    cmp_only.temporal = Temporal::kTransient;
-    cmp_only.op_classes = faulty::kOpClassCompare;
-    FaultInjector c = MakeInjector(cmp_only, 0.05, 18, strategy);
-    int cmp_faults = 0;
-    for (int i = 0; i < 40000; ++i) {
-      if (i % 3 == 0) {
-        if (c.ExecuteComparison(false)) ++cmp_faults;
-      } else {
-        EXPECT_EQ(WordOf(c.Execute(2.5)), WordOf(2.5)) << "op " << i;
-      }
-    }
-    EXPECT_GT(cmp_faults, 0);
-    EXPECT_EQ(c.stats().faults_arith, 0u);
-    EXPECT_EQ(c.stats().faults_compare, static_cast<std::uint64_t>(cmp_faults));
   }
+  EXPECT_GT(arith_faults, 0);
+  EXPECT_EQ(a.stats().faults_compare, 0u);
+  EXPECT_EQ(a.stats().faults_arith, static_cast<std::uint64_t>(arith_faults));
+
+  // Comparison only: arithmetic results come back bit-clean.
+  FaultModel cmp_only;
+  cmp_only.temporal = Temporal::kTransient;
+  cmp_only.op_classes = faulty::kOpClassCompare;
+  FaultInjector c = MakeInjector(cmp_only, 0.05, 18);
+  int cmp_faults = 0;
+  for (int i = 0; i < 40000; ++i) {
+    if (i % 3 == 0) {
+      if (c.ExecuteComparison(false)) ++cmp_faults;
+    } else {
+      EXPECT_EQ(WordOf(c.Execute(2.5)), WordOf(2.5)) << "op " << i;
+    }
+  }
+  EXPECT_GT(cmp_faults, 0);
+  EXPECT_EQ(c.stats().faults_arith, 0u);
+  EXPECT_EQ(c.stats().faults_compare, static_cast<std::uint64_t>(cmp_faults));
 }
 
 TEST(OpClassMask, MemoryLoadsRouteOnlyWhenEnabled) {
@@ -282,13 +274,13 @@ TEST(OpClassMask, ScopeRoutesLoadsThroughLinalgKernels) {
 
 // ---- engine / thread-count equivalence under sticky models -------------------
 
-harness::TrialFn ModelSortTrial(const FaultModel& model, Strategy strategy,
-                                faulty::Engine engine) {
-  return [model, strategy, engine](const core::FaultEnvironment& base) {
+// Robust sort under `model` on scalar type T: faulty::Real (block kernels)
+// or the per-scalar oracle.
+template <class T = faulty::Real>
+harness::TrialFn ModelSortTrial(const FaultModel& model) {
+  return [model](const core::FaultEnvironment& base) {
     core::FaultEnvironment env = base;
     env.model = model;
-    env.strategy = strategy;
-    env.engine = engine;
     std::mt19937_64 rng(env.seed * 7919);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
     std::vector<double> input(4);
@@ -297,8 +289,7 @@ harness::TrialFn ModelSortTrial(const FaultModel& model, Strategy strategy,
     config.sgd.iterations = 120;
     harness::TrialOutcome out;
     const apps::RobustSortResult r = core::WithFaultyFpu(
-        env, [&] { return apps::RobustSort<faulty::Real>(input, config); },
-        &out.fpu_stats);
+        env, [&] { return apps::RobustSort<T>(input, config); }, &out.fpu_stats);
     out.success = r.valid && apps::IsSortedCopyOf(r.output, input);
     out.metric = static_cast<double>(out.fpu_stats.faults_injected);
     return out;
@@ -327,18 +318,14 @@ TEST(EngineEquivalence, StickyModelsBitIdenticalAcrossEngines) {
   core::FaultEnvironment env;
   env.fault_rate = 0.02;
   for (const FaultModel& model : models) {
-    for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-      for (int trial = 0; trial < 6; ++trial) {
-        const harness::TrialOutcome block = harness::RunSingleTrial(
-            ModelSortTrial(model, strategy, faulty::Engine::kBlock), env, trial);
-        const harness::TrialOutcome scalar = harness::RunSingleTrial(
-            ModelSortTrial(model, strategy, faulty::Engine::kScalar), env, trial);
-        std::ostringstream what;
-        what << "model " << faulty::TemporalName(model.temporal) << " strategy "
-             << (strategy == Strategy::kPerOp ? "perop" : "skip") << " trial "
-             << trial;
-        ExpectSameOutcome(block, scalar, what.str());
-      }
+    for (int trial = 0; trial < 6; ++trial) {
+      const harness::TrialOutcome block =
+          harness::RunSingleTrial(ModelSortTrial<faulty::Real>(model), env, trial);
+      const harness::TrialOutcome scalar =
+          harness::RunSingleTrial(ModelSortTrial<oracle::ScalarReal>(model), env, trial);
+      std::ostringstream what;
+      what << "model " << faulty::TemporalName(model.temporal) << " trial " << trial;
+      ExpectSameOutcome(block, scalar, what.str());
     }
   }
 }
@@ -352,7 +339,7 @@ TEST(EngineEquivalence, StuckSweepThreadCountInvariant) {
   spec.base_seed = 77;
   spec.model = model;
   const std::vector<harness::NamedTrial> trials = {
-      {"sort", ModelSortTrial(model, Strategy::kSkipAhead, faulty::Engine::kBlock)}};
+      {"sort", ModelSortTrial(model)}};
   const auto serial = test::RunFixedSweep(spec, trials, 1);
   const auto parallel = test::RunFixedSweep(spec, trials, 4);
   ASSERT_EQ(serial.size(), parallel.size());
@@ -471,8 +458,7 @@ TEST(Guard, IterationCapBoundsARealSolve) {
   FaultModel model;  // default transient model; the guard does the bounding
   core::FaultEnvironment env;
   env.fault_rate = 0.0;
-  const harness::TrialFn trial =
-      ModelSortTrial(model, Strategy::kSkipAhead, faulty::Engine::kBlock);
+  const harness::TrialFn trial = ModelSortTrial(model);
   const harness::TrialOutcome unguarded = harness::RunSingleTrial(trial, env, 0);
   env.guard.max_iterations = 2;
   const harness::TrialOutcome guarded = harness::RunSingleTrial(trial, env, 0);

@@ -12,6 +12,7 @@
 #include "faulty/fault_injector.h"
 #include "faulty/lfsr.h"
 #include "faulty/real.h"
+#include "oracle/per_op.h"
 
 namespace {
 
@@ -23,8 +24,7 @@ using robustify::faulty::kWordBits;
 using robustify::faulty::Lfsr;
 using robustify::faulty::Real;
 using robustify::faulty::SharedBitDistribution;
-
-using Strategy = FaultInjector::Strategy;
+using robustify::oracle::PerOpInjector;
 
 TEST(Lfsr, DeterministicSequence) {
   Lfsr a(42);
@@ -107,28 +107,35 @@ TEST(BitDistribution, SampleMatchesProbabilities) {
   }
 }
 
-TEST(FaultInjector, RateZeroCountsButNeverCorrupts) {
-  for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-    FaultInjector injector(0.0, SharedBitDistribution(BitModel::kBimodal), 5,
-                           strategy);
-    for (int i = 0; i < 10000; ++i) {
-      EXPECT_EQ(injector.Execute(1.25), 1.25);
-    }
-    EXPECT_EQ(injector.stats().faulty_flops, 10000u);
-    EXPECT_EQ(injector.stats().faults_injected, 0u);
+// The rate endpoints, for the production injector and the per-op oracle.
+template <class Injector>
+void ExpectRateZeroCountsButNeverCorrupts() {
+  Injector injector(0.0, SharedBitDistribution(BitModel::kBimodal), 5);
+  for (int i = 0; i < 10000; ++i) {
+    EXPECT_EQ(injector.Execute(1.25), 1.25);
   }
+  EXPECT_EQ(injector.stats().faulty_flops, 10000u);
+  EXPECT_EQ(injector.stats().faults_injected, 0u);
+}
+
+template <class Injector>
+void ExpectRateOneCorruptsEveryOp() {
+  Injector injector(1.0, SharedBitDistribution(BitModel::kBimodal), 5);
+  for (int i = 0; i < 10000; ++i) {
+    EXPECT_NE(injector.Execute(1.25), 1.25);  // a bit flip never round-trips
+  }
+  EXPECT_EQ(injector.stats().faulty_flops, 10000u);
+  EXPECT_EQ(injector.stats().faults_injected, 10000u);
+}
+
+TEST(FaultInjector, RateZeroCountsButNeverCorrupts) {
+  ExpectRateZeroCountsButNeverCorrupts<FaultInjector>();
+  ExpectRateZeroCountsButNeverCorrupts<PerOpInjector>();
 }
 
 TEST(FaultInjector, RateOneCorruptsEveryOp) {
-  for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-    FaultInjector injector(1.0, SharedBitDistribution(BitModel::kBimodal), 5,
-                           strategy);
-    for (int i = 0; i < 10000; ++i) {
-      EXPECT_NE(injector.Execute(1.25), 1.25);  // a bit flip never round-trips
-    }
-    EXPECT_EQ(injector.stats().faulty_flops, 10000u);
-    EXPECT_EQ(injector.stats().faults_injected, 10000u);
-  }
+  ExpectRateOneCorruptsEveryOp<FaultInjector>();
+  ExpectRateOneCorruptsEveryOp<PerOpInjector>();
 }
 
 TEST(FaultInjector, FaultRateWithinStatisticalTolerance) {
@@ -141,16 +148,14 @@ TEST(FaultInjector, FaultRateWithinStatisticalTolerance) {
   EXPECT_NEAR(observed, kRate, 0.003);  // ~10 sigma
 }
 
-// The geometric skip-ahead and per-op Bernoulli strategies must agree in
-// law: at every rate both fault counts sit inside the binomial confidence
-// band around kOps * rate.
+// Geometric skip-ahead and the per-op Bernoulli oracle must agree in law:
+// at every rate both fault counts sit inside the binomial confidence band
+// around kOps * rate.
 TEST(FaultInjector, SkipAheadStatisticallyEquivalentToPerOp) {
   constexpr int kOps = 2000000;
   for (const double rate : {1e-3, 1e-2, 0.05}) {
-    FaultInjector skip(rate, SharedBitDistribution(BitModel::kBimodal), 1234,
-                       Strategy::kSkipAhead);
-    FaultInjector perop(rate, SharedBitDistribution(BitModel::kBimodal), 4321,
-                        Strategy::kPerOp);
+    FaultInjector skip(rate, SharedBitDistribution(BitModel::kBimodal), 1234);
+    PerOpInjector perop(rate, SharedBitDistribution(BitModel::kBimodal), 4321);
     for (int i = 0; i < kOps; ++i) {
       skip.Execute(3.0);
       perop.Execute(3.0);
@@ -172,8 +177,7 @@ TEST(FaultInjector, SkipAheadStatisticallyEquivalentToPerOp) {
 TEST(FaultInjector, ComparisonFaultRateWithinTolerance) {
   constexpr double kRate = 0.01;
   constexpr int kOps = 1000000;
-  FaultInjector injector(kRate, SharedBitDistribution(BitModel::kBimodal), 7,
-                         Strategy::kSkipAhead);
+  FaultInjector injector(kRate, SharedBitDistribution(BitModel::kBimodal), 7);
   int inverted = 0;
   for (int i = 0; i < kOps; ++i) {
     if (!injector.ExecuteComparison(true)) ++inverted;
@@ -184,26 +188,22 @@ TEST(FaultInjector, ComparisonFaultRateWithinTolerance) {
               6.0 * std::sqrt(kOps * kRate * (1.0 - kRate)));
 }
 
-TEST(FaultInjector, DeterministicForFixedSeedAndStrategy) {
-  for (const Strategy strategy : {Strategy::kSkipAhead, Strategy::kPerOp}) {
-    FaultInjector a(0.01, SharedBitDistribution(BitModel::kBimodal), 99, strategy);
-    FaultInjector b(0.01, SharedBitDistribution(BitModel::kBimodal), 99, strategy);
-    for (int i = 0; i < 100000; ++i) {
-      const double clean = 1.0 + i * 0.5;
-      ASSERT_EQ(a.Execute(clean), b.Execute(clean));
-    }
-    EXPECT_EQ(a.stats().faults_injected, b.stats().faults_injected);
-    EXPECT_EQ(a.stats().faulty_flops, b.stats().faulty_flops);
+template <class Injector>
+void ExpectDeterministicForFixedSeed() {
+  Injector a(0.01, SharedBitDistribution(BitModel::kBimodal), 99);
+  Injector b(0.01, SharedBitDistribution(BitModel::kBimodal), 99);
+  for (int i = 0; i < 100000; ++i) {
+    const double clean = 1.0 + i * 0.5;
+    ASSERT_EQ(a.Execute(clean), b.Execute(clean));
   }
+  EXPECT_EQ(a.stats().faults_injected, b.stats().faults_injected);
+  EXPECT_EQ(a.stats().faulty_flops, b.stats().faulty_flops);
 }
 
-TEST(FaultInjector, AutoStrategyIsSkipAheadAtEveryRate) {
-  // The gap-table sampler removed the high-rate per-op fallback: the
-  // default strategy covers the whole range, per-op is oracle-only.
-  for (const double rate : {1e-7, 0.001, 0.1, 0.5}) {
-    const FaultInjector inj(rate, SharedBitDistribution(BitModel::kBimodal), 1);
-    EXPECT_EQ(inj.strategy(), Strategy::kSkipAhead) << "rate " << rate;
-  }
+// The production injector and the per-op oracle alike.
+TEST(FaultInjector, DeterministicForFixedSeedAndStrategy) {
+  ExpectDeterministicForFixedSeed<FaultInjector>();
+  ExpectDeterministicForFixedSeed<PerOpInjector>();
 }
 
 TEST(FaultInjector, CorruptionFlipsExactlyOneBit) {

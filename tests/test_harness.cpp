@@ -1,6 +1,6 @@
 // Harness: trials, fixed-budget sweeps, table extraction, CSV writing, and
-// the golden-CSV determinism guarantees (thread-count and injector-strategy
-// invariance of sweep output).
+// the golden-CSV determinism guarantees (thread-count invariance of sweep
+// output, and skip-ahead/per-op oracle agreement at rate 0).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +17,7 @@
 #include "harness/csv.h"
 #include "harness/table.h"
 #include "harness/trial.h"
+#include "oracle/per_op.h"
 
 namespace {
 
@@ -119,12 +120,11 @@ TEST(Csv, WritesQuotedHeadersAndThrowsOnBadPath) {
 
 // --- golden-CSV determinism -------------------------------------------------
 
-// A real kernel under real fault injection, pinned to one injector
-// strategy: robust sort on a seed-derived 4-element input.
-harness::TrialFn SortTrial(faulty::FaultInjector::Strategy strategy) {
-  return [strategy](const core::FaultEnvironment& base) {
-    core::FaultEnvironment env = base;
-    env.strategy = strategy;
+// A real kernel under real fault injection: robust sort on a seed-derived
+// 4-element input, on faulty::Real or the per-op oracle's scalar type.
+template <class T>
+harness::TrialFn SortTrial() {
+  return [](const core::FaultEnvironment& env) {
     std::mt19937_64 rng(env.seed * 7919);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
     std::vector<double> input(4);
@@ -132,9 +132,8 @@ harness::TrialFn SortTrial(faulty::FaultInjector::Strategy strategy) {
     apps::LpSolveConfig config = apps::SortSgdAsSqs();
     config.sgd.iterations = 150;  // full descent shape, test-sized budget
     harness::TrialOutcome out;
-    const apps::RobustSortResult r = core::WithFaultyFpu(
-        env, [&] { return apps::RobustSort<faulty::Real>(input, config); },
-        &out.fpu_stats);
+    const apps::RobustSortResult r = oracle::WithFpu<T>(
+        env, [&] { return apps::RobustSort<T>(input, config); }, &out.fpu_stats);
     out.success = r.valid && apps::IsSortedCopyOf(r.output, input);
     out.metric = static_cast<double>(out.fpu_stats.faults_injected);
     return out;
@@ -158,13 +157,12 @@ std::string SweepCsvBytes(const campaign::CampaignSpec& spec,
 // never of the worker count.  Byte-identical CSVs for 1, 2, and 8 threads,
 // at rate 0 and under heavy fault injection alike.
 TEST(Sweep, GoldenCsvByteIdenticalAcrossThreadCounts) {
-  using Strategy = faulty::FaultInjector::Strategy;
   campaign::CampaignSpec spec;
   spec.fault_rates = {0.0, 0.05};
   spec.fixed_trials = 4;
   spec.base_seed = 33;
   const std::vector<harness::NamedTrial> trials = {
-      {"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}};
+      {"SGD+AS,SQS", SortTrial<faulty::Real>()}};
 
   const std::string one = SweepCsvBytes(spec, trials, 1, "t1");
   const std::string two = SweepCsvBytes(spec, trials, 2, "t2");
@@ -175,20 +173,19 @@ TEST(Sweep, GoldenCsvByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one, eight);
 }
 
-// At rate 0 no strategy ever samples a gap or flips a bit, so the injector
-// implementation must be invisible: skip-ahead and the per-op oracle have
-// to produce byte-identical sweep output.
+// At rate 0 neither injector ever samples a gap or flips a bit, so the
+// injector implementation must be invisible: skip-ahead and the per-op
+// oracle have to produce byte-identical sweep output.
 TEST(Sweep, GoldenCsvByteIdenticalAcrossStrategiesAtRateZero) {
-  using Strategy = faulty::FaultInjector::Strategy;
   campaign::CampaignSpec spec;
   spec.fault_rates = {0.0};
   spec.fixed_trials = 3;
   spec.base_seed = 44;
 
   const std::string skip = SweepCsvBytes(
-      spec, {{"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}}, 1, "skip");
+      spec, {{"SGD+AS,SQS", SortTrial<faulty::Real>()}}, 1, "skip");
   const std::string perop = SweepCsvBytes(
-      spec, {{"SGD+AS,SQS", SortTrial(Strategy::kPerOp)}}, 1, "perop");
+      spec, {{"SGD+AS,SQS", SortTrial<oracle::PerOpReal>()}}, 1, "perop");
 
   EXPECT_FALSE(skip.empty());
   EXPECT_EQ(skip, perop);

@@ -3,8 +3,8 @@
 // models must leave the historical behavior untouched.  These tests compare
 // sweep and campaign CSV bytes, and a digest of the raw injector fault
 // stream, against goldens captured from the pre-fault-model binaries —
-// under both injector strategies and both kernel engines, across thread
-// counts.
+// for faulty::Real and both equivalence oracles (tests/oracle/), across
+// thread counts.
 //
 // Regenerating (only when the default stream is *intentionally* changed):
 //   ROBUSTIFY_REGEN_GOLDEN=1 ./robustify_tests --gtest_filter='ModelGolden.*'
@@ -30,6 +30,8 @@
 #include "fixed_sweep.h"
 #include "harness/csv.h"
 #include "harness/trial.h"
+#include "oracle/per_op.h"
+#include "oracle/per_scalar.h"
 
 #ifndef ROBUSTIFY_SOURCE_DIR
 #error "robustify_tests must be compiled with ROBUSTIFY_SOURCE_DIR"
@@ -38,7 +40,8 @@
 namespace {
 
 using namespace robustify;
-using Strategy = faulty::FaultInjector::Strategy;
+using oracle::PerOpReal;
+using oracle::ScalarReal;
 
 bool RegenRequested() { return std::getenv("ROBUSTIFY_REGEN_GOLDEN") != nullptr; }
 
@@ -68,13 +71,11 @@ void CheckGolden(const std::string& name, const std::string& bytes) {
 }
 
 // The real-kernel trial the goldens run: robust sort on a seed-derived
-// 4-element input, under the default model with the given injector
-// strategy and kernel engine.
-harness::TrialFn SortTrial(Strategy strategy, faulty::Engine engine) {
-  return [strategy, engine](const core::FaultEnvironment& base) {
-    core::FaultEnvironment env = base;
-    env.strategy = strategy;
-    env.engine = engine;
+// 4-element input, under the default model, on scalar type T (and the
+// injector T's ops route to).
+template <class T>
+harness::TrialFn SortTrial() {
+  return [](const core::FaultEnvironment& env) {
     std::mt19937_64 rng(env.seed * 7919);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
     std::vector<double> input(4);
@@ -82,22 +83,22 @@ harness::TrialFn SortTrial(Strategy strategy, faulty::Engine engine) {
     apps::LpSolveConfig config = apps::SortSgdAsSqs();
     config.sgd.iterations = 150;
     harness::TrialOutcome out;
-    const apps::RobustSortResult r = core::WithFaultyFpu(
-        env, [&] { return apps::RobustSort<faulty::Real>(input, config); },
-        &out.fpu_stats);
+    const apps::RobustSortResult r = oracle::WithFpu<T>(
+        env, [&] { return apps::RobustSort<T>(input, config); }, &out.fpu_stats);
     out.success = r.valid && apps::IsSortedCopyOf(r.output, input);
     out.metric = static_cast<double>(out.fpu_stats.faults_injected);
     return out;
   };
 }
 
-std::string SweepCsvBytes(Strategy strategy, faulty::Engine engine, int threads) {
+template <class T>
+std::string SweepCsvBytes(int threads) {
   campaign::CampaignSpec spec;
   spec.fault_rates = {0.0, 0.05, 0.25};
   spec.fixed_trials = 4;
   spec.base_seed = 33;
   const auto series = test::RunFixedSweep(
-      spec, {{"SGD+AS,SQS", SortTrial(strategy, engine)}}, threads);
+      spec, {{"SGD+AS,SQS", SortTrial<T>()}}, threads);
   const std::string path = ::testing::TempDir() + "/robustify_model_golden.csv";
   harness::WriteSweepCsv(path, series);
   std::ifstream in(path, std::ios::binary);
@@ -107,22 +108,21 @@ std::string SweepCsvBytes(Strategy strategy, faulty::Engine engine, int threads)
   return buffer.str();
 }
 
+// The golden names keep the (strategy, engine) pairs they were recorded
+// under: "skip" is the production injector, on faulty::Real ("block") or
+// the per-scalar oracle ("scalar"); "perop" is the per-op oracle, which
+// has one kernel path, so both of its files hold the same bytes.
 TEST(ModelGolden, SweepCsvMatchesPreModelBinaries) {
-  CheckGolden("model_default_sweep_skip_block.csv",
-              SweepCsvBytes(Strategy::kSkipAhead, faulty::Engine::kBlock, 1));
-  CheckGolden("model_default_sweep_skip_scalar.csv",
-              SweepCsvBytes(Strategy::kSkipAhead, faulty::Engine::kScalar, 1));
-  CheckGolden("model_default_sweep_perop_block.csv",
-              SweepCsvBytes(Strategy::kPerOp, faulty::Engine::kBlock, 1));
-  CheckGolden("model_default_sweep_perop_scalar.csv",
-              SweepCsvBytes(Strategy::kPerOp, faulty::Engine::kScalar, 1));
+  CheckGolden("model_default_sweep_skip_block.csv", SweepCsvBytes<faulty::Real>(1));
+  CheckGolden("model_default_sweep_skip_scalar.csv", SweepCsvBytes<ScalarReal>(1));
+  const std::string perop = SweepCsvBytes<PerOpReal>(1);
+  CheckGolden("model_default_sweep_perop_block.csv", perop);
+  CheckGolden("model_default_sweep_perop_scalar.csv", perop);
 }
 
 TEST(ModelGolden, SweepCsvThreadCountInvariantAgainstGolden) {
-  CheckGolden("model_default_sweep_skip_block.csv",
-              SweepCsvBytes(Strategy::kSkipAhead, faulty::Engine::kBlock, 2));
-  CheckGolden("model_default_sweep_skip_block.csv",
-              SweepCsvBytes(Strategy::kSkipAhead, faulty::Engine::kBlock, 8));
+  CheckGolden("model_default_sweep_skip_block.csv", SweepCsvBytes<faulty::Real>(2));
+  CheckGolden("model_default_sweep_skip_block.csv", SweepCsvBytes<faulty::Real>(8));
 }
 
 std::string CampaignCsvBytes(bool adaptive, int threads) {
@@ -138,8 +138,7 @@ std::string CampaignCsvBytes(bool adaptive, int threads) {
 
   campaign::Scenario scenario;
   scenario.app = spec.app;
-  scenario.series.push_back(
-      {"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead, faulty::Engine::kBlock)});
+  scenario.series.push_back({"SGD+AS,SQS", SortTrial<faulty::Real>()});
 
   campaign::RunnerOptions options;
   options.threads = threads;
@@ -181,10 +180,11 @@ void MixInto(std::uint64_t* hash, std::uint64_t value) {
   }
 }
 
-std::uint64_t StreamDigest(double rate, Strategy strategy) {
-  faulty::FaultInjector injector(
-      rate, faulty::SharedBitDistribution(faulty::BitModel::kBimodal),
-      /*seed=*/987, strategy);
+// Injector: faulty::FaultInjector or the per-op oracle.
+template <class Injector>
+std::uint64_t StreamDigest(double rate) {
+  Injector injector(rate, faulty::SharedBitDistribution(faulty::BitModel::kBimodal),
+                    /*seed=*/987);
   std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
   for (int i = 0; i < 20000; ++i) {
     if (i % 7 == 3) {
@@ -208,22 +208,16 @@ TEST(ModelGolden, FaultStreamDigestMatchesPreModelBinaries) {
   const double rates[] = {1e-3, 0.05, 0.25};
   // The "/split" suffix names the historical one-word-per-draw layout, the
   // only one there is; the labels stay byte-identical to the pre-model file.
-  struct Combo {
-    const char* name;
-    Strategy strategy;
-  };
-  const Combo combos[] = {
-      {"skip/split", Strategy::kSkipAhead},
-      {"perop/split", Strategy::kPerOp},
-  };
+  // "skip" is the production injector, "perop" the per-op oracle.
   std::ostringstream os;
   for (const double rate : rates) {
-    for (const Combo& combo : combos) {
+    const std::uint64_t digests[] = {StreamDigest<faulty::FaultInjector>(rate),
+                                     StreamDigest<oracle::PerOpInjector>(rate)};
+    const char* names[] = {"skip/split", "perop/split"};
+    for (int i = 0; i < 2; ++i) {
       char line[96];
-      std::snprintf(line, sizeof(line), "rate=%g %s digest=%016llx\n", rate,
-                    combo.name,
-                    static_cast<unsigned long long>(
-                        StreamDigest(rate, combo.strategy)));
+      std::snprintf(line, sizeof(line), "rate=%g %s digest=%016llx\n", rate, names[i],
+                    static_cast<unsigned long long>(digests[i]));
       os << line;
     }
   }

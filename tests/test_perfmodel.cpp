@@ -79,7 +79,7 @@ TEST(Perfmodel, PlaceKernelComputeBound) {
   EXPECT_FALSE(placement.memory_bound);
   EXPECT_DOUBLE_EQ(placement.efficiency, 0.5);
 
-  // The scalar engine's compute roof is lower: min(3, 15) = 3.
+  // The per-scalar compute roof is lower: min(3, 15) = 3.
   const perfmodel::RooflinePlacement scalar = perfmodel::PlaceKernel(
       *jd, 1.5, SyntheticProfile(), /*use_vector_peak=*/false);
   ASSERT_TRUE(scalar.valid);

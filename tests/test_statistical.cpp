@@ -1,12 +1,11 @@
-// Statistical equivalence of the injector strategies.
+// Statistical equivalence of the production injector and the per-op oracle.
 //
-// The gap-table skip-ahead sampler replaced the per-op Bernoulli draw as
-// the production strategy for the whole rate range; the per-op
-// implementation survives only as the reference oracle these tests compare
-// against.  Two observables fully characterize the injector: the
-// fault-to-fault gap distribution (must be Geometric(rate)) and the
-// flipped-bit-position distribution (must match the BitDistribution).  At
-// every rate both strategies are held to the theoretical law by chi-square
+// The gap-table skip-ahead sampler simulates the fault process for the
+// whole rate range; the per-op Bernoulli injector (tests/oracle/per_op.h)
+// is the reference these tests compare it against.  Two observables fully
+// characterize an injector: the fault-to-fault gap distribution (must be
+// Geometric(rate)) and the flipped-bit-position distribution (must match
+// the BitDistribution).  At every rate both injectors are held to the theoretical law by chi-square
 // goodness-of-fit (equal-expected-count pooled bins), to each other by a
 // two-sample chi-square, and the gap samples additionally by a two-sample
 // Kolmogorov-Smirnov distance.  All draws are seeded: the observed
@@ -24,6 +23,7 @@
 #include "faulty/fault_injector.h"
 #include "faulty/gap_sampler.h"
 #include "faulty/lfsr.h"
+#include "oracle/per_op.h"
 
 namespace {
 
@@ -34,8 +34,7 @@ using robustify::faulty::GeometricGapSampler;
 using robustify::faulty::kWordBits;
 using robustify::faulty::Lfsr;
 using robustify::faulty::SharedBitDistribution;
-
-using Strategy = FaultInjector::Strategy;
+using robustify::oracle::PerOpInjector;
 
 constexpr double kRates[] = {1e-5, 1e-3, 0.05, 0.25};
 constexpr int kTargetFaults = 1200;
@@ -59,10 +58,10 @@ struct FaultSample {
 // Streams clean ops through an injector and records every corruption: the
 // gap since the previous fault and which bit flipped (recovered by XOR
 // against the clean value; the injector flips exactly one bit).
-FaultSample CollectFaults(Strategy strategy, double rate, std::uint64_t seed,
-                          int target_faults) {
-  FaultInjector injector(rate, SharedBitDistribution(BitModel::kBimodal), seed,
-                         strategy);
+// Injector: FaultInjector (skip-ahead) or PerOpInjector (the oracle).
+template <class Injector>
+FaultSample CollectFaults(double rate, std::uint64_t seed, int target_faults) {
+  Injector injector(rate, SharedBitDistribution(BitModel::kBimodal), seed);
   FaultSample sample;
   sample.gaps.reserve(static_cast<std::size_t>(target_faults));
   const double clean = 1.5;
@@ -184,7 +183,7 @@ double KsDistance(std::vector<std::uint64_t> a, std::vector<std::uint64_t> b) {
 }
 
 // Pool the 64 bit positions (in index order) into bins with enough expected
-// mass for a chi-square; returns parallel (observed per strategy, probs).
+// mass for a chi-square; returns parallel (observed per injector, probs).
 void PoolBitBins(const std::array<int, kWordBits>& skip_counts,
                  const std::array<int, kWordBits>& perop_counts,
                  const BitDistribution& dist, int n,
@@ -211,13 +210,13 @@ void PoolBitBins(const std::array<int, kWordBits>& skip_counts,
   }
 }
 
-// --- gap distribution: both strategies vs. Geometric(rate), and vs. each
+// --- gap distribution: both injectors vs. Geometric(rate), and vs. each
 // other ---------------------------------------------------------------------
 
 TEST(StatisticalEquivalence, GapDistributionMatchesGeometricLaw) {
   for (const double rate : kRates) {
-    const FaultSample skip = CollectFaults(Strategy::kSkipAhead, rate, 1001, kTargetFaults);
-    const FaultSample perop = CollectFaults(Strategy::kPerOp, rate, 2002, kTargetFaults);
+    const FaultSample skip = CollectFaults<FaultInjector>(rate, 1001, kTargetFaults);
+    const FaultSample perop = CollectFaults<PerOpInjector>(rate, 2002, kTargetFaults);
 
     const std::vector<std::uint64_t> edges = GeometricBinEdges(rate, kTargetFaults);
     ASSERT_GE(edges.size(), 3u) << "rate " << rate;  // enough resolution to mean anything
@@ -242,20 +241,20 @@ TEST(StatisticalEquivalence, GapSamplesPassTwoSampleKs) {
   const double crit =
       1.95 * std::sqrt(2.0 / static_cast<double>(kTargetFaults));
   for (const double rate : kRates) {
-    const FaultSample skip = CollectFaults(Strategy::kSkipAhead, rate, 3003, kTargetFaults);
-    const FaultSample perop = CollectFaults(Strategy::kPerOp, rate, 4004, kTargetFaults);
+    const FaultSample skip = CollectFaults<FaultInjector>(rate, 3003, kTargetFaults);
+    const FaultSample perop = CollectFaults<PerOpInjector>(rate, 4004, kTargetFaults);
     EXPECT_LT(KsDistance(skip.gaps, perop.gaps), crit) << "rate " << rate;
   }
 }
 
-// --- bit-position distribution: both strategies vs. the configured
+// --- bit-position distribution: both injectors vs. the configured
 // BitDistribution, and vs. each other ---------------------------------------
 
 TEST(StatisticalEquivalence, BitPositionsMatchConfiguredDistribution) {
   const BitDistribution& dist = SharedBitDistribution(BitModel::kBimodal);
   for (const double rate : kRates) {
-    const FaultSample skip = CollectFaults(Strategy::kSkipAhead, rate, 5005, kTargetFaults);
-    const FaultSample perop = CollectFaults(Strategy::kPerOp, rate, 6006, kTargetFaults);
+    const FaultSample skip = CollectFaults<FaultInjector>(rate, 5005, kTargetFaults);
+    const FaultSample perop = CollectFaults<PerOpInjector>(rate, 6006, kTargetFaults);
 
     std::vector<double> skip_bins, perop_bins, probs;
     PoolBitBins(skip.bit_counts, perop.bit_counts, dist, kTargetFaults,
@@ -295,17 +294,14 @@ TEST(GeometricGapSampler, SharedReturnsOneInstancePerRate) {
 // The temporal models draw from three per-fault laws: stuck-window duration
 // and intermittent-window length (both Geometric on {1,2,...} with
 // p = 1/mean) and burst width (Uniform{1..max}).  The samplers are held to
-// the exact laws by chi-square, and the end-to-end injector streams are
-// held skip-ahead vs per-op by two-sample gates — the temporal machinery
-// sits above the scheduling strategy, so the observable corruption stream
-// must not depend on which strategy runs underneath.
+// the exact laws by chi-square, and burst widths also end to end, through
+// the injector.
 
 using robustify::faulty::FaultModel;
 using robustify::faulty::SampleBurstWidth;
 using robustify::faulty::SampleStuckDuration;
 using robustify::faulty::SampleWindowLength;
 using robustify::faulty::Temporal;
-using robustify::faulty::TemporalName;
 
 // Chi-square GoF of geometric-on-{1,2,...} draws with the given mean:
 // shift to {0,1,...} and reuse the gap-law bins with rate = 1/mean.
@@ -378,78 +374,6 @@ TEST(ModelLaws, BurstWidthMatchesUniformLaw) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(SampleBurstWidth(1, rng), 1);
 }
 
-// End-to-end corruption streams per temporal model, observed strictly
-// through the public Execute() surface: the op index of every corrupting op
-// and the number of bits that changed.
-struct ModelSample {
-  std::vector<std::uint64_t> gaps;  // clean ops between corrupting ops
-  std::vector<double> width_counts = std::vector<double>(kWordBits + 1, 0.0);
-};
-
-ModelSample CollectModelFaults(Temporal temporal, Strategy strategy,
-                               double rate, std::uint64_t seed, double clean,
-                               int target_events) {
-  FaultModel model;
-  model.temporal = temporal;
-  FaultInjector injector(rate, SharedBitDistribution(BitModel::kBimodal), seed,
-                         model, strategy);
-  ModelSample sample;
-  sample.gaps.reserve(static_cast<std::size_t>(target_events));
-  std::uint64_t clean_word;
-  std::memcpy(&clean_word, &clean, sizeof(clean_word));
-  std::uint64_t since_last = 0;
-  while (static_cast<int>(sample.gaps.size()) < target_events) {
-    const double out = injector.Execute(clean);
-    std::uint64_t out_word;
-    std::memcpy(&out_word, &out, sizeof(out_word));
-    const std::uint64_t diff = clean_word ^ out_word;
-    if (diff == 0) {
-      ++since_last;
-      continue;
-    }
-    sample.width_counts[static_cast<std::size_t>(__builtin_popcountll(diff))] +=
-        1.0;
-    sample.gaps.push_back(since_last);
-    since_last = 0;
-  }
-  return sample;
-}
-
-// The corruption stream of every non-default model must be strategy
-// independent in distribution: two-sample KS on the inter-corruption gaps
-// and two-sample chi-square on the changed-bit-width histogram.  (The gap
-// law itself is not geometric for stuck/intermittent — windows cluster
-// corruptions — which is exactly why the cross-strategy gate matters.)
-TEST(ModelLaws, CorruptionStreamsStrategyInvariantInDistribution) {
-  constexpr int kEvents = 1200;
-  constexpr double kRate = 2e-3;
-  const double ks_crit = 1.95 * std::sqrt(2.0 / static_cast<double>(kEvents));
-  const struct {
-    Temporal temporal;
-    double clean;
-  } cases[] = {
-      // 0.0 makes a stuck-at-1 window visible on every forced op.
-      {Temporal::kStuckAt, 0.0},
-      {Temporal::kBurst, 1.5},
-      {Temporal::kIntermittent, 1.5},
-  };
-  for (const auto& c : cases) {
-    const ModelSample skip = CollectModelFaults(c.temporal, Strategy::kSkipAhead,
-                                                kRate, 12121, c.clean, kEvents);
-    const ModelSample perop = CollectModelFaults(c.temporal, Strategy::kPerOp,
-                                                 kRate, 21212, c.clean, kEvents);
-    EXPECT_LT(KsDistance(skip.gaps, perop.gaps), ks_crit)
-        << "gaps, model " << TemporalName(c.temporal);
-    int occupied = 0;
-    for (std::size_t w = 0; w < skip.width_counts.size(); ++w) {
-      if (skip.width_counts[w] + perop.width_counts[w] > 0.0) ++occupied;
-    }
-    const double crit = ChiSquareCrit999(std::max(occupied - 1, 3));
-    EXPECT_LT(ChiSquareTwoSample(skip.width_counts, perop.width_counts), crit)
-        << "widths, model " << TemporalName(c.temporal);
-  }
-}
-
 // Burst widths through the injector follow Uniform{1..max} once clamping at
 // the word edge cannot bite: condition on bursts whose base bit leaves room
 // (the contiguous flipped run starts at the lowest changed bit).
@@ -458,7 +382,7 @@ TEST(ModelLaws, BurstWidthsThroughInjectorMatchUniformLaw) {
   FaultModel model;
   model.temporal = Temporal::kBurst;
   FaultInjector injector(0.01, SharedBitDistribution(BitModel::kBimodal), 31313,
-                         model, Strategy::kSkipAhead);
+                         model);
   const double clean = 1.5;
   std::uint64_t clean_word;
   std::memcpy(&clean_word, &clean, sizeof(clean_word));

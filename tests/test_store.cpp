@@ -28,6 +28,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -428,6 +429,18 @@ TEST(QueryService, MissWithFreshDisallowedFailsLoudly) {
   service::Query bad = f.Q("A", 0.1, 0.1);
   bad.app = "no_such_app";
   EXPECT_FALSE(f.qs->Handle(bad).ok);
+}
+
+// Rates are probabilities: a query outside [0, 1] (NaN included) is an
+// error, never a fresh campaign at a rate the injector would clamp.
+TEST(QueryService, RejectsRatesOutsideTheUnitInterval) {
+  ServiceFixture f("badrate", /*prefill=*/false);
+  for (const double rate : {2.0, 1.0000001, -0.5, std::nan(""),
+                            std::numeric_limits<double>::infinity()}) {
+    const service::Answer a = f.qs->Handle(f.Q("A", rate, 0.2));
+    EXPECT_FALSE(a.ok) << "rate " << rate;
+    EXPECT_NE(a.error.find("[0, 1]"), std::string::npos) << a.error;
+  }
 }
 
 TEST(QueryService, SurrogateAgreesWithStoredCellsWithinWilsonHalfWidths) {

@@ -1,6 +1,6 @@
 // Tiled direct-solver tests (linalg/tiled.h): rate-0 bit-identity against
-// the monolithic lsq.h baselines, block==scalar equivalence under
-// injection, worker-count independence (the determinism contract, pinned at
+// the monolithic lsq.h baselines, equivalence with the per-scalar oracle
+// under injection, worker-count independence (the determinism contract, pinned at
 // n = 2048 under injection), and byte-identical campaign CSVs across the
 // in-solve worker knob.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "harness/trial.h"
 #include "linalg/lsq.h"
 #include "linalg/tiled.h"
+#include "oracle/per_scalar.h"
 
 namespace {
 
@@ -109,8 +110,9 @@ TEST(TiledCholesky, CleanOracleTypeMatchesRealAtRateZero) {
   EXPECT_TRUE(BitIdentical(real_x, oracle_x));
 }
 
-// Block and scalar engines must agree bit for bit under injection inside
-// tile tasks, exactly like they do inside WithFaultyFpu scopes.
+// faulty::Real (block kernels) and the per-scalar oracle type must agree
+// bit for bit under injection inside tile tasks, exactly like they do
+// inside WithFaultyFpu scopes.
 TEST(Tiled, BlockAndScalarEnginesBitIdenticalUnderInjection) {
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(48, 24, 94);
   for (const linalg::LsqBaseline which :
@@ -122,15 +124,13 @@ TEST(Tiled, BlockAndScalarEnginesBitIdenticalUnderInjection) {
     options.tile = 8;
     options.fault = apps::TileConfigFromEnv(env);
 
-    options.fault.engine = faulty::Engine::kBlock;
     faulty::ContextStats block_stats;
     const linalg::Vector<double> block_x =
         apps::SolveLsqTiled<faulty::Real>(problem, which, options, &block_stats);
 
-    options.fault.engine = faulty::Engine::kScalar;
     faulty::ContextStats scalar_stats;
     const linalg::Vector<double> scalar_x =
-        apps::SolveLsqTiled<faulty::Real>(problem, which, options, &scalar_stats);
+        apps::SolveLsqTiled<oracle::ScalarReal>(problem, which, options, &scalar_stats);
 
     EXPECT_TRUE(BitIdentical(block_x, scalar_x));
     EXPECT_EQ(block_stats.faulty_flops, scalar_stats.faulty_flops);
