@@ -33,10 +33,11 @@ int main(int argc, char** argv) {
   // Realistic-rate axis: faults are rare, so the sweep spends its time on
   // the countdown hot path — exactly where telemetry overhead would hide.
   spec.fault_rates = {1e-5, 1e-4, 1e-3};
-  spec.fixed_trials = 10;
+  spec.fixed_trials = ctx.TrialsOr(10);
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
   campaign::RunnerOptions runner;
-  ctx.Configure(&spec, &runner);
+  runner.threads = ctx.options().threads;
+  runner.adaptive = false;
 
   constexpr int kPairs = 5;
   const double allowed_overhead = 0.02;

@@ -6,7 +6,8 @@
 //   robustify_cli run <fig|spec-file> [flags]
 //       Run a campaign (adaptive trial allocation by default).  --shard=i/N
 //       runs only the cells with grid index ≡ i (mod N); shard journals
-//       merge into the result store.
+//       merge into the result store.  `run <fig> --fixed` regenerates a
+//       paper figure at the registry's trial count (README figure map).
 //   robustify_cli resume <fig|spec-file> [flags]
 //       Continue a journaled campaign after a crash or kill; the final CSV
 //       is byte-identical to an uninterrupted run.
@@ -71,6 +72,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,6 +90,7 @@
 #include "perfmodel/calibrate.h"
 #include "service/query_service.h"
 #include "store/result_store.h"
+#include "telemetry/attribution.h"
 #include "telemetry/metrics_export.h"
 #include "telemetry/progress.h"
 #include "telemetry/trace.h"
@@ -124,13 +127,23 @@ int Usage() {
   std::exit(2);
 }
 
-long ParseLongFlag(const std::string& flag, const std::string& value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    Die("malformed " + flag + " value: " + value);
+// Integer flags go through the spec format's own parsers, so a flag and
+// the spec key it overrides accept exactly the same values.
+int IntFlag(const std::string& flag, const std::string& value,
+            int min_value = std::numeric_limits<int>::min()) {
+  try {
+    return campaign::ParseInt(flag, value, min_value);
+  } catch (const std::exception& e) {
+    Die(e.what());
   }
-  return parsed;
+}
+
+std::uint64_t U64Flag(const std::string& flag, const std::string& value) {
+  try {
+    return campaign::ParseU64(flag, value);
+  } catch (const std::exception& e) {
+    Die(e.what());
+  }
 }
 
 double ParseDoubleFlag(const std::string& flag, const std::string& value) {
@@ -195,12 +208,7 @@ struct CliOptions {
   campaign::CampaignSpec spec;
   campaign::RunnerOptions runner;
   std::string csv_path;
-  std::string json_path;
-  bool trace = false;
-  std::string trace_path;
-  std::string metrics_path;
-  bool attr = false;
-  std::string attr_path;  // empty with attr: report goes to stderr
+  harness::RunOutputs outputs;
 };
 
 // A spec file wins when the path exists; otherwise the registry.
@@ -219,21 +227,19 @@ bool ApplySpecFlag(campaign::CampaignSpec* spec, const std::string& arg) {
     spec->ci_half_width = ParseDoubleFlag("--ci", arg.substr(5));
     if (!(spec->ci_half_width > 0.0)) Die("--ci must be > 0");
   } else if (arg.rfind("--budget=", 0) == 0) {
-    spec->max_trials = static_cast<int>(ParseLongFlag("--budget", arg.substr(9)));
+    spec->max_trials = IntFlag("--budget", arg.substr(9));
   } else if (arg.rfind("--min-trials=", 0) == 0) {
-    spec->min_trials =
-        static_cast<int>(ParseLongFlag("--min-trials", arg.substr(13)));
+    spec->min_trials = IntFlag("--min-trials", arg.substr(13));
   } else if (arg.rfind("--batch=", 0) == 0) {
-    spec->batch = static_cast<int>(ParseLongFlag("--batch", arg.substr(8)));
+    spec->batch = IntFlag("--batch", arg.substr(8));
   } else if (arg.rfind("--trials=", 0) == 0) {
-    spec->fixed_trials = static_cast<int>(ParseLongFlag("--trials", arg.substr(9)));
+    spec->fixed_trials = IntFlag("--trials", arg.substr(9));
   } else if (arg.rfind("--rates=", 0) == 0) {
     spec->fault_rates = ParseRatesFlag(arg.substr(8));
   } else if (arg.rfind("--series=", 0) == 0) {
     spec->series.push_back(arg.substr(9));
   } else if (arg.rfind("--seed=", 0) == 0) {
-    spec->base_seed =
-        static_cast<std::uint64_t>(ParseLongFlag("--seed", arg.substr(7)));
+    spec->base_seed = U64Flag("--seed", arg.substr(7));
   } else if (arg.rfind("--shard=", 0) == 0) {
     try {
       const auto [index, count] = campaign::ParseShard(arg.substr(8));
@@ -255,19 +261,16 @@ bool ApplySpecFlag(campaign::CampaignSpec* spec, const std::string& arg) {
   } else if (arg.rfind("--stuck-mean=", 0) == 0) {
     spec->model.stuck_mean_ops = ParseDoubleFlag("--stuck-mean", arg.substr(13));
   } else if (arg.rfind("--burst-width=", 0) == 0) {
-    spec->model.burst_width_max =
-        static_cast<int>(ParseLongFlag("--burst-width", arg.substr(14)));
+    spec->model.burst_width_max = IntFlag("--burst-width", arg.substr(14));
   } else if (arg.rfind("--window-mean=", 0) == 0) {
     spec->model.window_mean_ops =
         ParseDoubleFlag("--window-mean", arg.substr(14));
   } else if (arg.rfind("--window-rate=", 0) == 0) {
     spec->model.window_rate = ParseDoubleFlag("--window-rate", arg.substr(14));
   } else if (arg.rfind("--guard-flops=", 0) == 0) {
-    spec->guard.max_flops = static_cast<std::uint64_t>(
-        ParseLongFlag("--guard-flops", arg.substr(14)));
+    spec->guard.max_flops = U64Flag("--guard-flops", arg.substr(14));
   } else if (arg.rfind("--guard-iters=", 0) == 0) {
-    spec->guard.max_iterations =
-        static_cast<int>(ParseLongFlag("--guard-iters", arg.substr(14)));
+    spec->guard.max_iterations = IntFlag("--guard-iters", arg.substr(14));
   } else if (arg == "--guard-bailout") {
     spec->guard.nonfinite_bailout = true;
   } else {
@@ -289,26 +292,14 @@ int RunCampaignCommand(bool resume, const std::string& target,
     } else if (arg == "--fixed") {
       cli.runner.adaptive = false;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.runner.threads = static_cast<int>(ParseLongFlag("--threads", arg.substr(10)));
+      cli.runner.threads = IntFlag("--threads", arg.substr(10), 0);
     } else if (arg.rfind("--journal=", 0) == 0) {
       cli.runner.journal_path = arg.substr(10);
       journal_set = true;
     } else if (arg.rfind("--csv=", 0) == 0) {
       cli.csv_path = arg.substr(6);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else if (arg == "--trace") {
-      cli.trace = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      cli.trace = true;
-      cli.trace_path = arg.substr(8);
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      cli.metrics_path = arg.substr(10);
-    } else if (arg == "--attr") {
-      cli.attr = true;
-    } else if (arg.rfind("--attr=", 0) == 0) {
-      cli.attr = true;
-      cli.attr_path = arg.substr(7);
+    } else if (harness::ParseOutputFlag(arg, &cli.outputs)) {
+      continue;
     } else if (arg == "--progress") {
       telemetry::EnableProgress();
     } else {
@@ -330,15 +321,9 @@ int RunCampaignCommand(bool resume, const std::string& target,
             : cli.spec.name + ".journal";
   }
   if (cli.csv_path.empty()) cli.csv_path = "campaign_" + cli.spec.name + ".csv";
-  if (cli.json_path.empty()) {
-    cli.json_path = "BENCH_campaign_" + cli.spec.name + ".json";
-  }
 
-  if (cli.trace) telemetry::StartTracing();
-  if (cli.attr) telemetry::SetAttributionEnabled(true);
-  if (cli.trace_path.empty()) {
-    cli.trace_path = "TRACE_campaign_" + cli.spec.name + ".json";
-  }
+  if (cli.outputs.trace) telemetry::StartTracing();
+  if (cli.outputs.attr) telemetry::SetAttributionEnabled(true);
 
   const campaign::Scenario scenario = campaign::BuildScenario(cli.spec);
 
@@ -404,43 +389,7 @@ int RunCampaignCommand(bool resume, const std::string& target,
   section.trials_run = static_cast<double>(result.total_trials);
   section.trials_budget = static_cast<double>(result.budget_trials);
   report.sections.push_back(section);
-  harness::AttachCounters(&report);
-  try {
-    harness::WritePerfJson(cli.json_path, report);
-    std::cout << "[perf json written: " << cli.json_path << "]\n";
-  } catch (const std::exception& e) {
-    std::cout << "[perf json skipped: " << e.what() << "]\n";
-  }
-
-  // ROBUSTIFY_TRACE=1 activates collection without the flag; dump in
-  // either case so the recording is never silently lost.
-  if (telemetry::TracingActive() || cli.trace) {
-    if (telemetry::WriteTrace(cli.trace_path)) {
-      std::cout << "[trace written: " << cli.trace_path << "]\n";
-    }
-  }
-  if (!cli.metrics_path.empty()) {
-    telemetry::MetricsContext context;
-    context.bench = report.bench;
-    context.threads = report.threads;
-    try {
-      telemetry::WriteMetricsJson(cli.metrics_path, context);
-      std::cout << "[metrics json written: " << cli.metrics_path << "]\n";
-    } catch (const std::exception& e) {
-      std::cout << "[metrics json skipped: " << e.what() << "]\n";
-    }
-  }
-  if (cli.attr) {
-    if (cli.attr_path.empty()) {
-      telemetry::FormatAttributionReport(telemetry::SnapshotAttribution(),
-                                         std::cerr);
-    } else if (telemetry::WriteAttributionReport(cli.attr_path)) {
-      std::cout << "[attr report written: " << cli.attr_path << "]\n";
-    } else {
-      std::cout << "[attr report skipped: cannot write " << cli.attr_path
-                << "]\n";
-    }
-  }
+  harness::WriteRunOutputs(&report, cli.outputs);
   return 0;
 }
 
@@ -585,8 +534,7 @@ int RunCalibrateCommand(const std::vector<std::string>& args) {
       options.seconds_per_probe = ParseDoubleFlag("--seconds", arg.substr(10));
       if (!(options.seconds_per_probe > 0.0)) Die("--seconds must be > 0");
     } else if (arg.rfind("--rounds=", 0) == 0) {
-      options.rounds = static_cast<int>(ParseLongFlag("--rounds", arg.substr(9)));
-      if (options.rounds < 1) Die("--rounds must be >= 1");
+      options.rounds = IntFlag("--rounds", arg.substr(9), 1);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return Usage();

@@ -70,7 +70,6 @@ Scenario MakeSortScenario() {
   s.title = "Accuracy of Sort - 10000 Iterations";
   s.value = harness::TableValue::kSuccessRatePct;
   s.value_label = "success rate (%)";
-  s.csv_name = "fig6_1_sort.csv";
   s.series = {
       {"Base", SortBaseFn()},
       {"SGD", SortVariantFn(apps::SortSgdLs())},
@@ -89,7 +88,6 @@ Scenario MakeMomentumSortScenario() {
   s.title = "Sorting: momentum ablation";
   s.value = harness::TableValue::kSuccessRatePct;
   s.value_label = "success rate (%)";
-  s.csv_name = "momentum_sort.csv";
   s.series = {
       {"sort (no momentum)", SortVariantFn(plain)},
       {"sort (momentum 0.5)", SortVariantFn(momentum)},
@@ -134,7 +132,6 @@ Scenario MakeLsqScenario() {
   s.title = "Accuracy of Least Squares - 1000 Iterations (median rel. error)";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median relative error w.r.t. ideal";
-  s.csv_name = "fig6_2_least_squares.csv";
   s.series = {
       {"Base:SVD", LsqBaselineFn(problem, linalg::LsqBaseline::kSvd, 1e-2)},
       {"SGD,LS", LsqSgdFn(problem, apps::LsqSgdLs())},
@@ -164,7 +161,6 @@ Scenario MakeCgLsqScenario() {
   s.title = "Accuracy of Least Squares (median relative error)";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median rel. error w.r.t. ideal";
-  s.csv_name = "fig6_6_cg_least_squares.csv";
   s.series = {
       {"Base:QR", LsqBaselineFn(problem, linalg::LsqBaseline::kQr, 1e-3)},
       {"Base:SVD", LsqBaselineFn(problem, linalg::LsqBaseline::kSvd, 1e-3)},
@@ -202,7 +198,6 @@ Scenario MakeTiledCholeskyScenario() {
   s.title = "Tiled direct solvers (median rel. error)";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median relative error w.r.t. ideal";
-  s.csv_name = "tiled_cholesky.csv";
   s.series = {
       {"Tiled:Cholesky", TiledLsqFn(problem, linalg::LsqBaseline::kCholesky, 32, 1e-6)},
       {"Tiled:QR", TiledLsqFn(problem, linalg::LsqBaseline::kQr, 32, 1e-6)},
@@ -243,7 +238,6 @@ Scenario MakeIirScenario() {
   s.title = "Accuracy of IIR - 1000 Iterations (median error/signal)";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median ||y-y*||/||y*||";
-  s.csv_name = "fig6_3_iir.csv";
   s.series = {
       {"Base",
        [shared](const core::FaultEnvironment& env) {
@@ -300,7 +294,6 @@ Scenario MakeMatchingScenario() {
   s.title = "Accuracy of Matching - 10000 Iterations";
   s.value = harness::TableValue::kSuccessRatePct;
   s.value_label = "success rate (%)";
-  s.csv_name = "fig6_4_matching.csv";
   s.series = {
       {"Base", MatchingBaseFn(g)},
       {"SGD,LS", MatchingRobustFn(g, apps::MatchingBasicLs())},
@@ -317,7 +310,6 @@ Scenario MakeMatchingEnhancementsScenario() {
   s.title = "Accuracy of Matching - enhancements";
   s.value = harness::TableValue::kSuccessRatePct;
   s.value_label = "success rate (%)";
-  s.csv_name = "fig6_5_matching_enhancements.csv";
   s.series = {
       {"Non-robust", MatchingBaseFn(g)},
       {"Basic,LS", MatchingRobustFn(g, apps::MatchingBasicLs())},
@@ -339,7 +331,6 @@ Scenario MakeMomentumMatchingScenario() {
   s.title = "Matching: momentum ablation";
   s.value = harness::TableValue::kSuccessRatePct;
   s.value_label = "success rate (%)";
-  s.csv_name = "momentum_matching.csv";
   s.series = {
       {"matching (no momentum)", MatchingRobustFn(g, plain)},
       {"matching (momentum 0.5)", MatchingRobustFn(g, momentum)},
@@ -358,7 +349,6 @@ Scenario MakeMaxFlowScenario() {
   s.title = "Max flow: median relative flow-value error";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median |F-F*|/F*";
-  s.csv_name = "maxflow.csv";
   s.series = {
       {"Base: Ford-Fulkerson",
        [net, exact_flow](const core::FaultEnvironment& env) {
@@ -394,7 +384,6 @@ Scenario MakeApspScenario() {
   s.title = "APSP: median max-abs distance error";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median max |D-D*|";
-  s.csv_name = "apsp.csv";
   s.series = {
       {"Base: Floyd-Warshall",
        [g, exact](const core::FaultEnvironment& env) {
@@ -456,7 +445,6 @@ Scenario MakeEigenScenario() {
   s.title = "Rayleigh eigenpairs: median relative eigenvalue error";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median |l - l*| / |l*|";
-  s.csv_name = "eigen_rayleigh.csv";
   s.series = {
       {"lambda_1", RayleighFn(shared, 0)},
       {"lambda_2", RayleighFn(shared, 1)},
@@ -493,7 +481,6 @@ Scenario MakeSvmScenario() {
   s.title = "SVM training error rate vs fault rate";
   s.value = harness::TableValue::kMedianMetric;
   s.value_label = "median training error rate";
-  s.csv_name = "svm.csv";
   s.series = {
       {"margin=4.0", SvmFn(easy)},
       {"margin=1.5", SvmFn(hard)},

@@ -2,11 +2,11 @@
 // campaign app.
 //
 // A Scenario is the executable half of a CampaignSpec: the named TrialFns
-// (one per figure series), the table/CSV presentation metadata, and
-// ownership of whatever fixed problem data the trials close over (the LSQ
-// matrix, the matching graph, the IIR signal...).  The bench mains and the
-// campaign runner both build their series here, so a figure's definition
-// lives in exactly one place.
+// (one per figure series), the table presentation metadata, and ownership
+// of whatever fixed problem data the trials close over (the LSQ matrix, the
+// matching graph, the IIR signal...).  Every campaign surface (robustify_cli
+// run/merge/query/serve, the benches, the tests) builds its series here, so
+// a figure's definition lives in exactly one place.
 #pragma once
 
 #include <string>
@@ -23,7 +23,6 @@ struct Scenario {
   std::string title;        // sweep table heading
   std::string value_label;  // y-axis label of the figure's primary table
   harness::TableValue value = harness::TableValue::kSuccessRatePct;
-  std::string csv_name;     // default CSV output name
   // One entry per series, in figure-legend order; each TrialFn owns (via
   // shared_ptr captures) every input it needs, so a Scenario outlives the
   // scope that built it and is safe to fan across worker threads.

@@ -27,33 +27,21 @@ std::string Trim(const std::string& s) {
   throw std::runtime_error("spec line " + std::to_string(line) + ": " + what);
 }
 
-// Integers must fit their field: strtol/strtoull saturate or wrap silently,
-// and a value that does not survive FormatSpec would change the spec's
-// fingerprint between a run and its resume.
-int ParseInt(int line, const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    Fail(line, "malformed integer for '" + key + "': " + value);
+// Spec keys report the line the bad integer sits on.
+int ParseIntAt(int line, const std::string& key, const std::string& value) {
+  try {
+    return ParseInt(key, value);
+  } catch (const std::runtime_error& e) {
+    Fail(line, e.what());
   }
-  if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
-      parsed > std::numeric_limits<int>::max()) {
-    Fail(line, "integer out of range for '" + key + "': " + value);
-  }
-  return static_cast<int>(parsed);
 }
 
-std::uint64_t ParseU64(int line, const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  // strtoull negates a leading '-' (after any whitespace); digits only.
-  if (value[0] < '0' || value[0] > '9' || *end != '\0') {
-    Fail(line, "malformed unsigned integer for '" + key + "': " + value);
+std::uint64_t ParseU64At(int line, const std::string& key, const std::string& value) {
+  try {
+    return ParseU64(key, value);
+  } catch (const std::runtime_error& e) {
+    Fail(line, e.what());
   }
-  if (errno == ERANGE) Fail(line, "integer out of range for '" + key + "': " + value);
-  return static_cast<std::uint64_t>(parsed);
 }
 
 double ParseDouble(int line, const std::string& key, const std::string& value) {
@@ -149,17 +137,17 @@ CampaignSpec ParseSpec(std::istream& is) {
       spec.fault_rates = ParseRateList(line_no, value);
       saw_rates = true;
     } else if (key == "trials") {
-      spec.fixed_trials = ParseInt(line_no, key, value);
+      spec.fixed_trials = ParseIntAt(line_no, key, value);
     } else if (key == "budget") {
-      spec.max_trials = ParseInt(line_no, key, value);
+      spec.max_trials = ParseIntAt(line_no, key, value);
     } else if (key == "min_trials") {
-      spec.min_trials = ParseInt(line_no, key, value);
+      spec.min_trials = ParseIntAt(line_no, key, value);
     } else if (key == "batch") {
-      spec.batch = ParseInt(line_no, key, value);
+      spec.batch = ParseIntAt(line_no, key, value);
     } else if (key == "ci") {
       spec.ci_half_width = ParseDouble(line_no, key, value);
     } else if (key == "seed") {
-      spec.base_seed = ParseU64(line_no, key, value);
+      spec.base_seed = ParseU64At(line_no, key, value);
     } else if (key == "bit_model") {
       spec.bit_model = ParseBitModel(line_no, value);
     } else if (key == "shard") {
@@ -186,15 +174,15 @@ CampaignSpec ParseSpec(std::istream& is) {
     } else if (key == "stuck_mean") {
       spec.model.stuck_mean_ops = ParseDouble(line_no, key, value);
     } else if (key == "burst_width") {
-      spec.model.burst_width_max = ParseInt(line_no, key, value);
+      spec.model.burst_width_max = ParseIntAt(line_no, key, value);
     } else if (key == "window_mean") {
       spec.model.window_mean_ops = ParseDouble(line_no, key, value);
     } else if (key == "window_rate") {
       spec.model.window_rate = ParseDouble(line_no, key, value);
     } else if (key == "guard_flops") {
-      spec.guard.max_flops = ParseU64(line_no, key, value);
+      spec.guard.max_flops = ParseU64At(line_no, key, value);
     } else if (key == "guard_iters") {
-      spec.guard.max_iterations = ParseInt(line_no, key, value);
+      spec.guard.max_iterations = ParseIntAt(line_no, key, value);
     } else if (key == "guard_bailout") {
       if (value == "1" || value == "true") {
         spec.guard.nonfinite_bailout = true;
@@ -254,15 +242,14 @@ std::pair<int, int> ParseShard(const std::string& text) {
     throw std::runtime_error("malformed shard '" + text + "' (expected i/N)");
   }
   const auto parse_part = [&](const std::string& part) {
-    char* end = nullptr;
-    const long parsed = std::strtol(part.c_str(), &end, 10);
-    if (part.empty() || end == part.c_str() || *end != '\0') {
+    try {
+      return ParseInt("shard", part);
+    } catch (const std::runtime_error&) {
       throw std::runtime_error("malformed shard '" + text + "' (expected i/N)");
     }
-    return parsed;
   };
-  const long index = parse_part(text.substr(0, slash));
-  const long count = parse_part(text.substr(slash + 1));
+  const int index = parse_part(text.substr(0, slash));
+  const int count = parse_part(text.substr(slash + 1));
   if (count < 1) {
     throw std::runtime_error("shard '" + text + "': N must be >= 1");
   }
@@ -271,7 +258,41 @@ std::pair<int, int> ParseShard(const std::string& text) {
                              "': index must be in [0, N) — this shard would own "
                              "zero cells");
   }
-  return {static_cast<int>(index), static_cast<int>(count)};
+  return {index, count};
+}
+
+// Integers must fit their field: a value that does not survive FormatSpec
+// would change the spec's fingerprint between a run and its resume.
+int ParseInt(const std::string& key, const std::string& text, int min_value) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    throw std::runtime_error("malformed integer for '" + key + "': " + text);
+  }
+  if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("integer out of range for '" + key + "': " + text);
+  }
+  if (parsed < min_value) {
+    throw std::runtime_error("'" + key + "' must be >= " + std::to_string(min_value) +
+                             ": " + text);
+  }
+  return static_cast<int>(parsed);
+}
+
+std::uint64_t ParseU64(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  // strtoull negates a leading '-' (after any whitespace); digits only.
+  if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0') {
+    throw std::runtime_error("malformed unsigned integer for '" + key + "': " + text);
+  }
+  if (errno == ERANGE) {
+    throw std::runtime_error("integer out of range for '" + key + "': " + text);
+  }
+  return static_cast<std::uint64_t>(parsed);
 }
 
 std::string FormatSpec(const CampaignSpec& spec) {
@@ -380,9 +401,9 @@ CampaignSpec MakeSpec(const char* name, const char* app,
   return spec;
 }
 
-// The one table the benches and the CLI share.  Axis, default fixed trial
-// count, and seed are exactly the historical values of each bench main, so
-// registry-driven sweeps reproduce the committed figures bit-for-bit.
+// The paper-figure table `robustify_cli run <name> --fixed` regenerates.
+// Axis, default fixed trial count, and seed are pinned: changing one
+// changes the committed figure it defines.
 const std::vector<CampaignSpec>& Registry() {
   static const std::vector<CampaignSpec> specs = {
       MakeSpec("fig6_1", "fig6_1", {0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5}, 10, 61),

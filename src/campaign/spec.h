@@ -3,17 +3,18 @@
 //
 // A CampaignSpec names an application scenario (see campaign/scenarios.h),
 // the series subset, the fault-rate axis, and the trial-allocation policy —
-// either a fixed per-cell budget (the historical sweep behavior every bench
-// defaults to) or the adaptive sequential policy (campaign/adaptive.h) that
+// either a fixed per-cell budget (`--fixed`, how the paper figures are
+// regenerated) or the adaptive sequential policy (campaign/adaptive.h) that
 // stops a (series, rate) cell as soon as the success-rate Wilson interval
 // is tight enough.  Specs parse from a small key=value text format and the
-// registry below maps every figure/bench sweep to its canonical spec, so
-// axis definitions live in one table instead of being scattered over the
-// bench mains.
+// registry below maps every paper figure to its canonical spec, which
+// `robustify_cli run <name>` executes, so axis definitions live in one
+// table.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,7 +34,7 @@ struct CampaignSpec {
   std::vector<std::string> series;
   std::vector<double> fault_rates;
 
-  // Fixed-budget mode (the bench defaults): repetitions per cell.
+  // Fixed-budget mode (--fixed): repetitions per cell.
   int fixed_trials = 10;
 
   // Adaptive mode: per-cell budget cap, floor before the stopping rule may
@@ -101,8 +102,7 @@ CampaignSpec ParseSpec(std::istream& is);
 CampaignSpec ParseSpecFile(const std::string& path);
 
 // The rate-axis list parser the spec format uses ("0, 1e-4, 0.25"); shared
-// with the --rates flag of the CLI and the figure benches so the surfaces
-// cannot drift.  Throws std::runtime_error on malformed or empty input and
+// with the CLI's --rates flag so the two surfaces cannot drift.  Throws std::runtime_error on malformed or empty input and
 // on a rate outside [0, 1] (NaN included).
 std::vector<double> ParseRateAxis(const std::string& text);
 
@@ -111,6 +111,16 @@ std::vector<double> ParseRateAxis(const std::string& text);
 // input, N == 0, or i >= N — a shard that silently owned zero cells would
 // look like a completed (empty) campaign.
 std::pair<int, int> ParseShard(const std::string& text);
+
+// The integer parsers behind every integer spec key, shared with the
+// integer flags of the CLI and the benches.  The whole text must be a
+// decimal integer that fits the field and, for ParseInt, is at least
+// `min_value`: strtol alone saturates, and a cast to int wraps, so
+// "4294967298" would otherwise mean 2.  Throws std::runtime_error naming
+// `key` on malformed or out-of-range input.
+int ParseInt(const std::string& key, const std::string& text,
+             int min_value = std::numeric_limits<int>::min());
+std::uint64_t ParseU64(const std::string& key, const std::string& text);
 
 // Canonical round-trip text form (ParseSpec(FormatSpec(s)) == s).
 std::string FormatSpec(const CampaignSpec& spec);
@@ -133,7 +143,7 @@ std::uint64_t SpecFingerprint(const CampaignSpec& spec);
 
 // ---- registry ---------------------------------------------------------------
 
-// Names of every registered figure/bench sweep, in presentation order.
+// Names of every registered figure campaign, in presentation order.
 const std::vector<std::string>& RegistryNames();
 
 // Null when `name` is not registered.

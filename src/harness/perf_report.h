@@ -1,10 +1,10 @@
-// Machine-readable perf reports (BENCH_<name>.json).
+// Machine-readable perf reports (BENCH_<name>.json) and the run epilogue.
 //
-// Every bench emits one report via bench_common.h: wall time per timed
-// section, FP ops routed through the injector, injector throughput, and —
-// when a serial rerun was requested — the measured speedup vs. one thread.
-// The JSON files seed the perf trajectory that later optimization PRs
-// compare against.
+// Every bench (bench/bench_common.h) and every `robustify_cli run` emits one
+// report: wall time per timed section, FP ops routed through the injector,
+// and injector throughput.  A serial baseline is a second run at
+// --threads=1.  The JSON files seed the perf trajectory that later
+// optimization PRs compare against.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +19,6 @@ struct PerfSection {
   double wall_seconds = 0.0;
   double faulty_flops = 0.0;        // ops through the injector (0 = not tracked)
   double injector_mops_per_sec = 0.0;
-  double serial_wall_seconds = 0.0; // 0 = serial rerun not measured
-  double speedup_vs_serial = 0.0;   // 0 = not measured
   // Adaptive-campaign accounting (0 = fixed-budget section, not tracked):
   // accepted trials vs. the fixed budget the same spec would have spent.
   double trials_run = 0.0;
@@ -53,5 +51,24 @@ void AttachCounters(PerfReport* report);
 // compiler, flags) alongside the measurements.  Throws std::runtime_error
 // when the file cannot be written.
 void WritePerfJson(const std::string& path, const PerfReport& report);
+
+// The output flags the benches and `robustify_cli run` share.  Empty paths
+// default from the report's bench name: BENCH_<bench>.json, TRACE_<bench>.json.
+struct RunOutputs {
+  std::string json_path;     // --json=PATH: perf report
+  bool trace = false;        // --trace[=PATH]: Chrome trace JSON
+  std::string trace_path;
+  std::string metrics_path;  // --metrics=PATH; empty: no export
+  bool attr = false;         // --attr[=PATH]: wall-time attribution ledger
+  std::string attr_path;     // empty with attr: report goes to stderr
+};
+
+// Consumes one output flag into *outputs; false when `arg` is not one.
+bool ParseOutputFlag(const std::string& arg, RunOutputs* outputs);
+
+// The run epilogue: attaches the counter snapshot to *report, then writes
+// the perf JSON, the trace (also when ROBUSTIFY_TRACE=1 started it), the
+// --metrics JSON and the --attr report, announcing each file on stdout.
+void WriteRunOutputs(PerfReport* report, const RunOutputs& outputs);
 
 }  // namespace robustify::harness

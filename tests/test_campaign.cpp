@@ -149,6 +149,31 @@ TEST(CampaignSpec, ParseShardRejectsMalformedSelections) {
   EXPECT_THROW(campaign::ParseShard("1/"), std::runtime_error);
   EXPECT_THROW(campaign::ParseShard("/3"), std::runtime_error);
   EXPECT_THROW(campaign::ParseShard(""), std::runtime_error);
+  // A count past int range must not wrap into a plausible small one.
+  EXPECT_THROW(campaign::ParseShard("0/4294967298"), std::runtime_error);
+}
+
+// The integer parsers the spec keys and the CLI/bench flags share: a value
+// that does not fit its field is an error, never a wrapped or saturated one.
+TEST(CampaignSpec, IntegerParsersRejectWrapAndRange) {
+  EXPECT_EQ(campaign::ParseInt("--trials", "2147483647"), 2147483647);
+  EXPECT_EQ(campaign::ParseInt("--trials", "-3"), -3);
+  EXPECT_EQ(campaign::ParseInt("--threads", "0", 0), 0);
+  EXPECT_THROW(campaign::ParseInt("--trials", "4294967298"), std::runtime_error);
+  EXPECT_THROW(campaign::ParseInt("--trials", "2147483648"), std::runtime_error);
+  EXPECT_THROW(campaign::ParseInt("--trials", "99999999999999999999"),
+               std::runtime_error);
+  EXPECT_THROW(campaign::ParseInt("--threads", "-7", 0), std::runtime_error);
+  EXPECT_THROW(campaign::ParseInt("--rounds", "0", 1), std::runtime_error);
+  EXPECT_THROW(campaign::ParseInt("--trials", "12x"), std::runtime_error);
+  EXPECT_THROW(campaign::ParseInt("--trials", ""), std::runtime_error);
+
+  EXPECT_EQ(campaign::ParseU64("--seed", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_THROW(campaign::ParseU64("--seed", "-1"), std::runtime_error);
+  EXPECT_THROW(campaign::ParseU64("--seed", "18446744073709551616"),
+               std::runtime_error);
+  EXPECT_THROW(campaign::ParseU64("--seed", ""), std::runtime_error);
 }
 
 TEST(CampaignSpec, ParseRejectsMalformedInput) {
@@ -217,7 +242,6 @@ TEST(CampaignRegistry, EveryEntryBuildsItsScenario) {
     EXPECT_FALSE(spec.fault_rates.empty()) << name;
     const campaign::Scenario scenario = campaign::BuildScenario(spec);
     EXPECT_GE(scenario.series.size(), 2u) << name;
-    EXPECT_FALSE(scenario.csv_name.empty()) << name;
   }
   EXPECT_EQ(campaign::FindRegistrySpec("no_such_campaign"), nullptr);
   EXPECT_THROW(campaign::RegistrySpec("no_such_campaign"), std::runtime_error);
@@ -333,7 +357,6 @@ campaign::Scenario SyntheticScenario() {
   scenario.title = "synthetic";
   scenario.value = harness::TableValue::kSuccessRatePct;
   scenario.value_label = "success rate (%)";
-  scenario.csv_name = "synthetic.csv";
   scenario.series = {{"A", SyntheticTrial()}, {"B", SyntheticTrial()}};
   return scenario;
 }

@@ -94,7 +94,6 @@ campaign::Scenario StoreScenario() {
   scenario.title = "store_synth";
   scenario.value = harness::TableValue::kSuccessRatePct;
   scenario.value_label = "success rate (%)";
-  scenario.csv_name = "store_synth.csv";
   scenario.series = {{"A", CliffTrial()}, {"B", CliffTrial()}};
   return scenario;
 }
