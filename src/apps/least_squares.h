@@ -4,10 +4,8 @@
 
 #include <cstdint>
 
-#include "core/fault_env.h"
 #include "linalg/lsq.h"
 #include "linalg/matrix.h"
-#include "linalg/tiled.h"
 #include "linalg/vector.h"
 #include "opt/cg.h"
 #include "opt/sgd.h"
@@ -100,43 +98,6 @@ opt::CgResult SolveLsqCg(const LsqProblem& problem, const opt::CgOptions& option
   const linalg::Matrix<T> a = linalg::Cast<T>(problem.a);
   const linalg::Vector<T> b = linalg::Cast<T>(problem.b);
   return opt::SolveCgls(a, b, options, workspace);
-}
-
-// Per-solve fault configuration for the tiled engine, built from a trial's
-// FaultEnvironment — the same injector a WithFaultyFpu scope would build
-// (shared bit tables, rate, seed and model), one per tile task.
-inline linalg::TileFaultConfig TileConfigFromEnv(const core::FaultEnvironment& env) {
-  linalg::TileFaultConfig cfg;
-  cfg.inject = env.fault_rate > 0.0;
-  cfg.fault_rate = env.fault_rate;
-  cfg.bits = &faulty::SharedBitDistribution(env.bit_model);
-  cfg.seed = env.seed;
-  cfg.model = env.model;
-  return cfg;
-}
-
-// Tiled direct baselines (linalg/tiled.h).  Unlike the monolithic
-// SolveLsqBaseline these are called OUTSIDE WithFaultyFpu: every tile task
-// runs its own deterministically-seeded injector, and the summed per-task
-// stats come back through *stats (and the telemetry counters) so trial CSVs
-// report faults exactly like the scoped kernels do.  kSvd has no tiled
-// form; it falls back on Cholesky.
-template <class T>
-linalg::Vector<double> SolveLsqTiled(const LsqProblem& problem,
-                                     linalg::LsqBaseline which,
-                                     const linalg::TiledOptions& options,
-                                     faulty::ContextStats* stats = nullptr) {
-  thread_local linalg::TiledLsqEngine<T> engine;
-  linalg::Vector<double> x;
-  faulty::ContextStats local;
-  if (which == linalg::LsqBaseline::kQr) {
-    engine.SolveQr(problem.a, problem.b, options, &x, &local);
-  } else {
-    engine.SolveCholesky(problem.a, problem.b, options, &x, &local);
-  }
-  if (stats) *stats = local;
-  core::detail::CountScopeTelemetry(local);
-  return x;
 }
 
 }  // namespace robustify::apps

@@ -22,7 +22,6 @@
 #include "graph/maxflow.h"
 #include "graph/shortest_paths.h"
 #include "linalg/random.h"
-#include "linalg/tiled.h"
 #include "signal/metrics.h"
 #include "signal/signals.h"
 
@@ -166,41 +165,6 @@ Scenario MakeCgLsqScenario() {
       {"Base:SVD", LsqBaselineFn(problem, linalg::LsqBaseline::kSvd, 1e-3)},
       {"Base:Cholesky", LsqBaselineFn(problem, linalg::LsqBaseline::kCholesky, 1e-3)},
       {"CG,N=10", LsqCgFn(problem)},
-  };
-  return s;
-}
-
-// ---- tiled_cholesky: tiled direct solvers with in-trial task parallelism ----
-
-harness::TrialFn TiledLsqFn(std::shared_ptr<const apps::LsqProblem> problem,
-                            linalg::LsqBaseline which, std::size_t tile,
-                            double threshold) {
-  return [problem, which, tile, threshold](const core::FaultEnvironment& env) {
-    harness::TrialOutcome out;
-    linalg::TiledOptions options;
-    options.tile = tile;
-    options.fault = apps::TileConfigFromEnv(env);
-    // No WithFaultyFpu scope: the engine runs one injector per tile task,
-    // seeded from (env.seed, task id) — bit-reproducible at any worker count.
-    const linalg::Vector<double> x = apps::SolveLsqTiled<faulty::Real>(
-        *problem, which, options, &out.fpu_stats);
-    out.metric = signal::RelativeError(x, problem->exact);
-    out.success = out.metric < threshold;
-    return out;
-  };
-}
-
-Scenario MakeTiledCholeskyScenario() {
-  const auto problem = std::make_shared<const apps::LsqProblem>(
-      apps::MakeRandomLsqProblem(160, 96, 75));
-  Scenario s;
-  s.app = "tiled_cholesky";
-  s.title = "Tiled direct solvers (median rel. error)";
-  s.value = harness::TableValue::kMedianMetric;
-  s.value_label = "median relative error w.r.t. ideal";
-  s.series = {
-      {"Tiled:Cholesky", TiledLsqFn(problem, linalg::LsqBaseline::kCholesky, 32, 1e-6)},
-      {"Tiled:QR", TiledLsqFn(problem, linalg::LsqBaseline::kQr, 32, 1e-6)},
   };
   return s;
 }
@@ -502,7 +466,6 @@ constexpr ScenarioEntry kScenarios[] = {
     {"fig6_4", MakeMatchingScenario},
     {"fig6_5", MakeMatchingEnhancementsScenario},
     {"fig6_6", MakeCgLsqScenario},
-    {"tiled_cholesky", MakeTiledCholeskyScenario},
     {"momentum_sort", MakeMomentumSortScenario},
     {"momentum_matching", MakeMomentumMatchingScenario},
     {"maxflow", MakeMaxFlowScenario},

@@ -412,8 +412,6 @@ const std::vector<CampaignSpec>& Registry() {
       MakeSpec("fig6_4", "fig6_4", {0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5}, 10, 64),
       MakeSpec("fig6_5", "fig6_5", {0.0, 0.02, 0.1, 0.3, 0.5}, 8, 65),
       MakeSpec("fig6_6", "fig6_6", {0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}, 10, 66),
-      MakeSpec("tiled_cholesky", "tiled_cholesky", {0.0, 1e-7, 1e-6, 1e-5, 1e-4}, 4,
-               75),
       MakeSpec("momentum_sort", "momentum_sort", {0.1, 0.3, 0.5}, 10, 70),
       MakeSpec("momentum_matching", "momentum_matching", {0.1, 0.3, 0.5}, 10, 70),
       MakeSpec("maxflow", "maxflow", {0.0, 0.01, 0.05, 0.1, 0.2}, 6, 71),

@@ -45,17 +45,4 @@ class Lfsr {
   std::uint64_t state_;
 };
 
-// Seed for an auxiliary deterministic stream derived from a base seed and a
-// stream ordinal — the key the tiled engine uses to give every tile task its
-// own injector stream (ordinal = task id).  A splitmix64 finalizer over the
-// golden-ratio-stepped ordinal decorrelates neighboring ordinals far beyond
-// what the LFSR's own seeding mixes, and never returns 0 for ordinal 0
-// unless seed + step collides — Lfsr treats 0 as "use default" anyway.
-inline std::uint64_t DeriveStreamSeed(std::uint64_t seed, std::uint64_t ordinal) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (ordinal + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace robustify::faulty

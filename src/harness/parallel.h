@@ -1,4 +1,4 @@
-// Parallel-for for the campaign runner and the tiled solvers.
+// Parallel-for for the campaign runner.
 //
 // ParallelFor fans an index range across worker threads that pull indices
 // from one atomic counter (good load balancing: units at different fault

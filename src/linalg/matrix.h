@@ -18,16 +18,6 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  // Resize-without-free (same contract as Vector::resize): shrinking or
-  // regrowing within capacity never returns memory to the allocator, which
-  // is what lets the tiled engine reuse a warmed workspace allocation-free.
-  // Contents are unspecified after the call — callers overwrite before use.
-  void Reset(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.resize(rows * cols, T(0));
-  }
-
   T& operator()(std::size_t i, std::size_t j) { return data_[i * cols_ + j]; }
   const T& operator()(std::size_t i, std::size_t j) const { return data_[i * cols_ + j]; }
 

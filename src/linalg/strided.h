@@ -1,5 +1,5 @@
-// Strided faulty primitives shared by the column-oriented solvers (lsq.h),
-// the tiled engine (tiled.h), and the normal-equations CG path (opt/cg.h).
+// Strided faulty primitives shared by the column-oriented solvers (lsq.h)
+// and the normal-equations CG path (opt/cg.h).
 //
 // Row-major storage: a column walks with stride = cols.  Each primitive
 // states its exact per-element faulty-op sequence; the block path dispatches

@@ -272,6 +272,7 @@ ResultStore::IngestStats ResultStore::Ingest(
 std::vector<ResultStore::ManifestEntry> ResultStore::Manifest() const {
   std::vector<ManifestEntry> manifest;
   std::error_code ec;
+  std::lock_guard<std::mutex> lock(mu_);
   for (const fs::directory_entry& entry : fs::directory_iterator(root_, ec)) {
     if (!entry.is_directory()) continue;
     const std::string name = entry.path().filename().string();
@@ -279,9 +280,13 @@ std::vector<ResultStore::ManifestEntry> ResultStore::Manifest() const {
         name.find_first_not_of("0123456789abcdef") != std::string::npos) {
       continue;  // not a fingerprint directory
     }
-    CampaignJournal::Loaded loaded =
-        CampaignJournal::Load(JournalPath(entry.path().string()));
-    if (!loaded.exists) continue;
+    const Entry* stored = nullptr;
+    try {
+      stored = Resident(std::stoull(name, nullptr, 16));
+    } catch (const std::runtime_error&) {
+      continue;  // a journal filed under the wrong fingerprint
+    }
+    if (stored == nullptr) continue;
 
     ManifestEntry campaign;
     campaign.fingerprint = name;
@@ -294,15 +299,13 @@ std::vector<ResultStore::ManifestEntry> ResultStore::Manifest() const {
         break;
       }
     }
-    for (const auto& [key, bucket] : Normalize(loaded.records)) {
-      if (bucket.empty()) continue;
+    for (const auto& [key, stored_cell] : stored->cells) {
+      if (stored_cell.records.empty()) continue;
       ManifestCell cell;
       cell.series = key.first;
       cell.rate = key.second;
-      cell.trials = static_cast<int>(bucket.size());
-      for (const TrialRecord& r : bucket) {
-        if (r.success) ++cell.successes;
-      }
+      cell.trials = static_cast<int>(stored_cell.records.size());
+      cell.successes = stored_cell.successes;
       cell.half_width = campaign::WilsonHalfWidth(cell.successes, cell.trials);
       campaign.cells.push_back(cell);
     }

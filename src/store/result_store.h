@@ -136,9 +136,11 @@ class ResultStore {
 
   // Summarizes every campaign directory under the root: which fingerprints
   // are stored, and per cell how many trials the store holds and the
-  // precision they achieve.  Sorted by fingerprint; unreadable journals and
-  // non-campaign directories are skipped, never an error (the manifest is a
-  // status report, not a validator).  Parses every journal on each call.
+  // precision they achieve.  Sorted by fingerprint; unreadable journals,
+  // journals filed under the wrong fingerprint and non-campaign directories
+  // are skipped, never an error (the manifest is a status report, not a
+  // validator).  Reads through the resident index: an unchanged journal is
+  // not re-parsed.
   std::vector<ManifestEntry> Manifest() const;
 
  private:

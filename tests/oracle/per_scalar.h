@@ -9,7 +9,7 @@
 // templated per-scalar loops.  Both must consume the fault stream at the
 // same op positions and produce bit-identical results, so a solve on
 // ScalarReal is the reference every block kernel is held to
-// (tests/test_block_engine.cpp, test_tiled.cpp, test_fault_model.cpp).
+// (tests/test_block_engine.cpp, test_fault_model.cpp).
 #pragma once
 
 #include "faulty/fault_injector.h"

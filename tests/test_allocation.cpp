@@ -303,50 +303,6 @@ TEST(AllocationFree, MaskedKernelsAllocationFreeAtHighRate) {
   ExpectEnginesAllocationFree(0.1, 47);
 }
 
-// The tiled direct solvers hold their tile buffers and task graph in the
-// engine: after one warm-up solve, a repeat solve of the same shape —
-// clean or under injection, on the inline threads=1 scheduler path —
-// performs zero heap allocations.  (Per-task FaultInjectors live on the
-// stack and capture the shared bit distribution by pointer.)
-TEST(AllocationFree, TiledCholeskyAndQrAfterWarmup) {
-  const apps::LsqProblem problem = apps::MakeRandomLsqProblem(40, 24, 41);
-  linalg::TiledOptions options;
-  options.tile = 8;
-  options.threads = 1;
-  core::FaultEnvironment env;
-  env.fault_rate = 1e-3;
-  env.seed = 47;
-  linalg::TiledOptions faulty_options = options;
-  faulty_options.fault = apps::TileConfigFromEnv(env);
-
-  linalg::TiledLsqEngine<faulty::Real> engine;
-  linalg::Vector<double> x;
-  engine.SolveCholesky(problem.a, problem.b, options, &x);
-  engine.SolveCholesky(problem.a, problem.b, faulty_options, &x);
-  engine.SolveQr(problem.a, problem.b, options, &x);
-
-  std::int64_t allocations;
-  {
-    AllocationProbe probe;
-    engine.SolveCholesky(problem.a, problem.b, options, &x);
-    allocations = ArmedAllocations();
-  }
-  EXPECT_EQ(allocations, 0) << "tiled Cholesky allocated on a warmed engine";
-  {
-    AllocationProbe probe;
-    engine.SolveCholesky(problem.a, problem.b, faulty_options, &x);
-    allocations = ArmedAllocations();
-  }
-  EXPECT_EQ(allocations, 0)
-      << "faulty tiled Cholesky allocated on a warmed engine";
-  {
-    AllocationProbe probe;
-    engine.SolveQr(problem.a, problem.b, options, &x);
-    allocations = ArmedAllocations();
-  }
-  EXPECT_EQ(allocations, 0) << "tiled QR allocated on a warmed engine";
-}
-
 // The thread-local default workspace gives whole app kernels the same
 // guarantee across trials without any caller plumbing: the second
 // RobustSort on this thread reuses the first one's buffers.

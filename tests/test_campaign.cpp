@@ -247,6 +247,15 @@ TEST(CampaignRegistry, EveryEntryBuildsItsScenario) {
   EXPECT_THROW(campaign::RegistrySpec("no_such_campaign"), std::runtime_error);
 }
 
+// Every registry campaign is a paper figure with its own robustify_cli_fig_*
+// ctest: ROBUSTIFY_FIGURES is the CMake list those ctests are made from.
+TEST(CampaignRegistry, NamesAreExactlyTheFigures) {
+  std::vector<std::string> figures;
+  std::istringstream list(ROBUSTIFY_FIGURES);
+  for (std::string name; std::getline(list, name, ',');) figures.push_back(name);
+  EXPECT_EQ(campaign::RegistryNames(), figures);
+}
+
 TEST(CampaignScenario, SeriesSubsetSelectsAndReorders) {
   campaign::CampaignSpec spec = campaign::RegistrySpec("fig6_1");
   spec.series = {"SGD+AS,SQS", "Base"};

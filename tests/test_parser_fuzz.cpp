@@ -177,9 +177,16 @@ TEST(ParserFuzz, DuplicateKeysAreRejected) {
             std::string::npos);
 }
 
+// A temp file private to the running test: ctest runs each test as its own
+// process, in parallel, so a name shared by two tests lets them clobber it.
+std::string TestTempPath(const std::string& suffix) {
+  return ::testing::TempDir() + "/robustify_fuzz_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() + suffix;
+}
+
 // Loads `text` as a journal file.
 campaign::CampaignJournal::Loaded LoadJournalText(const std::string& text) {
-  const std::string path = ::testing::TempDir() + "/robustify_fuzz.journal";
+  const std::string path = TestTempPath(".journal");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
@@ -214,7 +221,7 @@ std::string JournalVerdict(const std::string& text) {
 // returns the file's bytes.
 std::string WriteJournal(std::uint64_t fingerprint,
                          const std::vector<campaign::TrialRecord>& records) {
-  const std::string path = ::testing::TempDir() + "/robustify_fuzz_written.journal";
+  const std::string path = TestTempPath("_written.journal");
   campaign::CampaignJournal(path).RewriteAndOpen(fingerprint, records);
   std::ifstream in(path, std::ios::binary);
   std::stringstream bytes;

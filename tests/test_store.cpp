@@ -864,6 +864,59 @@ TEST(ResultStore, CompactionAfterDeltasIsByteIdenticalToAFullRewrite) {
             FullRewriteBytes(spec, all(), "deltas_all"));
 }
 
+// Every manifest field as text, so two manifests compare with one EXPECT_EQ.
+std::string ManifestText(const std::vector<store::ResultStore::ManifestEntry>& manifest) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const store::ResultStore::ManifestEntry& entry : manifest) {
+    out << entry.fingerprint << ' ' << entry.app << '\n';
+    for (const store::ResultStore::ManifestCell& cell : entry.cells) {
+      out << cell.series << ' ' << cell.rate << ' ' << cell.trials << ' '
+          << cell.successes << ' ' << cell.half_width << '\n';
+    }
+  }
+  return out.str();
+}
+
+// The manifest reads the resident index: a fresh instance parses each
+// journal once and a repeat on an unchanged store parses nothing, an
+// appended write-back shows exactly as a fresh instance reads it, and a
+// journal filed under the wrong fingerprint is skipped.
+TEST(ResultStore, ManifestReadsTheResidentIndex) {
+  ServiceFixture f("manifest_resident");
+  const std::string before = ManifestText(f.rs->Manifest());
+#if ROBUSTIFY_TELEMETRY_ENABLED
+  telemetry::SetCountersEnabled(true);
+  const auto parses = [] {
+    return telemetry::SnapshotCounters().value(
+        telemetry::Counter::kStoreJournalParses);
+  };
+  store::ResultStore fresh(f.rs->root());
+  const std::uint64_t parsed = parses();
+  EXPECT_EQ(ManifestText(fresh.Manifest()), before);
+  EXPECT_EQ(parses(), parsed + 1);
+  EXPECT_EQ(ManifestText(fresh.Manifest()), before);
+  EXPECT_EQ(parses(), parsed + 1);
+#endif
+
+  const std::size_t stored = f.rs->LoadCell(f.spec, 1, 2).records.size();
+  const std::string path = JournalOf(*f.rs, f.spec);
+  const std::string head = FileBytes(path);
+  f.rs->IngestRecords(f.spec, CellPrefix(1, 2, static_cast<int>(stored) + 3));
+  const std::string appended = FileBytes(path);
+  ASSERT_GT(appended.size(), head.size());
+  ASSERT_EQ(appended.substr(0, head.size()), head);  // a delta, not a rewrite
+  const std::string after = ManifestText(f.rs->Manifest());
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, ManifestText(store::ResultStore(f.rs->root()).Manifest()));
+
+  const std::string misfiled = f.rs->root() + "/0123456789abcdef";
+  std::filesystem::create_directories(misfiled);
+  std::filesystem::copy_file(path, misfiled + "/cells.journal");
+  EXPECT_EQ(ManifestText(f.rs->Manifest()), after);
+  EXPECT_EQ(ManifestText(store::ResultStore(f.rs->root()).Manifest()), after);
+}
+
 // One store instance serves while a second on the same root writes, by
 // append and by compaction: the server sees each write on its next query.
 TEST(ResultStore, ServingInstanceSeesAnotherInstancesWrites) {
