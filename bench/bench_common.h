@@ -10,7 +10,7 @@
 //
 // Common CLI flags (parsed by BenchContext):
 //   --trials=N         override the bench's trial/repeat count
-//   --threads=N        worker threads (default: ROBUSTIFY_THREADS, else all)
+//   --threads=N        worker threads (default: hardware concurrency)
 //   --json=PATH        perf report path (default BENCH_<name>.json)
 //   --trace[=PATH]     flight-recorder spans -> Chrome trace JSON
 //                      (default TRACE_<name>.json; load in Perfetto)
@@ -46,7 +46,7 @@ inline void Banner(const std::string& title, const std::string& paper_ref,
 
 struct BenchOptions {
   int trials = 0;   // 0: keep the bench's default
-  int threads = 0;  // 0: auto (ROBUSTIFY_THREADS, else hardware)
+  int threads = 0;  // 0: auto (hardware concurrency)
   harness::RunOutputs outputs;
 };
 

@@ -49,7 +49,7 @@
 //                  model parameters (faulty/fault_model.h)
 //   --guard-flops=N / --guard-iters=N / --guard-bailout
 //                  guarded executor budgets (adds outcome columns to the CSV)
-//   --threads=N    worker threads (default ROBUSTIFY_THREADS, else hardware)
+//   --threads=N    worker threads (default hardware concurrency)
 //   --journal=PATH checkpoint journal (default <name>.journal; run truncates,
 //                  resume requires it)
 //   --csv=PATH     output CSV (default campaign_<name>.csv)

@@ -39,7 +39,7 @@
 namespace robustify::campaign {
 
 struct RunnerOptions {
-  int threads = 0;           // 0 = auto (ROBUSTIFY_THREADS, else hardware)
+  int threads = 0;           // 0 = auto (hardware concurrency)
   std::string journal_path;  // empty = run without checkpointing
   bool resume = false;       // load the journal and continue it
   bool adaptive = true;      // false = fixed budget (spec.fixed_trials per cell)

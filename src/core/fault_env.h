@@ -5,7 +5,9 @@
 // WithFaultyFpu(env, fn, &stats) installs a FaultInjector for the current
 // thread, runs fn — every faulty::Real op inside routes through the
 // injector — and restores the previous (normally clean) FPU state on exit,
-// exception-safely.
+// exception-safely.  The injector's state, a live sticky (stuck-at /
+// intermittent) window included, lives and dies with its scope; each trial
+// runs its kernels inside one scope.
 #pragma once
 
 #include <cstdint>
@@ -35,17 +37,6 @@ struct FaultEnvironment {
 
 namespace detail {
 
-// Per-thread trial session for the sticky-window hand-off.  While active, a
-// live stuck-at / intermittent window outlives the WithFaultyFpu scope that
-// opened it and resumes in the trial's next scope — a stuck line in silicon
-// doesn't heal between kernel calls.
-struct TrialFaultSession {
-  bool active = false;
-  faulty::CarriedWindow window;
-};
-
-inline thread_local TrialFaultSession tls_trial_session;
-
 // Feed the injector telemetry counters once per scope, from the same
 // ContextStats the injector already maintains for the CSVs — telemetry adds
 // nothing to the per-op path and cannot diverge from the published numbers.
@@ -74,26 +65,6 @@ class FaultScope {
 
 }  // namespace detail
 
-// RAII marker for "one trial runs on this thread": while alive, consecutive
-// WithFaultyFpu scopes hand live sticky windows to each other (the injector
-// AdoptWindow/ExportWindow pair).  Installed by harness::RunSingleTrial so
-// every trial gets the hand-off for free; nesting restores the outer
-// session on exit.  Under the default transient model both hooks are no-ops
-// and the historical op/fault streams are untouched.
-class TrialFaultScope {
- public:
-  TrialFaultScope() : previous_(detail::tls_trial_session) {
-    detail::tls_trial_session = {};
-    detail::tls_trial_session.active = true;
-  }
-  ~TrialFaultScope() { detail::tls_trial_session = previous_; }
-  TrialFaultScope(const TrialFaultScope&) = delete;
-  TrialFaultScope& operator=(const TrialFaultScope&) = delete;
-
- private:
-  detail::TrialFaultSession previous_;
-};
-
 template <class Fn>
 auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
                    faulty::ContextStats* stats = nullptr) -> decltype(fn()) {
@@ -103,14 +74,11 @@ auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
   faulty::FaultInjector injector(env.fault_rate,
                                  faulty::SharedBitDistribution(env.bit_model),
                                  env.seed, env.model);
-  detail::TrialFaultSession& session = detail::tls_trial_session;
-  if (session.active) injector.AdoptWindow(session.window);
   if constexpr (std::is_void_v<decltype(fn())>) {
     {
       detail::FaultScope scope(&injector);
       std::forward<Fn>(fn)();
     }
-    if (session.active) session.window = injector.ExportWindow();
     const faulty::ContextStats final_stats = injector.stats();
     if (stats) *stats = final_stats;
     detail::CountScopeTelemetry(final_stats);
@@ -118,16 +86,14 @@ auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
     struct Finalizer {
       faulty::FaultInjector& injector;
       faulty::ContextStats* stats;
-      detail::TrialFaultSession& session;
       ~Finalizer() {
-        if (session.active) session.window = injector.ExportWindow();
         const faulty::ContextStats final_stats = injector.stats();
         if (stats) *stats = final_stats;
         detail::CountScopeTelemetry(final_stats);
       }
     };
     detail::FaultScope scope(&injector);
-    Finalizer finalize{injector, stats, session};
+    Finalizer finalize{injector, stats};
     return std::forward<Fn>(fn)();
   }
 }

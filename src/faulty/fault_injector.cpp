@@ -6,29 +6,13 @@ namespace robustify::faulty {
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
                              std::uint64_t seed)
-    : bits_(&bits), rng_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
-  if (fault_rate <= 0.0) {
-    threshold_ = 0;
-  } else if (fault_rate >= 1.0) {
-    threshold_ = kNever;
-  } else {
-    threshold_ = static_cast<std::uint64_t>(fault_rate * 18446744073709551616.0);
-    if (threshold_ == 0) threshold_ = 1;
-    gaps_ = &GeometricGapSampler::Shared(fault_rate);
-  }
-
-  schedules_faults_ = gaps_ != nullptr;
-
-  if (threshold_ == 0) {
-    countdown_ = kNever;
-    scheduled_ = kNever;
-  } else if (threshold_ == kNever) {
-    countdown_ = 0;  // rate 1: every op faults
-    scheduled_ = 0;
-  } else {
-    countdown_ = SampleGap();
-    scheduled_ = countdown_;
-  }
+    : bits_(&bits),
+      // Rates outside (0, 1) (NaN included) share the two fixed samplers.
+      gaps_(&GeometricGapSampler::Shared(
+          fault_rate > 0.0 ? (fault_rate < 1.0 ? fault_rate : 1.0) : 0.0)),
+      rng_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
+  countdown_ = SampleGap();
+  scheduled_ = countdown_;
 }
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
@@ -45,7 +29,6 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
   if (model_.window_rate > 1.0) model_.window_rate = 1.0;
   model_default_ = IsDefaultModel(model_);
   if (!model_default_) {
-    schedules_faults_ = false;
     routes_loads_ = (model_.op_classes & kOpClassMemory) != 0;
     if (model_.window_rate > 0.0) {
       window_threshold_ = model_.window_rate >= 1.0
@@ -65,60 +48,41 @@ double FaultInjector::FlipBit(double value, int bit) {
   return value;
 }
 
-double FaultInjector::Corrupt(double value) {
-  ++faults_;
-  ++faults_arith_;
-  return FlipBit(value, bits_->sample(rng_));
-}
-
 double FaultInjector::FaultPath(double clean_result) {
   if (!model_default_) return ModelFault(clean_result, kOpClassArith);
-  if (threshold_ == 0) {
-    // Rate 0 (reachable only after 2^64-1 ops): re-arm without faulting.
-    // scheduled_ += kNever + 1 is += 0 mod 2^64, so the invariant
-    // flops = scheduled_ - countdown_ still counts this op.
-    countdown_ = kNever;
-    return clean_result;
-  }
-  if (threshold_ == kNever) {
-    // Rate 1: every op faults; no gap to sample (gaps_ is null here).
-    scheduled_ += 1;
-    return Corrupt(clean_result);
-  }
   // One scheduled fault on this op: the same walk a block kernel takes.
   double result = clean_result;
   ScheduleFaults(1, [&](std::uint64_t, int bit) { result = FlipBit(result, bit); });
   return result;
 }
 
-bool FaultInjector::FaultPathComparison(bool clean_result) {
-  if (!model_default_) return ModelComparisonFault(clean_result);
-  if (threshold_ == 0) {
-    countdown_ = kNever;
-    return clean_result;
+// The one gap step outside ScheduleFaults.  Reached with countdown_ == 0.
+// Outside a sticky window the op takes the scheduled fault and a fresh gap
+// re-arms the countdown.  Inside one, countdown_ stays pinned at 0 while
+// the base schedule keeps running in pending_gap_, so the scheduled fault
+// rate is unchanged inside the window; each windowed op is accounted for
+// individually.
+bool FaultInjector::StepGap() {
+  if (window_ops_left_ != 0) {
+    ++scheduled_;
+    if (pending_gap_ != 0) {
+      --pending_gap_;
+      return false;
+    }
+    pending_gap_ = SampleGap();
+    return true;
   }
-  if (threshold_ == kNever) {
-    scheduled_ += 1;
-    ++faults_;
-    ++faults_compare_;
-    return !clean_result;
-  }
-  // A comparison fault flips the predicate instead of a stored bit.
   const std::uint64_t gap = SampleGap();
   scheduled_ += gap + 1;
   countdown_ = gap;
-  ++faults_;
-  ++faults_compare_;
   telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
-  telemetry::FaultInstant();
-  return !clean_result;
+  return true;
 }
 
 // ---- non-default temporal models --------------------------------------------
 //
-// Everything below runs only when model_default_ is false.  The default
-// transient stream never reaches these paths, so the pre-model goldens
-// (tests/test_model_golden.cpp) stay byte-identical by construction.
+// The non-default models' machinery, and FaultPathComparison, which serves
+// every model.  The default arithmetic stream never reaches any of it.
 
 void FaultInjector::CountClassFault(unsigned op_class) {
   ++faults_;
@@ -132,8 +96,7 @@ void FaultInjector::CountClassFault(unsigned op_class) {
   telemetry::FaultInstant();
 }
 
-// One transient single-bit corruption attributed to `op_class` — the model
-// analog of Corrupt() with per-class accounting.
+// One transient single-bit corruption attributed to `op_class`.
 double FaultInjector::CorruptClass(double value, unsigned op_class) {
   CountClassFault(op_class);
   return FlipBit(value, bits_->sample(rng_));
@@ -216,67 +179,11 @@ double FaultInjector::FireScheduledFault(double value, unsigned op_class) {
   return value;
 }
 
-CarriedWindow FaultInjector::ExportWindow() const {
-  CarriedWindow window;
-  if (model_default_ || window_ops_left_ == 0) return window;
-  window.ops_left = window_ops_left_;
-  window.stuck_or = stuck_or_;
-  window.stuck_and = stuck_and_;
-  window.temporal = model_.temporal;
-  return window;
-}
-
-void FaultInjector::AdoptWindow(const CarriedWindow& window) {
-  if (!window.live() || model_default_ || model_.temporal != window.temporal) {
-    return;
-  }
-  // Suspend the fresh gap schedule exactly as OpenWindow does on first open
-  // (adoption happens right after construction, before any routed op, but
-  // guard on an already-open window for safety).
-  if (window_ops_left_ == 0) {
-    pending_gap_ = countdown_;
-    scheduled_ -= pending_gap_;
-    countdown_ = 0;
-  }
-  window_ops_left_ = window.ops_left;
-  stuck_or_ = window.stuck_or;
-  stuck_and_ = window.stuck_and;
-}
-
 // The whole per-op decision for arithmetic/load results under a non-default
-// model: schedule bookkeeping (fresh gap, or the suspended-gap countdown
-// inside a window), firing, and the live window effect.  Reached via
+// model: the gap step, firing, and the live window effect.  Reached via
 // FaultPath / ExecuteLoad, always with countdown_ == 0.
 double FaultInjector::ModelFault(double clean_result, unsigned op_class) {
-  const bool in_window = window_ops_left_ != 0;
-  bool fire = false;
-  if (in_window) {
-    // The window pins countdown_ at 0; the base gap schedule keeps running
-    // in pending_gap_ so the scheduled fault rate is unchanged inside the
-    // window.  Each windowed op is accounted for individually.
-    ++scheduled_;
-    if (threshold_ == kNever) {
-      fire = true;
-    } else if (threshold_ != 0) {
-      if (pending_gap_ == 0) {
-        fire = true;
-        pending_gap_ = SampleGap();
-      } else {
-        --pending_gap_;
-      }
-    }
-  } else {
-    if (threshold_ == 0) {
-      // Rate 0: re-arm without faulting, exactly like the default path.
-      countdown_ = kNever;
-      return clean_result;
-    }
-    const std::uint64_t gap = threshold_ == kNever ? 0 : SampleGap();
-    scheduled_ += gap + 1;
-    countdown_ = gap;
-    fire = true;
-    telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
-  }
+  const bool fire = StepGap();
   double result = clean_result;
   if (fire) result = FireScheduledFault(result, op_class);
   if (window_ops_left_ != 0) {
@@ -306,42 +213,18 @@ double FaultInjector::ModelFault(double clean_result, unsigned op_class) {
         result = CorruptClass(result, op_class);
       }
     }
-    --window_ops_left_;
-    if (window_ops_left_ == 0) CloseWindow();
+    if (--window_ops_left_ == 0) CloseWindow();
   }
   return result;
 }
 
-// Comparison analog of ModelFault.  Predicates carry no result word:
-// transient and burst invert the outcome, a stuck fault opens its window
-// without altering the predicate (the stuck bit lives in the datapath, not
-// the flag), and intermittent inverts + opens.
-bool FaultInjector::ModelComparisonFault(bool clean_result) {
-  const bool in_window = window_ops_left_ != 0;
-  bool fire = false;
-  if (in_window) {
-    ++scheduled_;
-    if (threshold_ == kNever) {
-      fire = true;
-    } else if (threshold_ != 0) {
-      if (pending_gap_ == 0) {
-        fire = true;
-        pending_gap_ = SampleGap();
-      } else {
-        --pending_gap_;
-      }
-    }
-  } else {
-    if (threshold_ == 0) {
-      countdown_ = kNever;
-      return clean_result;
-    }
-    const std::uint64_t gap = threshold_ == kNever ? 0 : SampleGap();
-    scheduled_ += gap + 1;
-    countdown_ = gap;
-    fire = true;
-    telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
-  }
+// Comparisons, under every model (a timing fault in the subtractor or the
+// comparator flags inverts the predicate).  Predicates carry no result
+// word: transient and burst invert the outcome, a stuck fault opens its
+// window without altering the predicate (the stuck bit lives in the
+// datapath, not the flag), and intermittent inverts + opens.
+bool FaultInjector::FaultPathComparison(bool clean_result) {
+  const bool fire = StepGap();
   bool result = clean_result;
   if (fire && (model_.op_classes & kOpClassCompare) != 0) {
     switch (model_.temporal) {
@@ -369,8 +252,7 @@ bool FaultInjector::ModelComparisonFault(bool clean_result) {
       CountClassFault(kOpClassCompare);
       result = !result;
     }
-    --window_ops_left_;
-    if (window_ops_left_ == 0) CloseWindow();
+    if (--window_ops_left_ == 0) CloseWindow();
   }
   return result;
 }

@@ -14,9 +14,16 @@
 // compare until the countdown hits zero.  The gap sampler's alias-table
 // form keeps the per-fault cost at one draw + one probe even when a fault
 // lands every few ops, so the one schedule covers the whole rate range
-// (1e-7 .. 0.5 and beyond).  Flop accounting is exact (it derives from the
-// scheduled-gap arithmetic, so the hot path does not even touch a
-// counter), and a fixed seed reproduces the trial bit-for-bit.
+// (0 and 1 included: their gaps are the constants "never" and 0).  Flop
+// accounting is exact (it derives from the scheduled-gap arithmetic, so the
+// hot path does not even touch a counter), and a fixed seed reproduces the
+// trial bit-for-bit.
+//
+// Two scheduling paths consume the one gap stream: ScheduleFaults walks
+// the default model's arithmetic faults (one op, or a block kernel's whole
+// window), and a private per-op gap step serves comparisons and every
+// non-default model, whose effects (forcing masks, bursts, windows) are
+// applied op by op.
 //
 // The linalg layer runs faulty::Real kernels in bulk against the same
 // schedule (the block-kernel API below, linalg/faulty_blas.h).  The
@@ -54,19 +61,6 @@ struct ContextStats {
   std::uint64_t faults_compare = 0;
   std::uint64_t faults_memory = 0;
   std::uint64_t windows_opened = 0;
-};
-
-// A live sticky (stuck-at / intermittent) window snapshotted at injector
-// scope exit so the next scope of the same trial can resume it — a stuck
-// line in silicon doesn't heal between kernel calls (see
-// core::TrialFaultScope).  Dead (ops_left == 0) under the default model and
-// for scopes whose window expired naturally.
-struct CarriedWindow {
-  std::uint64_t ops_left = 0;
-  std::uint64_t stuck_or = 0;       // stuck-at-1 forcing mask
-  std::uint64_t stuck_and = ~0ull;  // stuck-at-0 forcing mask
-  Temporal temporal = Temporal::kTransient;
-  bool live() const { return ops_left != 0; }
 };
 
 class FaultInjector {
@@ -142,10 +136,10 @@ class FaultInjector {
   // n <= CleanRun().
   void ConsumeClean(std::uint64_t n) { countdown_ -= n; }
 
-  // True when ScheduleFaults may be called: the default transient model at
-  // a rate in (0, 1).  Otherwise (a non-default model, rates 0 and 1)
-  // kernels step faults through Execute.
-  bool SchedulesFaults() const { return schedules_faults_; }
+  // True when ScheduleFaults may be called: the default transient model,
+  // at any rate.  Under a non-default model kernels step faults through
+  // Execute.
+  bool SchedulesFaults() const { return model_default_; }
 
   // Walks the faults that land in the next `ops` ops, calling
   // on_fault(offset, bit) for each in op order (offset < ops, counted from
@@ -199,39 +193,28 @@ class FaultInjector {
     return s;
   }
 
-  // ---- window hand-off across scopes (core::TrialFaultScope) -------------
-  //
-  // Historically a live stuck/intermittent window died with its injector
-  // scope: a bit reported "stuck" healed the moment one kernel call returned
-  // and the next began.  ExportWindow snapshots the live window at scope
-  // exit; AdoptWindow re-arms it in the next scope's injector (suspending
-  // that injector's gap schedule exactly as OpenWindow would) so the window
-  // runs out its remaining ops across scope boundaries.  Adoption is not a
-  // new window: stats().windows_opened counts only windows the temporal
-  // model opened.  A no-op unless the carried window is live and this
-  // injector runs the same non-default temporal model.
-  CarriedWindow ExportWindow() const;
-  void AdoptWindow(const CarriedWindow& window);
-
  private:
   static constexpr std::uint64_t kNever = ~0ull;
 
   // Cold paths (out of line, src/faulty/fault_injector.cpp): corrupt the
-  // result and re-arm the countdown.
+  // result and re-arm the countdown.  FaultPathComparison serves every
+  // model.
   double FaultPath(double clean_result);
   bool FaultPathComparison(bool clean_result);
   // Clean ops before the next fault, K ~ Geometric(rate), from the shared
   // per-rate sampler (see gap_sampler.h).
   std::uint64_t SampleGap() { return gaps_->Sample(rng_); }
-  double Corrupt(double value);
+  // The per-op gap step of FaultPathComparison and ModelFault: the
+  // suspended-gap countdown inside a sticky window, or a fresh gap outside
+  // one.  True when the op takes the scheduled fault.
+  bool StepGap();
   static double FlipBit(double value, int bit);
 
-  // Non-default temporal-model machinery (cold, out of line).  ModelFault /
-  // ModelComparisonFault own the whole op under a non-default model:
-  // schedule bookkeeping, firing the scheduled fault, and applying any live
-  // window effect (stuck-bit forcing, intermittent in-window corruption).
+  // Non-default temporal-model machinery (cold, out of line).  ModelFault
+  // owns the whole arithmetic/load op under a non-default model: the gap
+  // step, firing the scheduled fault, and applying any live window effect
+  // (stuck-bit forcing, intermittent in-window corruption).
   double ModelFault(double clean_result, unsigned op_class);
-  bool ModelComparisonFault(bool clean_result);
   double FireScheduledFault(double value, unsigned op_class);
   void ArmStuckWindow();
   void OpenWindow(std::uint64_t length);
@@ -240,13 +223,11 @@ class FaultInjector {
   void CountClassFault(unsigned op_class);
 
   const BitDistribution* bits_;
-  const GeometricGapSampler* gaps_ = nullptr;  // null at rates 0 and 1
+  const GeometricGapSampler* gaps_;
   Lfsr rng_;
   std::uint64_t countdown_ = 0;   // clean ops left before the next fault
   std::uint64_t scheduled_ = 0;   // ops covered by the sampled gaps
   std::uint64_t faults_ = 0;
-  std::uint64_t threshold_ = 0;   // fault_rate scaled to the uint64 range
-  bool schedules_faults_ = false; // see SchedulesFaults()
 
   // ---- temporal-model state (untouched under the default model) ----------
   FaultModel model_{};

@@ -9,6 +9,11 @@
 namespace robustify::faulty {
 
 GeometricGapSampler::GeometricGapSampler(double rate) : rate_(rate) {
+  if (rate <= 0.0 || rate >= 1.0) {
+    fixed_ = true;
+    fixed_gap_ = rate <= 0.0 ? kNever : 0;
+    return;
+  }
   inv_log1m_rate_ = 1.0 / std::log1p(-rate);
   table_ = rate >= kTableMinRate;
   if (table_) BuildAliasTable();

@@ -2,7 +2,8 @@
 //
 // The skip-ahead injector draws the fault-to-fault gap K ~ Geometric(rate),
 // P(K = k) = rate * (1 - rate)^k, once per *fault*.  Two precomputed forms
-// cover the whole rate range with one strategy:
+// cover the open range (0, 1) with one strategy, and the end points are
+// constants:
 //
 //  * rate >= kTableMinRate (1/64): a Walker alias table over the gap values
 //    {0 .. 62} plus a tail slot.  One RNG draw and one probe yield the gap;
@@ -14,6 +15,9 @@
 //    these rates the mean gap exceeds 64 ops, so one log() per fault is
 //    already amortized to well under a draw per op, while the alias table's
 //    tail slot would dominate and make it loop.
+//  * rates 0 and 1: every draw returns kNever at rate 0 and 0 at rate 1
+//    (every op faults), without taking a word from the LFSR or booking a
+//    draw.
 //
 // Both forms are deterministic in the LFSR stream, and the choice between
 // them depends only on the rate, so a fixed (seed, rate) reproduces a trial
@@ -47,8 +51,7 @@ class GeometricGapSampler {
   // table terminates in ~1.6 draws.
   static constexpr double kTableMinRate = 1.0 / 64.0;
 
-  // `rate` must be in (0, 1); rates 0 and 1 never sample a gap and are
-  // handled by the injector itself.
+  // `rate` must be in [0, 1].
   explicit GeometricGapSampler(double rate);
 
   double rate() const { return rate_; }
@@ -62,7 +65,7 @@ class GeometricGapSampler {
   // otherwise leave it as a call.
   ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng,
                                                std::uint64_t* table_draws) const {
-    if (!table_) return InverseCdf(rng.next());
+    if (!table_) return fixed_ ? fixed_gap_ : InverseCdf(rng.next());
     std::uint64_t base = 0;
     for (;;) {
       ++*table_draws;
@@ -95,6 +98,8 @@ class GeometricGapSampler {
   double rate_ = 0.0;
   double inv_log1m_rate_ = 0.0;  // 1 / ln(1 - rate)
   bool table_ = false;
+  bool fixed_ = false;            // rate 0 or 1: every draw is fixed_gap_
+  std::uint64_t fixed_gap_ = 0;
   // Walker alias table over {gap 0..62, tail}: slot i is returned when the
   // 58-bit residual draw is below stay_threshold_[i], else alias_[i].
   std::array<std::uint64_t, kTableSlots> stay_threshold_{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -14,10 +13,6 @@ namespace robustify::harness {
 
 int ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("ROBUSTIFY_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

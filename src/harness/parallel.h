@@ -14,9 +14,8 @@
 
 namespace robustify::harness {
 
-// Worker count resolution: an explicit request (> 0) wins, else the
-// ROBUSTIFY_THREADS environment variable, else hardware concurrency.
-// Always at least 1.
+// Worker count resolution: an explicit request (> 0) wins, else hardware
+// concurrency.  Always at least 1.
 int ResolveThreadCount(int requested);
 
 // Runs fn(0) .. fn(count - 1) across ResolveThreadCount(threads) workers,

@@ -8,25 +8,12 @@
 
 #include "telemetry/attribution.h"
 #include "telemetry/metrics_export.h"
-#include "telemetry/provenance.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace robustify::harness {
 
 namespace {
-
-// Section/bench names are short identifiers, but escape the JSON-breaking
-// characters anyway.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string Num(double v) {
   std::ostringstream os;
@@ -52,20 +39,15 @@ void WritePerfJson(const std::string& path, const PerfReport& report) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open perf report for writing: " + path);
   out << "{\n"
-      << "  \"bench\": \"" << JsonEscape(report.bench) << "\",\n"
+      << "  \"bench\": \"" << telemetry::JsonEscape(report.bench) << "\",\n"
       << "  \"threads\": " << report.threads << ",\n";
-  const telemetry::BuildProvenance& prov = telemetry::Provenance();
-  out << "  \"provenance\": {\"git_sha\": \"" << JsonEscape(prov.git_sha)
-      << "\", \"git_status\": \"" << JsonEscape(prov.git_status)
-      << "\", \"compiler\": \"" << JsonEscape(prov.compiler)
-      << "\", \"cxx_flags\": \"" << JsonEscape(prov.cxx_flags)
-      << "\", \"build_type\": \"" << JsonEscape(prov.build_type) << "\"},\n";
+  out << "  \"provenance\": " << telemetry::ProvenanceJson() << ",\n";
   out << "  \"wall_seconds\": " << Num(report.wall_seconds) << ",\n"
       << "  \"sections\": [";
   for (std::size_t i = 0; i < report.sections.size(); ++i) {
     const PerfSection& s = report.sections[i];
     out << (i == 0 ? "\n" : ",\n")
-        << "    {\"name\": \"" << JsonEscape(s.name) << "\","
+        << "    {\"name\": \"" << telemetry::JsonEscape(s.name) << "\","
         << " \"wall_seconds\": " << Num(s.wall_seconds) << ","
         << " \"faulty_flops\": " << Num(s.faulty_flops) << ","
         << " \"injector_mops_per_sec\": " << Num(s.injector_mops_per_sec);
@@ -84,7 +66,7 @@ void WritePerfJson(const std::string& path, const PerfReport& report) {
   out << "\n  ],\n  \"counters\": {";
   for (std::size_t i = 0; i < report.counters.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    \""
-        << JsonEscape(report.counters[i].first)
+        << telemetry::JsonEscape(report.counters[i].first)
         << "\": " << report.counters[i].second;
   }
   out << (report.counters.empty() ? "" : "\n  ") << "}\n}\n";

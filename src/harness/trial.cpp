@@ -17,9 +17,6 @@ TrialOutcome RunSingleTrial(const TrialFn& fn, core::FaultEnvironment env,
   env.seed += static_cast<std::uint64_t>(trial_index);
   // Arm the guard for the whole trial (inactive guards are invisible), then
   // resolve the four-way verdict from the success flag plus the guard trips.
-  // The fault session makes live sticky windows survive across every
-  // injector scope the trial opens (no-op under the default model).
-  core::TrialFaultScope fault_session;
   core::GuardScope guard(env.guard);
   TrialOutcome outcome = fn(env);
   outcome.verdict = core::ResolveVerdict(outcome.success);

@@ -82,7 +82,7 @@ inline Lanes HighLanes(Lanes a, Lanes b) { return {a.lane1, b.lane1}; }
 //
 //  * Clean  — the raw result: no injector, or a run the schedule keeps clean.
 //  * Masked — result ^ mask[op], the window's faults applied as data.
-//  * PerOp  — per-scalar Execute: non-default models and rate 1.
+//  * PerOp  — per-scalar Execute: non-default models.
 //
 // Clean and Masked also take two ops at once, one per lane, with each
 // lane's own offset (kLanes).  PerOp has no two-lane form: Execute must see
@@ -175,9 +175,9 @@ void RunMasked(FaultInjector* inj, std::size_t n, std::uint64_t ops, const Body&
   }
 }
 
-// The chunk/boundary path: clean prefixes in bulk, then the element holding
-// the fault op by op through Execute.  At rate 1, and while a sticky window
-// is live, CleanRun() is 0, so every element steps op by op.
+// The chunk/boundary path of the non-default models: clean prefixes in
+// bulk, then the element holding the fault op by op through Execute.  While
+// a sticky window is live, CleanRun() is 0, so every element steps op by op.
 template <class Body>
 void RunPerOp(FaultInjector* inj, std::size_t n, std::uint64_t ops, const Body& body) {
   std::size_t i = 0;

@@ -14,9 +14,10 @@
 // (mean gap 1e3..1e7 ops) a whole kernel is one clean run; at rate 0.1 a
 // window holds ~100 faults and still costs no branch per fault.
 //
-// Non-default fault models and rate 1 have no schedule to hand out; under
-// them a kernel steps the element holding each fault through per-scalar
-// Execute (a third instantiation of the body).
+// Non-default fault models have no schedule to hand out; under them a
+// kernel steps the element holding each fault through per-scalar Execute
+// (a third instantiation of the body).  The default model hands out its
+// schedule at every rate, 1 included.
 //
 // Chains side by side.  MatVec and MatTVec run independent accumulator
 // chains interleaved in SSE2 lanes: MatVec one row's sum per lane, MatTVec

@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "telemetry/provenance.h"
+#include "telemetry/metrics_export.h"
 #include "telemetry/trace.h"
 
 namespace robustify::perfmodel {
@@ -207,16 +207,6 @@ std::string UtcNowIso8601() {
   return buf;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
 // Finds `"key"` at object level and parses the number after the colon.
 // The profile is our own flat writer's output, so a scan is unambiguous.
 bool ScanNumberField(const std::string& text, const std::string& key,
@@ -265,23 +255,19 @@ void WriteMachineProfile(const std::string& path,
   if (!out) {
     throw std::runtime_error("cannot open machine profile for writing: " + path);
   }
-  const telemetry::BuildProvenance& prov = telemetry::Provenance();
   std::ostringstream body;
   body.precision(9);
   body << "{\n"
        << "  \"format\": 1,\n"
-       << "  \"created_utc\": \"" << JsonEscape(profile.created_utc) << "\",\n"
+       << "  \"created_utc\": \"" << telemetry::JsonEscape(profile.created_utc)
+       << "\",\n"
        << "  \"scalar_peak_gops\": " << profile.scalar_peak_gops << ",\n"
        << "  \"vector_peak_gops\": " << profile.vector_peak_gops << ",\n"
        << "  \"triad_bandwidth_gbps\": " << profile.triad_bandwidth_gbps << ",\n"
        << "  \"sustained_bandwidth_gbps\": " << profile.sustained_bandwidth_gbps
        << ",\n"
        << "  \"calibration_seconds\": " << profile.calibration_seconds << ",\n"
-       << "  \"provenance\": {\"git_sha\": \"" << JsonEscape(prov.git_sha)
-       << "\", \"git_status\": \"" << JsonEscape(prov.git_status)
-       << "\", \"compiler\": \"" << JsonEscape(prov.compiler)
-       << "\", \"cxx_flags\": \"" << JsonEscape(prov.cxx_flags)
-       << "\", \"build_type\": \"" << JsonEscape(prov.build_type) << "\"}\n"
+       << "  \"provenance\": " << telemetry::ProvenanceJson() << "\n"
        << "}\n";
   out << body.str();
   if (!out.good()) {

@@ -16,6 +16,7 @@
 #include "harness/timer.h"
 #include "harness/trial.h"
 #include "service/surrogate.h"
+#include "telemetry/metrics_export.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -26,6 +27,7 @@ namespace {
 using campaign::CampaignSpec;
 using campaign::Scenario;
 using campaign::TrialRecord;
+using telemetry::JsonEscape;
 
 bool SameRate(double a, double b) {
   if (a == b) return true;
@@ -81,28 +83,6 @@ bool ParseJsonString(const std::string& s, std::size_t& i, std::string* out,
   }
   ++i;  // closing quote
   return true;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -466,7 +446,7 @@ bool QueryService::ParseQueryJson(const std::string& line, Query* query,
 
 std::string QueryService::AnswerJson(const Answer& answer) {
   if (!answer.ok) {
-    return "{\"ok\":false,\"error\":\"" + EscapeJson(answer.error) + "\"}";
+    return "{\"ok\":false,\"error\":\"" + JsonEscape(answer.error) + "\"}";
   }
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -477,7 +457,7 @@ std::string QueryService::AnswerJson(const Answer& answer) {
                 answer.successes, answer.fresh_trials,
                 answer.on_grid ? "true" : "false",
                 answer.settled ? "true" : "false");
-  return "{\"ok\":true,\"source\":\"" + EscapeJson(answer.source) + "\"" + buf;
+  return "{\"ok\":true,\"source\":\"" + JsonEscape(answer.source) + "\"" + buf;
 }
 
 std::string QueryService::StatsJson() const {
@@ -521,14 +501,14 @@ std::string QueryService::StatsJson() const {
     out += buf;
   }
 
-  out += "},\"store\":{\"root\":\"" + EscapeJson(store_->root()) +
+  out += "},\"store\":{\"root\":\"" + JsonEscape(store_->root()) +
          "\",\"campaigns\":[";
   bool first_campaign = true;
   for (const store::ResultStore::ManifestEntry& entry : store_->Manifest()) {
     if (!first_campaign) out += ",";
     first_campaign = false;
     out += "{\"fingerprint\":\"" + entry.fingerprint + "\",\"app\":\"" +
-           EscapeJson(entry.app) + "\",\"cells\":[";
+           JsonEscape(entry.app) + "\",\"cells\":[";
     for (std::size_t c = 0; c < entry.cells.size(); ++c) {
       const store::ResultStore::ManifestCell& cell = entry.cells[c];
       std::snprintf(buf, sizeof(buf),

@@ -1,5 +1,6 @@
 #include "telemetry/metrics_export.h"
 
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -7,35 +8,47 @@
 
 namespace robustify::telemetry {
 
-namespace {
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
+  out.reserve(s.size() + 2);
   for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
   }
   return out;
 }
 
-}  // namespace
+std::string ProvenanceJson() {
+  const BuildProvenance& prov = Provenance();
+  return std::string("{\"git_sha\": \"") + JsonEscape(prov.git_sha) +
+         "\", \"git_status\": \"" + JsonEscape(prov.git_status) +
+         "\", \"compiler\": \"" + JsonEscape(prov.compiler) +
+         "\", \"cxx_flags\": \"" + JsonEscape(prov.cxx_flags) +
+         "\", \"build_type\": \"" + JsonEscape(prov.build_type) + "\"}";
+}
 
 void WriteMetricsJson(const std::string& path, const MetricsContext& context) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open metrics JSON for writing: " + path);
 
-  const BuildProvenance& prov = Provenance();
   const CounterSnapshot snapshot = SnapshotCounters();
 
   out << "{\n"
       << "  \"bench\": \"" << JsonEscape(context.bench) << "\",\n"
       << "  \"threads\": " << context.threads << ",\n"
-      << "  \"provenance\": {\"git_sha\": \"" << JsonEscape(prov.git_sha)
-      << "\", \"git_status\": \"" << JsonEscape(prov.git_status)
-      << "\", \"compiler\": \"" << JsonEscape(prov.compiler)
-      << "\", \"cxx_flags\": \"" << JsonEscape(prov.cxx_flags)
-      << "\", \"build_type\": \"" << JsonEscape(prov.build_type) << "\"},\n"
+      << "  \"provenance\": " << ProvenanceJson() << ",\n"
       << "  \"telemetry\": \""
       << (ROBUSTIFY_TELEMETRY_ENABLED ? "enabled" : "compiled-out") << "\",\n";
 

@@ -29,4 +29,11 @@ struct MetricsContext {
 // "telemetry": "compiled-out".
 void WriteMetricsJson(const std::string& path, const MetricsContext& context);
 
+// The JSON helpers every writer in the tree shares.  JsonEscape returns `s`
+// as JSON string contents: quotes, backslashes and every control character
+// escaped.  ProvenanceJson returns the build-provenance block (Provenance())
+// as one JSON object: {"git_sha": "...", ..., "build_type": "..."}.
+std::string JsonEscape(const std::string& s);
+std::string ProvenanceJson();
+
 }  // namespace robustify::telemetry

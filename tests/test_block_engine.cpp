@@ -110,7 +110,7 @@ void ExpectBitEqual(const linalg::Vector<double>& a, const linalg::Vector<double
   }
 }
 
-const double kRates[] = {0.0, 1e-5, 1e-3, 0.05, 0.1, 0.25};
+const double kRates[] = {0.0, 1e-5, 1e-3, 0.05, 0.1, 0.25, 1.0};
 
 // Every dispatched solver stack end to end: SGD least squares (matvec +
 // fused residual objective), with TMR voting and adaptive acceptance so the

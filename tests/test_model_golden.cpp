@@ -4,7 +4,8 @@
 // sweep and campaign CSV bytes, and a digest of the raw injector fault
 // stream, against goldens captured from the pre-fault-model binaries —
 // for faulty::Real and both equivalence oracles (tests/oracle/), across
-// thread counts.
+// thread counts.  One more digest table pins the raw stream of every
+// non-default model, and of the default model at rates 0 and 1.
 //
 // Regenerating (only when the default stream is *intentionally* changed):
 //   ROBUSTIFY_REGEN_GOLDEN=1 ./robustify_tests --gtest_filter='ModelGolden.*'
@@ -19,6 +20,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/configs.h"
@@ -66,8 +68,7 @@ void CheckGolden(const std::string& name, const std::string& bytes) {
                          << " (regenerate with ROBUSTIFY_REGEN_GOLDEN=1)";
   std::stringstream buffer;
   buffer << is.rdbuf();
-  EXPECT_EQ(buffer.str(), bytes) << "default-model output drifted from the "
-                                    "pre-fault-model golden " << name;
+  EXPECT_EQ(buffer.str(), bytes) << "output drifted from the golden " << name;
 }
 
 // The real-kernel trial the goldens run: robust sort on a seed-derived
@@ -180,24 +181,41 @@ void MixInto(std::uint64_t* hash, std::uint64_t value) {
   }
 }
 
-// Injector: faulty::FaultInjector or the per-op oracle.
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;  // FNV-1a offset basis
+
+// Mixes a fixed 20000-op stream through `injector` into *hash.  Injector:
+// faulty::FaultInjector or the per-op oracle.  When the injector routes
+// memory loads, every seventh op from offset 5 is a load instead of an
+// arithmetic result.
 template <class Injector>
-std::uint64_t StreamDigest(double rate) {
-  Injector injector(rate, faulty::SharedBitDistribution(faulty::BitModel::kBimodal),
-                    /*seed=*/987);
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
+void MixOpStream(Injector& injector, std::uint64_t* hash) {
   for (int i = 0; i < 20000; ++i) {
     if (i % 7 == 3) {
       // Mixed op stream: comparisons consume the schedule differently from
       // arithmetic (no bit-position draw), so interleave both kinds.
-      MixInto(&hash, injector.ExecuteComparison((i & 1) != 0) ? 1 : 0);
-    } else {
-      const double result = injector.Execute(1.0 + 0.5 * static_cast<double>(i));
-      std::uint64_t word;
-      std::memcpy(&word, &result, sizeof(word));
-      MixInto(&hash, word);
+      MixInto(hash, injector.ExecuteComparison((i & 1) != 0) ? 1 : 0);
+      continue;
     }
+    const double clean = 1.0 + 0.5 * static_cast<double>(i);
+    double result = 0.0;
+    if constexpr (std::is_same_v<Injector, faulty::FaultInjector>) {
+      result = injector.routes_loads() && i % 7 == 5 ? injector.ExecuteLoad(clean)
+                                                     : injector.Execute(clean);
+    } else {
+      result = injector.Execute(clean);
+    }
+    std::uint64_t word;
+    std::memcpy(&word, &result, sizeof(word));
+    MixInto(hash, word);
   }
+}
+
+template <class Injector>
+std::uint64_t StreamDigest(double rate) {
+  Injector injector(rate, faulty::SharedBitDistribution(faulty::BitModel::kBimodal),
+                    /*seed=*/987);
+  std::uint64_t hash = kFnvBasis;
+  MixOpStream(injector, &hash);
   const faulty::ContextStats stats = injector.stats();
   MixInto(&hash, stats.faulty_flops);
   MixInto(&hash, stats.faults_injected);
@@ -222,6 +240,51 @@ TEST(ModelGolden, FaultStreamDigestMatchesPreModelBinaries) {
     }
   }
   CheckGolden("model_default_stream.txt", os.str());
+}
+
+// The stream edges the default-model digest above leaves out: rates 0 and 1
+// under the default model, and every non-default temporal model (with and
+// without routed memory loads) at a low, a high and the saturated rate.
+// Each digest covers the op stream and all six ContextStats fields.
+TEST(ModelGolden, EdgeRateAndModelStreamDigests) {
+  struct Case {
+    faulty::FaultModel model;
+    std::vector<double> rates;
+  };
+  std::vector<Case> cases = {{faulty::FaultModel{}, {0.0, 1.0}}};
+  for (const faulty::Temporal temporal :
+       {faulty::Temporal::kStuckAt, faulty::Temporal::kBurst,
+        faulty::Temporal::kIntermittent}) {
+    for (const unsigned classes : {faulty::kOpClassDefault, faulty::kOpClassAll}) {
+      faulty::FaultModel model;
+      model.temporal = temporal;
+      model.op_classes = classes;
+      cases.push_back({model, {0.05, 0.25, 1.0}});
+    }
+  }
+  std::ostringstream os;
+  for (const Case& c : cases) {
+    for (const double rate : c.rates) {
+      faulty::FaultInjector injector(
+          rate, faulty::SharedBitDistribution(faulty::BitModel::kBimodal),
+          /*seed=*/987, c.model);
+      std::uint64_t hash = kFnvBasis;
+      MixOpStream(injector, &hash);
+      const faulty::ContextStats stats = injector.stats();
+      for (const std::uint64_t field :
+           {stats.faulty_flops, stats.faults_injected, stats.faults_arith,
+            stats.faults_compare, stats.faults_memory, stats.windows_opened}) {
+        MixInto(&hash, field);
+      }
+      char line[128];
+      std::snprintf(line, sizeof(line), "rate=%g model=%s classes=%s digest=%016llx\n",
+                    rate, faulty::TemporalName(c.model.temporal),
+                    faulty::OpClassesName(c.model.op_classes).c_str(),
+                    static_cast<unsigned long long>(hash));
+      os << line;
+    }
+  }
+  CheckGolden("model_stream_edges.txt", os.str());
 }
 
 }  // namespace

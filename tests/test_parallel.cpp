@@ -26,12 +26,11 @@ TEST(ResolveThreadCount, ExplicitRequestWins) {
   EXPECT_EQ(harness::ResolveThreadCount(1), 1);
 }
 
-TEST(ResolveThreadCount, EnvOverrideAppliesWhenUnspecified) {
-  ASSERT_EQ(setenv("ROBUSTIFY_THREADS", "5", 1), 0);
-  EXPECT_EQ(harness::ResolveThreadCount(0), 5);
-  EXPECT_EQ(harness::ResolveThreadCount(2), 2);  // explicit still wins
-  ASSERT_EQ(unsetenv("ROBUSTIFY_THREADS"), 0);
-  EXPECT_GE(harness::ResolveThreadCount(0), 1);
+TEST(ResolveThreadCount, UnspecifiedMeansHardwareConcurrency) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = hw > 0 ? static_cast<int>(hw) : 1;
+  EXPECT_EQ(harness::ResolveThreadCount(0), expected);
+  EXPECT_EQ(harness::ResolveThreadCount(-3), expected);
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {

@@ -180,9 +180,11 @@ TEST(Perfmodel, HistogramQuantileInterpolation) {
 
 // WritePerfJson carries the roofline fields bench_roofline fills; a section
 // without a ceiling omits them (they are opt-in, not zero-filled noise).
+// Names are escaped whole: a campaign name may carry a tab or any other
+// control character, which JSON forbids raw inside a string.
 TEST(Perfmodel, PerfJsonCarriesRooflineFields) {
   harness::PerfReport report;
-  report.bench = "roofline_test";
+  report.bench = "roofline\ttest\x01\"q\"";
   harness::PerfSection placed;
   placed.name = "dot";
   placed.wall_seconds = 0.1;
@@ -209,6 +211,13 @@ TEST(Perfmodel, PerfJsonCarriesRooflineFields) {
   EXPECT_NE(json.find("\"roofline_efficiency\": 0.5"), std::string::npos);
   // Exactly one section carries the fields.
   EXPECT_EQ(json.find("kernel_gops"), json.rfind("kernel_gops"));
+  EXPECT_NE(json.find("\"bench\": \"roofline\\ttest\\u0001\\\"q\\\"\""),
+            std::string::npos)
+      << json;
+  for (const char c : json) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control character " << static_cast<int>(c) << " in " << json;
+  }
 }
 
 }  // namespace

@@ -203,31 +203,36 @@ TEST(Telemetry, ModelAndGuardCountersThreadCountInvariant) {
 // publish — they must agree exactly.
 TEST(Telemetry, InjectorCountersMatchContextStats) {
   telemetry::SetCountersEnabled(true);
-  telemetry::ResetCounters();
-  core::FaultEnvironment env;
-  env.fault_rate = 0.01;
-  env.seed = 123;
   // The closing histogram assertion is a law of the default skip-ahead
   // transient path specifically (the per-op oracle draws no gaps to
   // observe, and a sticky window counts many forced faults per sampled gap).
-  faulty::ContextStats stats;
-  core::WithFaultyFpu(
-      env,
-      [] {
-        faulty::Real acc(0.0);
-        for (int i = 0; i < 50000; ++i) acc = acc + faulty::Real(1.0);
-        return linalg::AsDouble(acc);
-      },
-      &stats);
-  const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
-  EXPECT_EQ(snap.value(telemetry::Counter::kInjectorScopes), 1u);
-  EXPECT_EQ(snap.value(telemetry::Counter::kInjectorFlops), stats.faulty_flops);
-  EXPECT_EQ(snap.value(telemetry::Counter::kInjectorFaults), stats.faults_injected);
-  EXPECT_GT(stats.faults_injected, 0u);
-  // Every sampled gap lands one clean-run observation; rate-0/rate-1 paths
-  // aside, faults and gap observations track each other 1:1 here.
-  EXPECT_EQ(snap.histogram_total(telemetry::Histogram::kInjectorCleanRun),
-            stats.faults_injected);
+  // Rate 1 is an ordinary sampler rate (every gap is 0), so it obeys it too.
+  for (const double rate : {0.01, 1.0}) {
+    telemetry::ResetCounters();
+    core::FaultEnvironment env;
+    env.fault_rate = rate;
+    env.seed = 123;
+    faulty::ContextStats stats;
+    core::WithFaultyFpu(
+        env,
+        [] {
+          faulty::Real acc(0.0);
+          for (int i = 0; i < 50000; ++i) acc = acc + faulty::Real(1.0);
+          return linalg::AsDouble(acc);
+        },
+        &stats);
+    const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
+    EXPECT_EQ(snap.value(telemetry::Counter::kInjectorScopes), 1u) << rate;
+    EXPECT_EQ(snap.value(telemetry::Counter::kInjectorFlops), stats.faulty_flops) << rate;
+    EXPECT_EQ(snap.value(telemetry::Counter::kInjectorFaults), stats.faults_injected)
+        << rate;
+    EXPECT_GT(stats.faults_injected, 0u) << rate;
+    // Every sampled gap lands one clean-run observation, so faults and gap
+    // observations track each other 1:1.
+    EXPECT_EQ(snap.histogram_total(telemetry::Histogram::kInjectorCleanRun),
+              stats.faults_injected)
+        << rate;
+  }
 }
 
 TEST(Telemetry, HistogramBucketsAreLog2) {
