@@ -21,7 +21,7 @@
 //       already meet --ci are served as-is, off-grid rates go through the
 //       logistic cliff surrogate, and only actual misses run fresh trials
 //       (written back to the store).
-//   robustify_cli serve <fig|spec-file>... --store=DIR
+//   robustify_cli serve <fig|spec-file>... --store=DIR [--threads=N]
 //       Newline-delimited-JSON query loop on stdin/stdout; one answer
 //       object per query line.  A {"cmd": "stats"} line answers with the
 //       serve loop's counters, per-source latency quantiles, and the
@@ -67,6 +67,9 @@
 //   --no-fresh     (query) never run trials; miss => error or surrogate
 //   --no-surrogate (query) never answer from the fitted surrogate
 //   --ci=H         (query) requested half-width (default: the spec's own)
+//   --threads=N    (query/serve) workers for a miss's fresh trials (default
+//                  hardware concurrency); answers and store bytes do not
+//                  depend on it
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,8 +118,9 @@ int Usage() {
       << "       robustify_cli merge <fig|spec-file> [--store=DIR] [--csv=PATH]\n"
       << "           [--fixed] [spec flags] <journal>...\n"
       << "       robustify_cli query <fig|spec-file> <series> <rate> [--ci=H]\n"
-      << "           [--store=DIR] [--no-fresh] [--no-surrogate] [spec flags]\n"
-      << "       robustify_cli serve [--store=DIR] [<fig|spec-file>...]\n"
+      << "           [--store=DIR] [--no-fresh] [--no-surrogate] [--threads=N]\n"
+      << "           [spec flags]\n"
+      << "       robustify_cli serve [--store=DIR] [--threads=N] [<fig|spec-file>...]\n"
       << "       robustify_cli calibrate [--out=PATH] [--quick] [--seconds=S]\n"
       << "           [--rounds=N]\n";
   return 2;
@@ -449,6 +453,7 @@ int RunQueryCommand(const std::string& target, const std::string& series,
   query.rate = ParseDoubleFlag("rate", rate_text);
   std::string store_root = "store";
   std::string metrics_path;
+  int threads = 0;
   for (const std::string& arg : flags) {
     // --ci is a query parameter here, not a spec mutation: it asks for a
     // precision, it does not redefine the campaign.
@@ -465,6 +470,8 @@ int RunQueryCommand(const std::string& target, const std::string& series,
       query.allow_surrogate = false;
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      threads = IntFlag("--threads", arg.substr(10), 0);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return Usage();
@@ -473,7 +480,7 @@ int RunQueryCommand(const std::string& target, const std::string& series,
   query.app = spec.app;
 
   store::ResultStore result_store(store_root);
-  service::QueryService service_engine(&result_store);
+  service::QueryService service_engine(&result_store, threads);
   service_engine.RegisterSpec(spec, campaign::BuildScenario(spec));
   const service::Answer answer = service_engine.Handle(query);
   std::cout << service::QueryService::AnswerJson(answer) << "\n";
@@ -499,10 +506,13 @@ int RunQueryCommand(const std::string& target, const std::string& series,
 
 int RunServeCommand(const std::vector<std::string>& args) {
   std::string store_root = "store";
+  int threads = 0;
   std::vector<std::string> targets;
   for (const std::string& arg : args) {
     if (arg.rfind("--store=", 0) == 0) {
       store_root = arg.substr(8);
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      threads = IntFlag("--threads", arg.substr(10), 0);
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown argument: " << arg << "\n";
       return Usage();
@@ -511,7 +521,7 @@ int RunServeCommand(const std::vector<std::string>& args) {
     }
   }
   store::ResultStore result_store(store_root);
-  service::QueryService service_engine(&result_store);
+  service::QueryService service_engine(&result_store, threads);
   // Pre-register any named targets (spec files need this — a query's "app"
   // key cannot name a file); registry apps also resolve lazily by name.
   for (const std::string& target : targets) {

@@ -32,4 +32,27 @@ void CellController::Record(bool success) {
   }
 }
 
+bool CellController::CouldFireAt(int n) const {
+  if (n >= config_.max_trials) return true;
+  if (n < config_.min_trials) return false;
+  // The half-width at fixed n falls as the success count moves away from
+  // n / 2, so over the reachable counts [successes_, successes_ + n -
+  // trials_] it is smallest at one of the two ends.
+  const int fewest = successes_;
+  const int most = successes_ + (n - trials_);
+  return WilsonHalfWidth(fewest, n) <= config_.ci_half_width ||
+         WilsonHalfWidth(most, n) <= config_.ci_half_width;
+}
+
+int CellController::CertainHorizon() {
+  if (done_) return trials_;
+  if (config_.min_trials == config_.max_trials || !(config_.ci_half_width > 0.0)) {
+    return config_.max_trials;
+  }
+  int n = horizon_ > trials_ ? horizon_ : trials_ + 1;
+  while (!CouldFireAt(n)) ++n;
+  horizon_ = n;
+  return n;
+}
+
 }  // namespace robustify::campaign

@@ -17,6 +17,12 @@
 // a cell's accepted outcome set is bit-identical for every execution
 // schedule, and an adaptive cell is always an exact prefix of the fixed
 // sweep at the same seed.
+//
+// The certain horizon (CertainHorizon) is what lets an executor run trials
+// of one cell in parallel without speculating: given the outcomes accepted
+// so far, it is the first trial count at which the rule could fire for
+// *some* continuation, capped at max_trials.  Every trial below it runs in
+// every serial schedule, whatever the pending outcomes turn out to be.
 #pragma once
 
 namespace robustify::campaign {
@@ -51,12 +57,31 @@ class CellController {
 
   void Record(bool success);
 
+  // The first trial count n > trials() at which Record()'s stopping test
+  // could pass for some continuation of the accepted outcomes (some count
+  // of successes among the next n - trials() trials), capped at
+  // max_trials; trials() once done().  Trials trials() .. horizon - 1 run
+  // in every serial schedule.  When the rule cannot fire early
+  // (min_trials == max_trials, or ci_half_width <= 0) it is max_trials.
+  //
+  // The horizon never decreases as outcomes are accepted: the
+  // continuations of a longer prefix are a subset of those of a shorter
+  // one, so the earliest possible firing point can only move later (and
+  // the point where the rule does fire is one of them).  The scan
+  // therefore resumes from the last answer: over a cell's whole run it
+  // visits each trial count once, and a call between Record()s is O(1).
+  int CertainHorizon();
+
  private:
+  // True when Record()'s test could pass at trial count n >= trials().
+  bool CouldFireAt(int n) const;
+
   AdaptiveConfig config_;
   int trials_ = 0;
   int successes_ = 0;
   bool done_ = false;
   bool settled_ = false;
+  int horizon_ = 0;  // last CertainHorizon() answer
 };
 
 }  // namespace robustify::campaign

@@ -1,10 +1,16 @@
 #include "campaign/runner.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "campaign/adaptive.h"
 #include "core/fault_env.h"
@@ -38,11 +44,23 @@ struct CellTrials {
   std::vector<harness::TrialOutcome> outcomes;
 };
 
+// Accepts `records` (one cell's, sorted by trial index) through the cell's
+// controller: trials next_trial(), next_trial() + 1, ... until it is done
+// or the next index is missing.  Only one record of a repeated index is
+// accepted; everything after a gap is dropped.
+void AcceptPrefix(const std::vector<TrialRecord>& records, CellTrials* cell) {
+  for (const TrialRecord& r : records) {
+    if (cell->controller.done()) break;
+    if (r.trial < cell->controller.next_trial()) continue;  // repeat
+    if (r.trial != cell->controller.next_trial()) break;    // gap
+    cell->controller.Record(r.success);
+    cell->outcomes.push_back(ToOutcome(r));
+  }
+}
+
 // The contiguous-prefix rule shared by resume and ReduceRecords: bucket the
 // records by cell (dropping out-of-range cells), sort each bucket by trial
-// index, and accept trials 0, 1, 2, ... through the cell's controller until
-// it is done or the next index is missing.  Only one record of a repeated
-// index is accepted; everything after a gap is dropped.
+// index, and accept each bucket from trial 0 (AcceptPrefix).
 std::vector<CellTrials> AcceptPrefixes(const std::vector<TrialRecord>& records,
                                        int series_count, int rate_count,
                                        const AdaptiveConfig& config) {
@@ -62,14 +80,7 @@ std::vector<CellTrials> AcceptPrefixes(const std::vector<TrialRecord>& records,
               [](const TrialRecord& a, const TrialRecord& b) {
                 return a.trial < b.trial;
               });
-    CellTrials& accepted = cells[cell];
-    for (const TrialRecord& r : bucket) {
-      if (accepted.controller.done()) break;
-      if (r.trial < accepted.controller.next_trial()) continue;  // repeat
-      if (r.trial != accepted.controller.next_trial()) break;    // gap
-      accepted.controller.Record(r.success);
-      accepted.outcomes.push_back(ToOutcome(r));
-    }
+    AcceptPrefix(bucket, &cells[cell]);
   }
   return cells;
 }
@@ -128,22 +139,246 @@ void CountFinishedCell(const CellController& controller, int resumed) {
   telemetry::ProgressUnitDone(controller.trials() - resumed);
 }
 
-// Where one batch of a cell stands.  A deferred batch has been claimed but
-// must not run before its predecessor is accepted; whichever worker accepts
-// that predecessor runs it.
-enum class BatchState : char { kOpen, kDeferred, kRunning, kDone };
+// Where one batch of a cell stands.  A deferred batch has been claimed
+// while above the cell's certain horizon; it runs once the horizon passes
+// it, and is skipped if the cell stops first.
+enum class BatchState : char { kOpen, kDeferred, kDone };
 
 // The batch bookkeeping of one cell.  `mu` guards it together with the
 // cell's controller; batch outcomes are written outside the lock, each
 // batch into its own slice of the cell's outcome storage.
 struct CellSchedule {
   std::mutex mu;
-  int first = 0;     // first trial the batches cover (= resumed prefix)
+  int first = 0;     // first trial the batches cover (= accepted prefix)
   int batches = 0;   // batches covering [first, budget)
-  int resolved = 0;  // batches accepted (or skipped) so far, in order
+  int accepted = 0;  // batches accepted (or skipped) so far, in order
+  // Leading batches whose first trial is below the certain horizon: they
+  // run as soon as they are claimed.  Written under `mu`, only ever
+  // raised, and read without the lock by claims (a stale value is smaller,
+  // which only sends a claim to the locked re-check).
+  std::atomic<int> released{0};
   std::vector<BatchState> state;
   std::vector<TrialRecord> journal_batch;
 };
+
+// One cell handed to the executor.
+struct ExecCell {
+  CellTrials* trials;  // accepted prefix in, every accepted trial out
+  const harness::TrialFn* fn;
+  core::FaultEnvironment env;
+  int series = 0;  // record coordinates
+  int rate = 0;
+};
+
+struct ExecOptions {
+  int threads = 0;
+  int batch = 1;
+  CampaignJournal* journal = nullptr;  // null = no checkpointing
+  bool count_cells = false;  // book campaign.* counters and progress per cell
+};
+
+// The one trial executor (the contract is in runner.h): runs each cell's
+// trials from its accepted prefix until its controller is done.  Units are
+// (cell, batch) pairs claimed from one counter in batch-major order (unit
+// u is batch u / cells of cell u % cells).  A claimed batch below its
+// cell's released count runs at once; any other is deferred.  Accepting
+// outcomes moves the horizon, and the worker that moves it past deferred
+// batches puts them on the ready queue; a cell that stops skips its
+// deferred batches.  A batch whose predecessors are all accepted is always
+// below the horizon (it exceeds the accepted count until the cell is
+// done), so some batch is always runnable.  Workers that run out of units
+// take batches from the ready queue and wait for it only while batches are
+// still deferred; no lock is held across a trial, so nothing can deadlock.
+void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options) {
+  const int cell_count = static_cast<int>(cells.size());
+  if (cell_count == 0) return;
+  const int batch = std::max(1, options.batch);
+
+  // ---- batch schedule, sized once on this thread ----------------------------
+  std::vector<CellSchedule> schedule(static_cast<std::size_t>(cell_count));
+  int max_batches = 0;
+  // Raises the cell's released count to the batches below its horizon,
+  // sizing the outcome storage to cover them first.  Returns the old count.
+  const auto release = [&](int cell) {
+    CellTrials& trials = *cells[static_cast<std::size_t>(cell)].trials;
+    CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
+    const int budget = trials.controller.config().max_trials;
+    const int horizon = trials.controller.CertainHorizon();
+    const int old = sched.released.load(std::memory_order_relaxed);
+    const int now = std::min(sched.batches,
+                             std::max(old, (horizon - sched.first + batch - 1) / batch));
+    if (now > old) {
+      // Capacity for the whole budget is reserved up front, so no batch
+      // ever reallocates; the size (the pages actually touched) covers the
+      // released batches.
+      trials.outcomes.resize(
+          static_cast<std::size_t>(std::min(budget, sched.first + now * batch)));
+      sched.released.store(now, std::memory_order_release);
+    }
+    return old;
+  };
+  for (int cell = 0; cell < cell_count; ++cell) {
+    CellTrials& trials = *cells[static_cast<std::size_t>(cell)].trials;
+    CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
+    const int budget = trials.controller.config().max_trials;
+    sched.first = trials.controller.trials();
+    if (trials.controller.done()) continue;
+    sched.batches = (budget - sched.first + batch - 1) / batch;
+    max_batches = std::max(max_batches, sched.batches);
+    sched.state.assign(static_cast<std::size_t>(sched.batches), BatchState::kOpen);
+    trials.outcomes.reserve(static_cast<std::size_t>(budget));
+    release(cell);
+    if (options.journal != nullptr) {
+      sched.journal_batch.reserve(static_cast<std::size_t>(batch));
+    }
+  }
+  const int units = cell_count * max_batches;
+  if (units == 0) return;
+
+  // ---- shared claim state ---------------------------------------------------
+  std::atomic<int> next_unit{0};
+  std::mutex ready_mu;  // taken after a cell's lock, never before
+  std::condition_variable ready_cv;
+  std::deque<std::pair<int, int>> ready;  // released deferred (cell, batch)
+  std::atomic<int> ready_size{0};         // ready.size(), readable lock-free
+  int deferred = 0;                       // claimed, neither released nor skipped
+  bool failed = false;
+  std::exception_ptr first_error;
+
+  // Runs batch k of `cell` into its slice of the cell's outcome storage.
+  const auto run_batch = [&](int cell, int k) {
+    telemetry::SpanScope unit_span("cell");
+    const ExecCell& exec = cells[static_cast<std::size_t>(cell)];
+    const int first = schedule[static_cast<std::size_t>(cell)].first;
+    const int budget = exec.trials->controller.config().max_trials;
+    const int end = std::min(first + (k + 1) * batch, budget);
+    for (int t = first + k * batch; t < end; ++t) {
+      exec.trials->outcomes[static_cast<std::size_t>(t)] =
+          harness::RunSingleTrial(*exec.fn, exec.env, t);
+    }
+  };
+
+  // Marks batch k done and accepts the cell's finished batches in trial
+  // order through its controller, journaling what the controller takes;
+  // then releases the deferred batches the horizon has passed, or skips
+  // them all once the cell is done.
+  const auto finish = [&](int cell, int k) {
+    const ExecCell& exec = cells[static_cast<std::size_t>(cell)];
+    CellTrials& trials = *exec.trials;
+    CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
+    CellController& controller = trials.controller;
+    const int budget = controller.config().max_trials;
+    std::unique_lock<std::mutex> lock(sched.mu);
+    sched.state[static_cast<std::size_t>(k)] = BatchState::kDone;
+    bool finished = false;
+    while (sched.accepted < sched.batches &&
+           sched.state[static_cast<std::size_t>(sched.accepted)] == BatchState::kDone) {
+      if (!controller.done()) {
+        const int base = sched.first + sched.accepted * batch;
+        const int end = std::min(base + batch, budget);
+        sched.journal_batch.clear();
+        for (int t = base; t < end && !controller.done(); ++t) {
+          const harness::TrialOutcome& out = trials.outcomes[static_cast<std::size_t>(t)];
+          controller.Record(out.success);
+          if (options.journal != nullptr) {
+            sched.journal_batch.push_back(ToRecord(out, exec.series, exec.rate, t));
+          }
+        }
+        if (options.journal != nullptr) {
+          options.journal->Append(sched.journal_batch.data(), sched.journal_batch.size());
+        }
+        finished = controller.done();
+      }
+      ++sched.accepted;
+    }
+    // Deferred batches resolved here: released onto the ready queue while
+    // the cell runs on, all skipped once it is done.
+    int resolved = 0;
+    std::unique_lock<std::mutex> ready_lock(ready_mu, std::defer_lock);
+    if (finished) {
+      if (options.count_cells) CountFinishedCell(controller, sched.first);
+      for (BatchState& state : sched.state) {
+        if (state != BatchState::kDeferred) continue;
+        state = BatchState::kDone;
+        ++resolved;
+      }
+    } else if (!controller.done()) {
+      const int old = release(cell);
+      const int now = sched.released.load(std::memory_order_relaxed);
+      for (int j = old; j < now; ++j) {
+        BatchState& state = sched.state[static_cast<std::size_t>(j)];
+        if (state != BatchState::kDeferred) continue;
+        state = BatchState::kOpen;
+        if (!ready_lock.owns_lock()) ready_lock.lock();
+        ready.emplace_back(cell, j);
+        ready_size.fetch_add(1, std::memory_order_release);
+        ++resolved;
+      }
+    }
+    if (resolved == 0) return;
+    if (!ready_lock.owns_lock()) ready_lock.lock();
+    deferred -= resolved;
+    ready_cv.notify_all();
+  };
+
+  // The next batch this worker runs, or false when there is none left:
+  // released batches first, then fresh claims (deferring the ones above
+  // their cell's horizon), then a wait for releases while batches are
+  // still deferred.
+  const auto next_batch = [&](int* cell, int* k) {
+    // Called with ready_mu held.
+    const auto pop_ready = [&] {
+      if (ready.empty()) return false;
+      std::tie(*cell, *k) = ready.front();
+      ready.pop_front();
+      ready_size.fetch_sub(1, std::memory_order_relaxed);
+      return true;
+    };
+    for (;;) {
+      if (ready_size.load(std::memory_order_acquire) > 0) {
+        std::lock_guard<std::mutex> ready_lock(ready_mu);
+        if (pop_ready()) return true;
+      }
+      const int unit = next_unit.fetch_add(1, std::memory_order_relaxed);
+      if (unit < units) {
+        *cell = unit % cell_count;
+        *k = unit / cell_count;
+        CellSchedule& sched = schedule[static_cast<std::size_t>(*cell)];
+        if (*k >= sched.batches) continue;  // done on entry, or past the cap
+        if (*k < sched.released.load(std::memory_order_acquire)) return true;
+        std::lock_guard<std::mutex> lock(sched.mu);
+        if (*k < sched.released.load(std::memory_order_relaxed)) return true;
+        if (cells[static_cast<std::size_t>(*cell)].trials->controller.done()) continue;
+        sched.state[static_cast<std::size_t>(*k)] = BatchState::kDeferred;
+        std::lock_guard<std::mutex> ready_lock(ready_mu);
+        ++deferred;
+        continue;
+      }
+      std::unique_lock<std::mutex> ready_lock(ready_mu);
+      ready_cv.wait(ready_lock, [&] { return !ready.empty() || deferred == 0 || failed; });
+      return !failed && pop_ready();
+    }
+  };
+
+  const int workers = std::min(harness::ResolveThreadCount(options.threads), units);
+  harness::ParallelFor(workers, workers, [&](int) {
+    try {
+      int cell = 0, k = 0;
+      while (next_batch(&cell, &k)) {
+        run_batch(cell, k);
+        finish(cell, k);
+      }
+    } catch (...) {
+      // A failed batch is never accepted, so the batches deferred behind it
+      // would wait forever: wake every waiting worker and stop.
+      std::lock_guard<std::mutex> ready_lock(ready_mu);
+      if (!first_error) first_error = std::current_exception();
+      failed = true;
+      ready_cv.notify_all();
+    }
+  });
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 }  // namespace
 
@@ -257,116 +492,27 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
     throw std::runtime_error("cannot resume without a journal path");
   }
 
-  // ---- batch schedule, sized once on this thread ----------------------------
-  const AdaptiveConfig clamped = CellController(adaptive).config();
-  const int min_trials = clamped.min_trials;
-  const int budget = clamped.max_trials;
-  const int batch = std::max(1, spec.batch);
-  const int max_batches = (budget + batch - 1) / batch;
-  std::vector<CellSchedule> schedule(static_cast<std::size_t>(cell_count));
+  // ---- the owned cells, run from their accepted prefixes --------------------
   telemetry::ProgressBegin("campaign", owned_cells);
+  std::vector<ExecCell> exec;
+  exec.reserve(static_cast<std::size_t>(owned_cells));
   for (int cell = 0; cell < cell_count; ++cell) {
     if (!owns(cell)) continue;  // another shard's cell — not even journaled
     CellTrials& trials = cells[static_cast<std::size_t>(cell)];
-    CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
-    sched.first = trials.controller.trials();
     if (trials.controller.done()) {
-      CountFinishedCell(trials.controller, sched.first);
+      CountFinishedCell(trials.controller, trials.controller.trials());
       continue;
     }
-    sched.batches = (budget - sched.first + batch - 1) / batch;
-    sched.state.assign(static_cast<std::size_t>(sched.batches), BatchState::kOpen);
-    // Capacity for the whole budget is reserved here, so no batch ever
-    // reallocates; the size (the pages actually touched) covers the certain
-    // batches now and grows by one uncertain batch at a time in drive().
-    const int certain = std::max(0, (min_trials - sched.first + batch - 1) / batch);
-    trials.outcomes.reserve(static_cast<std::size_t>(budget));
-    trials.outcomes.resize(
-        static_cast<std::size_t>(std::min(budget, sched.first + certain * batch)));
-    if (journal) sched.journal_batch.reserve(static_cast<std::size_t>(batch));
+    exec.push_back({&trials, &scenario.series[static_cast<std::size_t>(cell / rate_count)].fn,
+                    SpecEnvironment(spec, cell % rate_count), cell / rate_count,
+                    cell % rate_count});
   }
-
-  // Runs batch k of `cell` into its slice of the cell's outcome storage.
-  const auto run_batch = [&](int cell, int k) {
-    telemetry::SpanScope unit_span("cell");
-    CellTrials& trials = cells[static_cast<std::size_t>(cell)];
-    const harness::TrialFn& fn =
-        scenario.series[static_cast<std::size_t>(cell / rate_count)].fn;
-    const core::FaultEnvironment env = SpecEnvironment(spec, cell % rate_count);
-    const int base = schedule[static_cast<std::size_t>(cell)].first + k * batch;
-    const int end = std::min(base + batch, budget);
-    for (int t = base; t < end; ++t) {
-      trials.outcomes[static_cast<std::size_t>(t)] = harness::RunSingleTrial(fn, env, t);
-    }
-  };
-
-  // Accepts the cell's finished batches in trial order through its
-  // controller, journaling what the controller takes.  A deferred batch
-  // whose predecessor is now accepted runs here — on this worker, with the
-  // lock dropped — unless the cell is already done.  Called and returns
-  // with `lock` held on the cell.
-  const auto drive = [&](int cell, std::unique_lock<std::mutex>& lock) {
-    CellTrials& trials = cells[static_cast<std::size_t>(cell)];
-    CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
-    CellController& controller = trials.controller;
-    while (sched.resolved < sched.batches) {
-      const int k = sched.resolved;
-      BatchState& state = sched.state[static_cast<std::size_t>(k)];
-      if (state == BatchState::kDeferred) {
-        if (!controller.done()) {
-          state = BatchState::kRunning;
-          // Every earlier batch is accepted and no later one runs before
-          // this one is, so nothing else touches the storage now.
-          trials.outcomes.resize(static_cast<std::size_t>(
-              std::min(budget, sched.first + (k + 1) * batch)));
-          lock.unlock();
-          run_batch(cell, k);
-          lock.lock();
-        }
-        state = BatchState::kDone;
-      }
-      if (state != BatchState::kDone) return;  // still running elsewhere
-      if (!controller.done()) {
-        const int base = sched.first + k * batch;
-        const int end = std::min(base + batch, budget);
-        sched.journal_batch.clear();
-        for (int t = base; t < end && !controller.done(); ++t) {
-          const harness::TrialOutcome& out = trials.outcomes[static_cast<std::size_t>(t)];
-          controller.Record(out.success);
-          if (journal) {
-            sched.journal_batch.push_back(
-                ToRecord(out, cell / rate_count, cell % rate_count, t));
-          }
-        }
-        if (journal) {
-          journal->Append(sched.journal_batch.data(), sched.journal_batch.size());
-        }
-        if (controller.done()) CountFinishedCell(controller, sched.first);
-      }
-      ++sched.resolved;
-    }
-  };
-
-  // ---- (cell, batch) units, claimed batch-major -----------------------------
-  harness::ParallelFor(cell_count * max_batches, options.threads, [&](int unit) {
-    const int cell = unit % cell_count;
-    const int k = unit / cell_count;
-    CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
-    if (k >= sched.batches) return;  // not owned, done on resume, or past the cap
-    if (sched.first + k * batch < min_trials) {
-      // Certain: the stopping rule cannot fire before this batch.
-      run_batch(cell, k);
-      std::unique_lock<std::mutex> lock(sched.mu);
-      sched.state[static_cast<std::size_t>(k)] = BatchState::kDone;
-      drive(cell, lock);
-    } else {
-      // Uncertain: it runs once its predecessor is accepted, and only if
-      // the cell is still open.  drive() runs it now if that is already so.
-      std::unique_lock<std::mutex> lock(sched.mu);
-      sched.state[static_cast<std::size_t>(k)] = BatchState::kDeferred;
-      drive(cell, lock);
-    }
-  });
+  ExecOptions exec_options;
+  exec_options.threads = options.threads;
+  exec_options.batch = spec.batch;
+  exec_options.journal = journal.get();
+  exec_options.count_cells = true;
+  ExecuteCells(exec, exec_options);
   telemetry::ProgressEnd();
 
   // ---- serial in-order reduction --------------------------------------------
@@ -375,6 +521,26 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
   result.budget_trials = static_cast<long>(adaptive.max_trials) * owned_cells;
   result.resumed_trials = resumed_trials;
   return result;
+}
+
+std::vector<TrialRecord> ExtendCell(const CampaignSpec& spec, const Scenario& scenario,
+                                    int series, int rate,
+                                    const std::vector<TrialRecord>& prefix,
+                                    const AdaptiveConfig& config, int threads) {
+  CellTrials trials(config);
+  AcceptPrefix(prefix, &trials);
+  const int first = trials.controller.trials();
+  ExecOptions options;
+  options.threads = threads;
+  ExecuteCells({{&trials, &scenario.series[static_cast<std::size_t>(series)].fn,
+                 SpecEnvironment(spec, rate), series, rate}},
+               options);
+  std::vector<TrialRecord> fresh;
+  fresh.reserve(static_cast<std::size_t>(trials.controller.trials() - first));
+  for (int t = first; t < trials.controller.trials(); ++t) {
+    fresh.push_back(ToRecord(trials.outcomes[static_cast<std::size_t>(t)], series, rate, t));
+  }
+  return fresh;
 }
 
 }  // namespace robustify::campaign

@@ -1,29 +1,28 @@
-// Campaign execution: the one grid executor behind every figure bench, the
-// campaign CLI and the result store.
+// Campaign execution: the one trial executor behind every figure bench, the
+// campaign CLI, the result store and the query service's fresh trials.
 //
 // The parallel unit is a (cell, batch) pair — one cell is one (series,
 // fault rate) point, one batch is spec.batch consecutive trials of it.
-// Units are claimed from one ParallelFor range in batch-major order
-// (unit u is batch u / cells of cell u % cells), so one cell's trials run
-// on several workers and a transition cell no longer pins one worker while
-// the rest idle.  Whether a batch runs is decided so the set of *executed*
-// trials is the same for every thread count and batch size:
-//   - a batch is *certain* when its first trial is below the cell's
-//     min_trials (the stopping rule cannot have fired yet); it runs as soon
-//     as it is claimed.  In a fixed-budget campaign every batch is certain.
-//   - any other batch waits until the cell's previous batch has been
-//     accepted, then runs only if the cell is not done.  The batch waits,
-//     not its worker: a claimed batch whose turn has not come is marked
-//     deferred, and the worker that accepts its predecessor runs it.  No
-//     worker ever blocks on another, so nothing can deadlock.
-// Finished batches write their outcomes in place into storage sized once
-// per cell, and are accepted strictly in trial order under a per-cell lock
-// through the cell's sequential controller (campaign/adaptive.h).  The
-// journal (campaign/checkpoint.h) is appended under the same lock, so each
-// cell's records stay in trial order.  The final reduction runs serially in
-// cell order — so campaign output is byte-identical for every thread
-// count, batch size, and kill/resume schedule, and so are the work
-// counters (injector ops and faults, solver iterations).
+// Units are claimed in batch-major order, so one cell's trials run on
+// several workers and a transition cell does not pin one worker while the
+// rest idle.  Whether a batch runs is decided so the set of *executed*
+// trials is the serial schedule's (each cell runs batch after batch until
+// its stopping rule fires) for every thread count:
+//   - a batch is *certain* when its first trial is below the cell's certain
+//     horizon (CellController::CertainHorizon, campaign/adaptive.h): the
+//     stopping rule cannot fire before it whatever the outcomes still in
+//     flight are, so it runs as soon as it is claimed.  In a fixed-budget
+//     campaign every batch is certain.
+//   - any other batch waits, without holding a worker, until accepted
+//     outcomes move the horizon past it, and is skipped if the cell stops
+//     first.
+// Finished batches are accepted strictly in trial order under a per-cell
+// lock through the cell's sequential controller, and the journal
+// (campaign/checkpoint.h) is appended under the same lock, so each cell's
+// records stay in trial order.  The final reduction runs serially in cell
+// order — so campaign output is byte-identical for every thread count,
+// batch size, and kill/resume schedule, and so are the work counters
+// (injector ops and faults, solver iterations).
 #pragma once
 
 #include <cstdint>
@@ -75,6 +74,21 @@ struct CampaignResult {
 // exactly the unsharded record set.
 CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
                            const RunnerOptions& options);
+
+// Runs the fresh trials of one cell (series, rate) of `spec` through the
+// same executor: `prefix` (the cell's stored records, sorted by trial index
+// from 0) is replayed through a controller under `config`, and trials
+// continue from where it stops until the controller is done.  Returns the
+// fresh records, trials prefix-size onward in trial order — empty when the
+// rule already fires inside the prefix.  Batches are one trial, so no trial
+// runs that the serial loop (run trial next_trial() until done) would not:
+// the fresh records, and the injector and solver counters, are the same
+// at every thread count (`threads` as in RunnerOptions).  Books no
+// campaign.* counters and no progress.
+std::vector<TrialRecord> ExtendCell(const CampaignSpec& spec, const Scenario& scenario,
+                                    int series, int rate,
+                                    const std::vector<TrialRecord>& prefix,
+                                    const AdaptiveConfig& config, int threads);
 
 // The stopping-rule configuration RunCampaign derives from a spec — shared
 // with ReduceRecords and the query service so every consumer of stored

@@ -42,11 +42,14 @@ struct CampaignSpec {
   // campaign/runner.h), and the target Wilson 95% half-width on the success
   // fraction.  The stopping point of a cell is a pure function of its
   // outcome sequence in trial order — never of batch size or thread count
-  // (campaign/adaptive.h).  batch > 1 runs speculative trials that are
+  // (campaign/adaptive.h).  Batch size is not what parallelizes a cell:
+  // every trial below the cell's certain horizon runs as soon as a worker
+  // claims it, at batch=1 too.  batch > 1 runs speculative trials that are
   // discarded if the rule fires mid-batch (deterministic, but wasted wall
   // time — a cell settling at 9 executes 16 under batch=8), so batch=1 is
   // the default and larger batches exist for coarser journal flushing and
-  // the batch-invariance tests.
+  // the batch-invariance tests.  The query service's fresh trials always
+  // run at batch=1 (campaign::ExtendCell).
   int max_trials = 100;
   int min_trials = 4;
   int batch = 1;

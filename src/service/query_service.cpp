@@ -12,9 +12,7 @@
 
 #include "campaign/adaptive.h"
 #include "campaign/runner.h"
-#include "core/fault_env.h"
 #include "harness/timer.h"
-#include "harness/trial.h"
 #include "service/surrogate.h"
 #include "telemetry/metrics_export.h"
 #include "telemetry/telemetry.h"
@@ -145,29 +143,13 @@ Answer QueryService::AnswerCell(const CampaignSpec& spec,
 
   // Fresh path: replay the stored prefix through the stopping rule at the
   // requested ci, then continue the cell's deterministic trial sequence
-  // from where the store left off.
+  // from where the store left off, on the campaign executor.
   campaign::AdaptiveConfig config;
   config.min_trials = spec.min_trials;
   config.max_trials = spec.max_trials;
   config.ci_half_width = ci;
-  campaign::CellController controller(config);
-  std::size_t replayed = 0;
-  while (replayed < cell.records.size() && !controller.done()) {
-    controller.Record(cell.records[replayed].success);
-    ++replayed;
-  }
-
-  const core::FaultEnvironment env = campaign::SpecEnvironment(spec, rate_index);
-  const harness::TrialFn& fn =
-      scenario.series[static_cast<std::size_t>(series_index)].fn;
-
-  std::vector<TrialRecord> fresh;
-  while (!controller.done()) {
-    const int t = controller.next_trial();
-    const harness::TrialOutcome out = harness::RunSingleTrial(fn, env, t);
-    controller.Record(out.success);
-    fresh.push_back(campaign::ToRecord(out, series_index, rate_index, t));
-  }
+  const std::vector<TrialRecord> fresh = campaign::ExtendCell(
+      spec, scenario, series_index, rate_index, cell.records, config, threads_);
 
   if (fresh.empty()) {
     // The sequential rule fired inside the stored prefix (possible when the
@@ -182,8 +164,8 @@ Answer QueryService::AnswerCell(const CampaignSpec& spec,
   telemetry::Count(telemetry::Counter::kStoreFreshTrials,
                    static_cast<std::uint64_t>(fresh.size()));
   // Write back the extended prefix.  `fresh` continues the stored records
-  // (replay consumed them all before running anything), so stored + fresh
-  // is the cell's new contiguous prefix.
+  // (replay consumed them all before anything ran), so stored + fresh is
+  // the cell's new contiguous prefix.
   std::vector<TrialRecord> prefix = cell.records;
   prefix.insert(prefix.end(), fresh.begin(), fresh.end());
   store_->IngestRecords(spec, prefix);

@@ -12,7 +12,11 @@
 // the stored prefix through the sequential stopping rule at the requested
 // ci and continues trials from where the store left off (per-cell seeding:
 // trial t always runs at seed base_seed + t, so fresh trials extend the
-// same deterministic sequence), then writes the extended prefix back.
+// same deterministic sequence), then writes the extended prefix back.  The
+// fresh trials run on the campaign executor (campaign::ExtendCell): trials
+// below the cell's certain horizon run in parallel, none past it runs
+// speculatively, so the executed trials, the answer, the store bytes and
+// the telemetry counters are the serial loop's at every thread count.
 // Tightening ci only ever *extends* a stored prefix — the stopping rule
 // fires at the first trial count meeting the target, and a tighter target
 // can only fire later — so the store's prefix-wins merge absorbs write-
@@ -60,9 +64,12 @@ struct Answer {
 
 class QueryService {
  public:
-  // `store` must outlive the service.  Fresh trials run on the calling
-  // thread (a query misses at most one cell).
-  explicit QueryService(store::ResultStore* store) : store_(store) {}
+  // `store` must outlive the service.  A query misses at most one cell;
+  // its fresh trials run on the campaign executor (campaign::ExtendCell)
+  // across `threads` workers (0 = hardware concurrency), started for the
+  // query and joined before it is answered.
+  explicit QueryService(store::ResultStore* store, int threads = 0)
+      : store_(store), threads_(threads) {}
 
   // Registers an app the service may answer for.  Unregistered apps fall
   // back to the campaign registry (campaign/spec.h) at query time; tests
@@ -120,6 +127,7 @@ class QueryService {
                          double rate);
 
   store::ResultStore* store_;
+  int threads_;
   std::map<std::string, AppEntry> apps_;
 };
 

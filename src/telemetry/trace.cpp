@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -20,11 +21,6 @@ namespace {
 // 32768 events * 24 bytes = 768 KiB per traced thread; old events are
 // overwritten once the window fills (flight-recorder semantics).
 constexpr std::uint32_t kRingCapacity = 1u << 15;
-
-// Retired rings (from exited pool workers) are bounded globally so a long
-// test run under ROBUSTIFY_TRACE=1, which creates thousands of short-lived
-// workers, cannot accumulate unbounded memory.
-constexpr std::uint64_t kMaxRetiredEvents = 1u << 18;
 
 struct TraceEvent {
   const char* name;
@@ -53,11 +49,34 @@ struct TraceRing {
   std::unique_ptr<TraceEvent[]> events;
 };
 
+// A ring's valid events, oldest first.
+std::vector<TraceEvent> Chronological(const TraceRing& ring) {
+  const std::uint32_t oldest = ring.count < kRingCapacity ? 0 : ring.head;
+  std::vector<TraceEvent> events;
+  events.reserve(ring.count);
+  for (std::uint32_t i = 0; i < ring.count; ++i) {
+    events.push_back(ring.events[(oldest + i) & (kRingCapacity - 1)]);
+  }
+  return events;
+}
+
+// An exited thread's events, copied out of its ring into a buffer of their
+// own size: a worker that emitted two events keeps two, not the ring.
+struct RetiredRing {
+  std::uint32_t tid;
+  std::uint64_t dropped;
+  std::vector<TraceEvent> events;
+
+  std::size_t bytes() const {
+    return sizeof(RetiredRing) + events.capacity() * sizeof(TraceEvent);
+  }
+};
+
 struct TraceRegistry {
   std::mutex mu;
   std::vector<TraceRing*> live;
-  std::vector<std::unique_ptr<TraceRing>> retired;
-  std::uint64_t retired_events = 0;
+  std::deque<RetiredRing> retired;  // oldest first
+  std::size_t retired_bytes = 0;
   std::uint32_t next_tid = 1;
 };
 
@@ -91,13 +110,13 @@ struct RingHolder {
         break;
       }
     }
-    registry.retired_events += ring->count;
-    registry.retired.emplace_back(ring);
+    registry.retired.push_back({ring->tid, ring->dropped, Chronological(*ring)});
+    registry.retired_bytes += registry.retired.back().bytes();
+    delete ring;
     // Drop the oldest retired rings once over budget: flight recorder.
-    while (registry.retired_events > kMaxRetiredEvents &&
-           registry.retired.size() > 1) {
-      registry.retired_events -= registry.retired.front()->count;
-      registry.retired.erase(registry.retired.begin());
+    while (registry.retired_bytes > kMaxRetiredTraceBytes) {
+      registry.retired_bytes -= registry.retired.front().bytes();
+      registry.retired.pop_front();
     }
   }
 };
@@ -131,6 +150,12 @@ void EmitEvent(const char* name, char phase) {
   ring->Append(name, phase, NowNs());
 }
 
+std::size_t RetiredTraceBytes() {
+  TraceRegistry& registry = GetTraceRegistry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  return registry.retired_bytes;
+}
+
 }  // namespace detail
 
 void StartTracing() {
@@ -160,13 +185,11 @@ bool WriteTrace(const std::string& path) {
   // is closed at the ring's final timestamp — so the output always carries
   // balanced B/E pairs per tid, which tools/trace_validate.py enforces.
   std::vector<const char*> stack;
-  const auto emit_ring = [&](const detail::TraceRing& ring) {
-    const std::uint32_t capacity_mask = detail::kRingCapacity - 1;
-    const std::uint32_t oldest = ring.count < detail::kRingCapacity ? 0 : ring.head;
+  const auto emit_ring = [&](std::uint32_t tid, std::uint64_t dropped,
+                             const std::vector<detail::TraceEvent>& events) {
     stack.clear();
     std::int64_t last_ts = 0;
-    for (std::uint32_t i = 0; i < ring.count; ++i) {
-      const auto& e = ring.events[(oldest + i) & capacity_mask];
+    for (const detail::TraceEvent& e : events) {
       last_ts = e.ts_ns;
       if (e.phase == 'E') {
         if (stack.empty()) continue;  // its B was overwritten: drop
@@ -178,7 +201,7 @@ bool WriteTrace(const std::string& path) {
       std::fprintf(out,
                    ",\n{\"name\": \"%s\", \"ph\": \"%c\", \"ts\": %.3f, "
                    "\"pid\": 1, \"tid\": %u%s}",
-                   e.name, e.phase, ts_us, ring.tid,
+                   e.name, e.phase, ts_us, tid,
                    e.phase == 'i' ? ", \"s\": \"t\"" : "");
     }
     // Close spans the ring saw begin but never end (an unfinished run or a
@@ -189,22 +212,22 @@ bool WriteTrace(const std::string& path) {
       std::fprintf(out,
                    ",\n{\"name\": \"%s\", \"ph\": \"E\", \"ts\": %.3f, "
                    "\"pid\": 1, \"tid\": %u}",
-                   stack.back(), close_us, ring.tid);
+                   stack.back(), close_us, tid);
       stack.pop_back();
     }
-    if (ring.dropped > 0) {
+    if (dropped > 0) {
       std::fprintf(out,
                    ",\n{\"name\": \"trace.dropped\", \"ph\": \"M\", \"ts\": 0, "
                    "\"pid\": 1, \"tid\": %u, \"args\": {\"events\": %llu}}",
-                   ring.tid, static_cast<unsigned long long>(ring.dropped));
+                   tid, static_cast<unsigned long long>(dropped));
     }
   };
 
-  for (const std::unique_ptr<detail::TraceRing>& ring : registry.retired) {
-    emit_ring(*ring);
+  for (const detail::RetiredRing& ring : registry.retired) {
+    emit_ring(ring.tid, ring.dropped, ring.events);
   }
   for (const detail::TraceRing* ring : registry.live) {
-    emit_ring(*ring);
+    emit_ring(ring->tid, ring->dropped, detail::Chronological(*ring));
   }
 
   std::fputs("\n]}\n", out);

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -43,6 +44,17 @@ extern std::atomic<bool> g_tracing;
 
 // Out of line: looks up (or creates) the thread's ring and appends.
 void EmitEvent(const char* name, char phase);
+
+// When a traced thread exits, its ring's valid events are copied into a
+// buffer of their own size and kept for WriteTrace; the retained copies
+// are bounded by bytes (oldest dropped first, flight-recorder style), so a
+// long run that starts thousands of short-lived workers — a serve loop
+// under ROBUSTIFY_TRACE=1 starts them per fresh query — holds at most this
+// much for the exited ones.
+inline constexpr std::size_t kMaxRetiredTraceBytes = std::size_t{8} << 20;
+
+// Bytes the retired copies hold now (for tests).
+std::size_t RetiredTraceBytes();
 
 // Every kFaultSampleEvery-th injected fault on a thread becomes an instant
 // event; the counter is thread-local and deterministic.

@@ -8,12 +8,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +325,63 @@ TEST(CellController, RespectsFloorAndBudget) {
   EXPECT_FALSE(cap_ctl.settled());
 }
 
+// The certain horizon against brute force: over every outcome sequence of
+// up to 12 trials, trial t (t >= the accepted count) is below the horizon
+// of a prefix exactly when every continuation of that prefix runs it —
+// i.e. the horizon is the earliest stopping point among the continuations.
+// The horizon is read after every Record() on one controller (exercising
+// its resumed scan) and on a fresh one replaying the prefix; both must
+// agree, and it must never decrease along a sequence.
+TEST(CellControllerHorizon, MatchesExhaustiveEnumeration) {
+  constexpr int kMaxN = 12;
+  for (const int min_trials : {1, 3, 5, 12}) {
+    for (const int max_trials : {3, 7, 12}) {
+      if (max_trials < min_trials) continue;
+      for (const double ci : {0.0, 0.1, 0.2, 0.3, 0.45, 0.9}) {
+        campaign::AdaptiveConfig config;
+        config.min_trials = min_trials;
+        config.max_trials = max_trials;
+        config.ci_half_width = ci;
+        const std::string where = "min " + std::to_string(min_trials) + ", max " +
+                                  std::to_string(max_trials) + ", ci " + std::to_string(ci);
+        // earliest[m][bits]: the earliest stopping point over every
+        // sequence whose first m outcomes are `bits` (bit i = trial i).
+        std::vector<std::vector<int>> earliest(kMaxN + 1);
+        for (int m = 0; m <= kMaxN; ++m) earliest[m].assign(1u << m, kMaxN + 1);
+        for (unsigned seq = 0; seq < (1u << max_trials); ++seq) {
+          campaign::CellController ctl(config);
+          while (!ctl.done()) ctl.Record(((seq >> ctl.trials()) & 1u) != 0);
+          const int stop = ctl.trials();
+          for (int m = 0; m < stop; ++m) {
+            int& e = earliest[m][seq & ((1u << m) - 1)];
+            e = std::min(e, stop);
+          }
+        }
+        for (unsigned seq = 0; seq < (1u << max_trials); ++seq) {
+          campaign::CellController running(config);
+          int last = 0;
+          while (true) {
+            const int m = running.trials();
+            const int horizon = running.CertainHorizon();
+            ASSERT_GE(horizon, last) << where;
+            last = horizon;
+            if (running.done()) {
+              ASSERT_EQ(horizon, m) << where;
+              break;
+            }
+            const unsigned bits = seq & ((1u << m) - 1);
+            ASSERT_EQ(horizon, earliest[m][bits]) << where << ", prefix of " << m;
+            campaign::CellController replayed(config);
+            for (int t = 0; t < m; ++t) replayed.Record(((bits >> t) & 1u) != 0);
+            ASSERT_EQ(replayed.CertainHorizon(), horizon) << where << ", prefix of " << m;
+            running.Record(((seq >> m) & 1u) != 0);
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- the runner: determinism contract ---------------------------------------
 
 // A cheap deterministic stand-in for a real kernel: outcome is a pure
@@ -469,48 +528,125 @@ TEST(Campaign, OneCellRunsOnSeveralWorkers) {
   EXPECT_GT(workers.size(), 1u);
 }
 
-// Speculation is bounded the same way at every thread count: a batch past
-// min_trials runs only once the previous batch is accepted and the cell is
-// still open, so the number of trials *executed* (accepted or discarded) is
-// the per-cell sequential schedule's — run batch after batch until the
-// stopping rule fires — at 1, 2 and 8 threads.
+// Speculation is bounded the same way at every thread count: a batch runs
+// early only while its first trial is below the cell's certain horizon,
+// and otherwise only once the horizon passes it, so the number of trials
+// *executed* (accepted or discarded) is the per-cell sequential
+// schedule's — run batch after batch until the stopping rule fires — at 1,
+// 2 and 8 threads.  The tight-ci spec keeps cells open far past
+// min_trials, where the horizon, not the floor, decides what runs early.
 TEST(Campaign, ExecutedTrialsAreThreadInvariant) {
-  campaign::CampaignSpec spec = SyntheticSpec();
-  spec.batch = 3;
-  campaign::Scenario scenario = SyntheticScenario();
+  campaign::CampaignSpec wide = SyntheticSpec();
+  wide.batch = 3;
+  campaign::CampaignSpec tight = SyntheticSpec();
+  tight.max_trials = 120;
+  tight.ci_half_width = 0.09;
+  for (const campaign::CampaignSpec& base : {wide, tight}) {
+    for (const int batch : {base.batch, 2}) {
+      campaign::CampaignSpec spec = base;
+      spec.batch = batch;
+      campaign::Scenario scenario = SyntheticScenario();
+      const std::string where =
+          "ci " + std::to_string(spec.ci_half_width) + ", batch " + std::to_string(batch);
 
-  // The sequential schedule: each cell runs whole batches until its
-  // controller is done.
-  long expected = 0;
-  for (const harness::NamedTrial& series : scenario.series) {
-    for (std::size_t r = 0; r < spec.fault_rates.size(); ++r) {
-      const core::FaultEnvironment env =
-          campaign::SpecEnvironment(spec, static_cast<int>(r));
-      campaign::CellController controller(campaign::SpecAdaptiveConfig(spec, true));
-      for (int base = 0; !controller.done(); base += spec.batch) {
-        const int end = std::min(base + spec.batch, spec.max_trials);
-        expected += end - base;
-        for (int t = base; t < end && !controller.done(); ++t) {
-          controller.Record(harness::RunSingleTrial(series.fn, env, t).success);
+      // The sequential schedule: each cell runs whole batches until its
+      // controller is done.
+      long expected = 0;
+      for (const harness::NamedTrial& series : scenario.series) {
+        for (std::size_t r = 0; r < spec.fault_rates.size(); ++r) {
+          const core::FaultEnvironment env =
+              campaign::SpecEnvironment(spec, static_cast<int>(r));
+          campaign::CellController controller(campaign::SpecAdaptiveConfig(spec, true));
+          for (int base_trial = 0; !controller.done(); base_trial += spec.batch) {
+            const int end = std::min(base_trial + spec.batch, spec.max_trials);
+            expected += end - base_trial;
+            for (int t = base_trial; t < end && !controller.done(); ++t) {
+              controller.Record(harness::RunSingleTrial(series.fn, env, t).success);
+            }
+          }
         }
+      }
+      ASSERT_LT(expected, static_cast<long>(spec.max_trials) * 6) << where;  // fires early
+
+      std::atomic<long> executed{0};
+      for (harness::NamedTrial& series : scenario.series) {
+        series.fn = [&executed, fn = series.fn](const core::FaultEnvironment& env) {
+          executed.fetch_add(1);
+          return fn(env);
+        };
+      }
+      for (const int threads : {1, 2, 8}) {
+        executed.store(0);
+        campaign::RunnerOptions options;
+        options.threads = threads;
+        campaign::RunCampaign(spec, scenario, options);
+        EXPECT_EQ(executed.load(), expected) << where << ", " << threads << " threads";
       }
     }
   }
-  ASSERT_LT(expected, static_cast<long>(spec.max_trials) * 6);  // rule fires early
+}
 
-  std::atomic<long> executed{0};
-  for (harness::NamedTrial& series : scenario.series) {
-    series.fn = [&executed, fn = series.fn](const core::FaultEnvironment& env) {
-      executed.fetch_add(1);
-      return fn(env);
-    };
-  }
-  for (const int threads : {1, 2, 8}) {
-    executed.store(0);
+// Two trials of one cell past min_trials are in flight at once when the
+// horizon allows it: with every trial succeeding and ci 0.15, the rule
+// cannot fire before 9 trials, so trials 4 and 5 are both certain.  Each
+// of them waits (bounded) for the other at a latch; a runner that ran the
+// trials past min_trials one at a time would time out here, not hang.
+TEST(Campaign, TrialsBelowTheHorizonRunConcurrentlyPastMinTrials) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::atomic<int> met{0};
+  constexpr std::uint64_t kSeed = 500;
+  campaign::Scenario scenario;
+  scenario.series = {{"latch", [&](const core::FaultEnvironment& env) {
+                        const std::uint64_t t = env.seed - kSeed;
+                        if (t == 4 || t == 5) {
+                          std::unique_lock<std::mutex> lock(mu);
+                          ++arrived;
+                          cv.notify_all();
+                          if (cv.wait_for(lock, std::chrono::seconds(5),
+                                          [&] { return arrived >= 2; })) {
+                            met.fetch_add(1);
+                          }
+                        }
+                        harness::TrialOutcome out;
+                        out.success = true;
+                        return out;
+                      }}};
+  campaign::CampaignSpec spec;
+  spec.fault_rates = {0.0};
+  spec.min_trials = 4;
+  spec.max_trials = 40;
+  spec.ci_half_width = 0.15;
+  spec.base_seed = kSeed;
+  campaign::CellController probe(campaign::SpecAdaptiveConfig(spec, true));
+  ASSERT_EQ(probe.CertainHorizon(), 9);
+
+  campaign::RunnerOptions options;
+  options.threads = 4;
+  const campaign::CampaignResult result = campaign::RunCampaign(spec, scenario, options);
+  EXPECT_EQ(result.total_trials, 9);
+  EXPECT_EQ(met.load(), 2) << "trials 4 and 5 never ran at the same time";
+}
+
+// A trial that throws fails the run instead of stranding the workers that
+// wait for the batches deferred behind it: RunCampaign rethrows and every
+// worker returns.
+TEST(Campaign, ThrowingTrialFailsTheRunWithoutHanging) {
+  campaign::CampaignSpec spec = SyntheticSpec();
+  spec.max_trials = 200;
+  spec.ci_half_width = 0.01;  // every cell stays open, with batches deferred
+  spec.batch = 1;
+  campaign::Scenario scenario = SyntheticScenario();
+  scenario.series[1].fn = [fn = scenario.series[1].fn](const core::FaultEnvironment& env) {
+    if (env.seed - 977 == 40) throw std::runtime_error("trial 40 failed");
+    return fn(env);
+  };
+  for (const int threads : {1, 4}) {
     campaign::RunnerOptions options;
     options.threads = threads;
-    campaign::RunCampaign(spec, scenario, options);
-    EXPECT_EQ(executed.load(), expected) << threads << " threads";
+    EXPECT_THROW(campaign::RunCampaign(spec, scenario, options), std::runtime_error)
+        << threads << " threads";
   }
 }
 

@@ -42,6 +42,7 @@
 #include "campaign/spec.h"
 #include "core/fault_env.h"
 #include "harness/csv.h"
+#include "harness/trial.h"
 #include "service/query_service.h"
 #include "service/surrogate.h"
 #include "store/result_store.h"
@@ -995,6 +996,114 @@ TEST(ResultStore, ConcurrentLoadsAndIngestsStayConsistent) {
   EXPECT_EQ(FullRewriteBytes(spec, store::ResultStore(root).Load(spec).records,
                              "threads_got"),
             FullRewriteBytes(spec, expected, "threads_want"));
+}
+
+// Fresh trials run on the campaign executor across the service's threads,
+// yet nothing depends on how many: a fig6_6 cell seeded with 3 stored
+// trials and asked for a tighter ci gets the same answer, the same store
+// journal bytes and the same counters (store.fresh_trials, injector ops
+// and faults, solver work) at 1, 2 and 8 threads — and they equal the
+// serial reference: RunSingleTrial for trial next_trial() until the
+// controller is done, then one write-back.
+TEST(QueryService, FreshTrialsAreThreadInvariant) {
+  campaign::CampaignSpec spec = campaign::RegistrySpec("fig6_6");
+  spec.fault_rates = {1e-3, 1e-1};
+  spec.fixed_trials = 3;
+  spec.min_trials = 4;
+  spec.max_trials = 40;
+  const campaign::Scenario scenario = campaign::BuildScenario(spec);
+  const int series = 1;
+  const int rate = 1;
+  const double ci = 0.1;
+  const std::string seed_journal = TempPath("fresh_threads") + ".journal";
+  campaign::RunnerOptions fixed;
+  fixed.threads = 2;
+  fixed.adaptive = false;
+  fixed.journal_path = seed_journal;
+  campaign::RunCampaign(spec, scenario, fixed);
+  const auto seeded_store = [&](const std::string& tag) {
+    const std::string root = TempPath(tag) + ".store";
+    std::filesystem::remove_all(root);
+    auto rs = std::make_unique<store::ResultStore>(root);
+    rs->IngestJournal(spec, seed_journal);
+    return rs;
+  };
+  telemetry::SetCountersEnabled(true);
+  const auto counters = [] {
+    const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
+    return std::vector<std::uint64_t>(snap.counters, snap.counters + telemetry::kNumCounters);
+  };
+
+  // The serial reference.
+  std::unique_ptr<store::ResultStore> reference = seeded_store("fresh_threads_ref");
+  std::vector<campaign::TrialRecord> prefix = reference->LoadCell(spec, series, rate).records;
+  ASSERT_EQ(prefix.size(), 3u);
+  campaign::AdaptiveConfig config;
+  config.min_trials = spec.min_trials;
+  config.max_trials = spec.max_trials;
+  config.ci_half_width = ci;
+  campaign::CellController controller(config);
+  for (const campaign::TrialRecord& r : prefix) controller.Record(r.success);
+  const core::FaultEnvironment env = campaign::SpecEnvironment(spec, rate);
+  telemetry::ResetCounters();
+  while (!controller.done()) {
+    const int t = controller.next_trial();
+    const harness::TrialOutcome out =
+        harness::RunSingleTrial(scenario.series[series].fn, env, t);
+    controller.Record(out.success);
+    prefix.push_back(campaign::ToRecord(out, series, rate, t));
+  }
+  const std::vector<std::uint64_t> reference_counters = counters();
+  const int fresh_trials = controller.trials() - 3;
+  ASSERT_GT(fresh_trials, spec.min_trials);  // runs well past the floor
+  reference->IngestRecords(spec, prefix);
+  const std::string reference_journal = FileBytes(JournalOf(*reference, spec));
+
+  service::Query query;
+  query.app = spec.app;
+  query.series = scenario.series[series].name;
+  query.rate = spec.fault_rates[rate];
+  query.ci = ci;
+  std::string one_thread_json;
+  std::vector<std::uint64_t> one_thread_counters;
+  for (const int threads : {1, 2, 8}) {
+    std::unique_ptr<store::ResultStore> rs =
+        seeded_store("fresh_threads_" + std::to_string(threads));
+    service::QueryService qs(rs.get(), threads);
+    qs.RegisterSpec(spec, scenario);
+    telemetry::ResetCounters();
+    const service::Answer a = qs.Handle(query);
+    const std::vector<std::uint64_t> got = counters();
+    ASSERT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(a.source, "fresh-trials");
+    EXPECT_EQ(a.fresh_trials, fresh_trials) << threads << " threads";
+    EXPECT_EQ(a.trials, controller.trials()) << threads << " threads";
+    EXPECT_EQ(a.successes, controller.successes()) << threads << " threads";
+    EXPECT_EQ(a.half_width,
+              campaign::WilsonHalfWidth(controller.successes(), controller.trials()));
+    if (threads == 1) {
+      one_thread_json = service::QueryService::AnswerJson(a);
+      one_thread_counters = got;
+    }
+    EXPECT_EQ(service::QueryService::AnswerJson(a), one_thread_json) << threads << " threads";
+    EXPECT_EQ(got, one_thread_counters) << threads << " threads";
+    EXPECT_EQ(FileBytes(JournalOf(*rs, spec)), reference_journal) << threads << " threads";
+#if ROBUSTIFY_TELEMETRY_ENABLED
+    EXPECT_EQ(got[static_cast<int>(telemetry::Counter::kStoreFreshTrials)],
+              static_cast<std::uint64_t>(fresh_trials));
+    for (const telemetry::Counter c :
+         {telemetry::Counter::kInjectorScopes, telemetry::Counter::kInjectorFaults,
+          telemetry::Counter::kInjectorFlops, telemetry::Counter::kSgdIterations,
+          telemetry::Counter::kCglsIterations}) {
+      EXPECT_EQ(got[static_cast<int>(c)], reference_counters[static_cast<int>(c)])
+          << telemetry::CounterName(c) << ", " << threads << " threads";
+    }
+    EXPECT_GT(got[static_cast<int>(telemetry::Counter::kInjectorFlops)], 0u);
+#endif
+    std::filesystem::remove_all(rs->root());
+  }
+  std::filesystem::remove_all(reference->root());
+  std::remove(seed_journal.c_str());
 }
 
 #if ROBUSTIFY_TELEMETRY_ENABLED

@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/configs.h"
@@ -403,6 +405,47 @@ TEST(Telemetry, WriteTraceEmitsBalancedChromeJson) {
   }
   EXPECT_GT(begins, 0u);
   EXPECT_EQ(begins, ends);
+}
+
+// Exited threads keep right-sized copies of their events, bounded by
+// bytes: 256 short-lived threads that each emit one span (2 events) retain
+// about a kilobyte each, not a 768 KiB ring each; 24 threads that each
+// fill their ring still leave the retained copies under the bound; and
+// the trace written afterwards passes tools/trace_validate.py.
+TEST(Telemetry, RetiredTraceRingsAreRightSizedAndBoundedByBytes) {
+  telemetry::StartTracing();
+  const auto run_threads = [](int count, int spans_each) {
+    for (int started = 0; started < count; started += 8) {
+      std::vector<std::thread> batch;
+      for (int i = 0; i < 8; ++i) {
+        batch.emplace_back([spans_each] {
+          for (int s = 0; s < spans_each; ++s) telemetry::SpanScope span("trial");
+        });
+      }
+      for (std::thread& t : batch) t.join();
+    }
+  };
+  const std::size_t before = telemetry::detail::RetiredTraceBytes();
+  run_threads(256, 1);
+  const std::size_t after = telemetry::detail::RetiredTraceBytes();
+  EXPECT_LE(after, telemetry::detail::kMaxRetiredTraceBytes);
+  EXPECT_LE(after, before + 256 * 1024);
+
+  run_threads(24, 1 << 14);  // 2^15 events each: every ring full
+  EXPECT_LE(telemetry::detail::RetiredTraceBytes(), telemetry::detail::kMaxRetiredTraceBytes);
+  EXPECT_GT(telemetry::detail::RetiredTraceBytes(),
+            telemetry::detail::kMaxRetiredTraceBytes / 2);
+
+  const std::string path = ::testing::TempDir() + "/robustify_retired_trace.json";
+  ASSERT_TRUE(telemetry::WriteTrace(path));
+  if (std::system("python3 -c pass > /dev/null 2>&1") != 0) {
+    std::remove(path.c_str());
+    GTEST_SKIP() << "python3 unavailable: trace written, not validated";
+  }
+  const std::string validate = std::string("python3 ") + ROBUSTIFY_SOURCE_DIR +
+                               "/tools/trace_validate.py " + path + " > /dev/null";
+  EXPECT_EQ(std::system(validate.c_str()), 0) << validate;
+  std::remove(path.c_str());
 }
 
 #else  // telemetry compiled out: the API must still compile and no-op
