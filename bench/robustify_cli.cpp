@@ -32,11 +32,12 @@
 //       machine_profile.json — the roofline denominators bench_roofline
 //       places kernels against.
 //
-// Flags (run/resume):
+// Flags (run/resume).  The spec flags are the spec file's keys, spelled
+// --a-b=v for key a_b (campaign::ApplySpecKey; name, app and bit_model are
+// spec-file only), and the spec they build passes campaign::ValidateSpec:
 //   --ci=H         target Wilson 95% half-width on the success fraction
 //   --budget=N     per-cell trial cap
 //   --min-trials=N floor before the stopping rule may fire
-//   --batch=N      trials per (cell, batch) work unit and journal append
 //   --fixed        fixed budget (spec trials per cell; no early stopping)
 //   --trials=N     override the fixed budget (implies nothing about --fixed)
 //   --rates=a,b,c  override the fault-rate axis
@@ -70,13 +71,13 @@
 //   --threads=N    (query/serve) workers for a miss's fresh trials (default
 //                  hardware concurrency); answers and store bytes do not
 //                  depend on it
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,7 +107,7 @@ int Usage() {
   std::cerr
       << "usage: robustify_cli list [--fingerprints]\n"
       << "       robustify_cli {run,resume} <fig|spec-file> [--ci=H] [--budget=N]\n"
-      << "           [--min-trials=N] [--batch=N] [--fixed] [--trials=N]\n"
+      << "           [--min-trials=N] [--fixed] [--trials=N]\n"
       << "           [--rates=a,b,c] [--series=NAME]... [--seed=N] [--shard=i/N]\n"
       << "           [--threads=N]\n"
       << "           [--model=M] [--op-classes=C] [--stuck-mean=D] [--burst-width=K]\n"
@@ -131,20 +132,10 @@ int Usage() {
   std::exit(2);
 }
 
-// Integer flags go through the spec format's own parsers, so a flag and
-// the spec key it overrides accept exactly the same values.
 int IntFlag(const std::string& flag, const std::string& value,
             int min_value = std::numeric_limits<int>::min()) {
   try {
     return campaign::ParseInt(flag, value, min_value);
-  } catch (const std::exception& e) {
-    Die(e.what());
-  }
-}
-
-std::uint64_t U64Flag(const std::string& flag, const std::string& value) {
-  try {
-    return campaign::ParseU64(flag, value);
   } catch (const std::exception& e) {
     Die(e.what());
   }
@@ -157,16 +148,6 @@ double ParseDoubleFlag(const std::string& flag, const std::string& value) {
     Die("malformed " + flag + " value: " + value);
   }
   return parsed;
-}
-
-// One parser for the rate-axis format, shared with spec files
-// (campaign::ParseRateAxis) so the two surfaces cannot drift.
-std::vector<double> ParseRatesFlag(const std::string& value) {
-  try {
-    return campaign::ParseRateAxis(value);
-  } catch (const std::exception& e) {
-    Die(std::string("malformed --rates list: ") + e.what());
-  }
 }
 
 int RunList(bool fingerprints) {
@@ -223,64 +204,27 @@ campaign::CampaignSpec LoadTargetSpec(const std::string& target) {
   return campaign::RegistrySpec(target);
 }
 
-// Applies one spec-mutation flag (the flags every subcommand that resolves
-// a spec shares — run, merge, query, serve must agree on these to agree on
-// the fingerprint).  Returns false when `arg` is not a spec flag.
+// Applies one spec flag (the flags every subcommand that resolves a spec
+// shares — run, merge, query, serve must agree on these to agree on the
+// fingerprint): --a-b=v sets spec key a_b, and --guard-bailout sets
+// guard_bailout = 1.  Returns false when `arg` is not a spec flag.
 bool ApplySpecFlag(campaign::CampaignSpec* spec, const std::string& arg) {
-  if (arg.rfind("--ci=", 0) == 0) {
-    spec->ci_half_width = ParseDoubleFlag("--ci", arg.substr(5));
-    if (!(spec->ci_half_width > 0.0)) Die("--ci must be > 0");
-  } else if (arg.rfind("--budget=", 0) == 0) {
-    spec->max_trials = IntFlag("--budget", arg.substr(9));
-  } else if (arg.rfind("--min-trials=", 0) == 0) {
-    spec->min_trials = IntFlag("--min-trials", arg.substr(13));
-  } else if (arg.rfind("--batch=", 0) == 0) {
-    spec->batch = IntFlag("--batch", arg.substr(8));
-  } else if (arg.rfind("--trials=", 0) == 0) {
-    spec->fixed_trials = IntFlag("--trials", arg.substr(9));
-  } else if (arg.rfind("--rates=", 0) == 0) {
-    spec->fault_rates = ParseRatesFlag(arg.substr(8));
-  } else if (arg.rfind("--series=", 0) == 0) {
-    spec->series.push_back(arg.substr(9));
-  } else if (arg.rfind("--seed=", 0) == 0) {
-    spec->base_seed = U64Flag("--seed", arg.substr(7));
-  } else if (arg.rfind("--shard=", 0) == 0) {
-    try {
-      const auto [index, count] = campaign::ParseShard(arg.substr(8));
-      spec->shard_index = index;
-      spec->shard_count = count;
-    } catch (const std::exception& e) {
-      Die(e.what());
-    }
-  } else if (arg.rfind("--model=", 0) == 0) {
-    const std::optional<faulty::Temporal> t = faulty::ParseTemporal(arg.substr(8));
-    if (!t) Die("unknown --model: " + arg.substr(8));
-    spec->model.temporal = *t;
-  } else if (arg.rfind("--op-classes=", 0) == 0) {
-    try {
-      spec->model.op_classes = faulty::ParseOpClasses(arg.substr(13));
-    } catch (const std::exception& e) {
-      Die(std::string("malformed --op-classes: ") + e.what());
-    }
-  } else if (arg.rfind("--stuck-mean=", 0) == 0) {
-    spec->model.stuck_mean_ops = ParseDoubleFlag("--stuck-mean", arg.substr(13));
-  } else if (arg.rfind("--burst-width=", 0) == 0) {
-    spec->model.burst_width_max = IntFlag("--burst-width", arg.substr(14));
-  } else if (arg.rfind("--window-mean=", 0) == 0) {
-    spec->model.window_mean_ops =
-        ParseDoubleFlag("--window-mean", arg.substr(14));
-  } else if (arg.rfind("--window-rate=", 0) == 0) {
-    spec->model.window_rate = ParseDoubleFlag("--window-rate", arg.substr(14));
-  } else if (arg.rfind("--guard-flops=", 0) == 0) {
-    spec->guard.max_flops = U64Flag("--guard-flops", arg.substr(14));
-  } else if (arg.rfind("--guard-iters=", 0) == 0) {
-    spec->guard.max_iterations = IntFlag("--guard-iters", arg.substr(14));
-  } else if (arg == "--guard-bailout") {
-    spec->guard.nonfinite_bailout = true;
-  } else {
+  if (arg == "--guard-bailout") return campaign::ApplySpecKey(spec, "guard_bailout", "1");
+  const std::size_t eq = arg.find('=');
+  if (arg.rfind("--", 0) != 0 || eq == std::string::npos) return false;
+  std::string key = arg.substr(2, eq - 2);
+  // Underscores are the file spelling; name, app and bit_model are
+  // spec-file only, and --guard-bailout takes no value.
+  if (key.find('_') != std::string::npos) return false;
+  std::replace(key.begin(), key.end(), '-', '_');
+  if (key == "name" || key == "app" || key == "bit_model" || key == "guard_bailout") {
     return false;
   }
-  return true;
+  try {
+    return campaign::ApplySpecKey(spec, key, arg.substr(eq + 1));
+  } catch (const std::exception& e) {
+    Die(arg.substr(0, eq) + ": " + e.what());
+  }
 }
 
 int RunCampaignCommand(bool resume, const std::string& target,
@@ -311,10 +255,7 @@ int RunCampaignCommand(bool resume, const std::string& target,
       return Usage();
     }
   }
-  if (cli.spec.min_trials > cli.spec.max_trials ||
-      cli.spec.min_trials < 1 || cli.spec.batch < 1 || cli.spec.fixed_trials < 1) {
-    Die("invalid trial allocation: need 1 <= min-trials <= budget, batch >= 1");
-  }
+  campaign::ValidateSpec(cli.spec);
   if (!journal_set) {
     // Shards default to distinct journal names so N shard runs in one
     // directory never clobber each other's checkpoints.
@@ -420,6 +361,7 @@ int RunMergeCommand(const std::string& target,
       journals.push_back(arg);
     }
   }
+  campaign::ValidateSpec(spec);
   if (journals.empty()) Die("merge: no journals given");
 
   store::ResultStore result_store(store_root);
@@ -477,6 +419,7 @@ int RunQueryCommand(const std::string& target, const std::string& series,
       return Usage();
     }
   }
+  campaign::ValidateSpec(spec);
   query.app = spec.app;
 
   store::ResultStore result_store(store_root);

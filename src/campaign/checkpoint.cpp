@@ -1,5 +1,6 @@
 #include "campaign/checkpoint.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -82,6 +83,31 @@ bool ParseRecord(const std::string& line, TrialRecord* out) {
 }
 
 }  // namespace
+
+std::map<std::pair<int, int>, std::vector<TrialRecord>> NormalizeRecords(
+    const std::vector<TrialRecord>& records) {
+  std::map<std::pair<int, int>, std::vector<TrialRecord>> cells;
+  for (const TrialRecord& r : records) {
+    if (r.series < 0 || r.rate < 0 || r.trial < 0) continue;
+    cells[{r.series, r.rate}].push_back(r);
+  }
+  for (auto& [key, bucket] : cells) {
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [](const TrialRecord& a, const TrialRecord& b) {
+                       return a.trial < b.trial;
+                     });
+    std::size_t keep = 0;
+    for (const TrialRecord& r : bucket) {
+      if (r.trial == static_cast<int>(keep)) {
+        bucket[keep++] = r;
+      } else if (r.trial > static_cast<int>(keep)) {
+        break;  // a gap ends the prefix
+      }         // else a duplicate of a kept trial index
+    }
+    bucket.resize(keep);
+  }
+  return cells;
+}
 
 CampaignJournal::Loaded CampaignJournal::Load(const std::string& path) {
   Loaded loaded;

@@ -7,9 +7,9 @@
 // reproduce the uninterrupted run's CSV byte for byte), and the exact
 // uint64 flop/fault counters.
 //
-// Workers append whole batches under one lock with a flush per batch, so a
-// SIGKILL can lose at most the batches in flight and can tear at most the
-// final line.  Load() therefore accepts a truncated tail: the first
+// The runner appends each accepted trial under one lock with a flush per
+// append, so a SIGKILL can lose at most the trials in flight and can tear
+// at most the final line.  Load() therefore accepts a truncated tail: the first
 // malformed line and everything after it are dropped (they can only be the
 // torn end of the final write), and so is a final record line that lacks
 // its '\n' — the writer ends every record with one, so a line cut short
@@ -21,8 +21,10 @@
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace robustify::campaign {
@@ -40,6 +42,16 @@ struct TrialRecord {
   // the success flag for those, so old journals resume cleanly.
   int verdict = 0;
 };
+
+// Buckets records per (series, rate) cell, in std::map key order, and cuts
+// each bucket to its contiguous trial-index prefix from 0 — the only shape
+// a valid journal can produce.  The sort is stable and the first of equal
+// trial indices is kept, so a repeated line neither truncates the cell nor
+// overrides the record written first; a gap ends the prefix, and records
+// with a negative coordinate are dropped.  Resume, ReduceRecords and the
+// result store all read records through this one rule.
+std::map<std::pair<int, int>, std::vector<TrialRecord>> NormalizeRecords(
+    const std::vector<TrialRecord>& records);
 
 class CampaignJournal {
  public:

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -44,43 +45,29 @@ struct CellTrials {
   std::vector<harness::TrialOutcome> outcomes;
 };
 
-// Accepts `records` (one cell's, sorted by trial index) through the cell's
-// controller: trials next_trial(), next_trial() + 1, ... until it is done
-// or the next index is missing.  Only one record of a repeated index is
-// accepted; everything after a gap is dropped.
+// Accepts `records` (one cell's contiguous prefix from trial 0, as
+// NormalizeRecords leaves it) through the cell's controller until it is
+// done.
 void AcceptPrefix(const std::vector<TrialRecord>& records, CellTrials* cell) {
   for (const TrialRecord& r : records) {
     if (cell->controller.done()) break;
-    if (r.trial < cell->controller.next_trial()) continue;  // repeat
-    if (r.trial != cell->controller.next_trial()) break;    // gap
     cell->controller.Record(r.success);
     cell->outcomes.push_back(ToOutcome(r));
   }
 }
 
-// The contiguous-prefix rule shared by resume and ReduceRecords: bucket the
-// records by cell (dropping out-of-range cells), sort each bucket by trial
-// index, and accept each bucket from trial 0 (AcceptPrefix).
+// The prefix rule shared by resume, ReduceRecords and the result store:
+// NormalizeRecords (campaign/checkpoint.h), out-of-range cells dropped,
+// each cell accepted from trial 0 (AcceptPrefix).
 std::vector<CellTrials> AcceptPrefixes(const std::vector<TrialRecord>& records,
                                        int series_count, int rate_count,
                                        const AdaptiveConfig& config) {
-  const std::size_t cell_count = static_cast<std::size_t>(series_count * rate_count);
-  std::vector<std::vector<TrialRecord>> by_cell(cell_count);
-  for (const TrialRecord& r : records) {
-    if (r.series < 0 || r.series >= series_count || r.rate < 0 ||
-        r.rate >= rate_count) {
-      continue;
-    }
-    by_cell[static_cast<std::size_t>(r.series * rate_count + r.rate)].push_back(r);
-  }
-  std::vector<CellTrials> cells(cell_count, CellTrials(config));
-  for (std::size_t cell = 0; cell < cell_count; ++cell) {
-    std::vector<TrialRecord>& bucket = by_cell[cell];
-    std::sort(bucket.begin(), bucket.end(),
-              [](const TrialRecord& a, const TrialRecord& b) {
-                return a.trial < b.trial;
-              });
-    AcceptPrefix(bucket, &cells[cell]);
+  std::vector<CellTrials> cells(static_cast<std::size_t>(series_count * rate_count),
+                                CellTrials(config));
+  for (const auto& [key, bucket] : NormalizeRecords(records)) {
+    const auto [series, rate] = key;
+    if (series >= series_count || rate >= rate_count) continue;
+    AcceptPrefix(bucket, &cells[static_cast<std::size_t>(series * rate_count + rate)]);
   }
   return cells;
 }
@@ -139,26 +126,26 @@ void CountFinishedCell(const CellController& controller, int resumed) {
   telemetry::ProgressUnitDone(controller.trials() - resumed);
 }
 
-// Where one batch of a cell stands.  A deferred batch has been claimed
-// while above the cell's certain horizon; it runs once the horizon passes
-// it, and is skipped if the cell stops first.
-enum class BatchState : char { kOpen, kDeferred, kDone };
+// Where one trial of a cell stands.  A deferred trial has been claimed
+// while at or above the cell's certain horizon; it runs once the horizon
+// passes it, and is skipped if the cell stops first.
+enum class TrialState : char { kOpen, kDeferred, kDone };
 
-// The batch bookkeeping of one cell.  `mu` guards it together with the
-// cell's controller; batch outcomes are written outside the lock, each
-// batch into its own slice of the cell's outcome storage.
+// The trial bookkeeping of one cell, indexed from its accepted prefix.
+// `mu` guards it together with the cell's controller; outcomes are written
+// outside the lock, each trial into its own slot of the cell's outcome
+// storage.
 struct CellSchedule {
   std::mutex mu;
-  int first = 0;     // first trial the batches cover (= accepted prefix)
-  int batches = 0;   // batches covering [first, budget)
-  int accepted = 0;  // batches accepted (or skipped) so far, in order
-  // Leading batches whose first trial is below the certain horizon: they
-  // run as soon as they are claimed.  Written under `mu`, only ever
-  // raised, and read without the lock by claims (a stale value is smaller,
-  // which only sends a claim to the locked re-check).
+  int first = 0;     // first trial to run (= accepted prefix)
+  int count = 0;     // trials in [first, budget)
+  int accepted = 0;  // trials accepted (or skipped) so far, in order
+  // Leading trials below the certain horizon: they run as soon as they
+  // are claimed.  Written under `mu`, only ever raised, and read without
+  // the lock by claims (a stale value is smaller, which only sends a claim
+  // to the locked re-check).
   std::atomic<int> released{0};
-  std::vector<BatchState> state;
-  std::vector<TrialRecord> journal_batch;
+  std::vector<TrialState> state;
 };
 
 // One cell handed to the executor.
@@ -172,47 +159,44 @@ struct ExecCell {
 
 struct ExecOptions {
   int threads = 0;
-  int batch = 1;
   CampaignJournal* journal = nullptr;  // null = no checkpointing
   bool count_cells = false;  // book campaign.* counters and progress per cell
 };
 
 // The one trial executor (the contract is in runner.h): runs each cell's
 // trials from its accepted prefix until its controller is done.  Units are
-// (cell, batch) pairs claimed from one counter in batch-major order (unit
-// u is batch u / cells of cell u % cells).  A claimed batch below its
-// cell's released count runs at once; any other is deferred.  Accepting
-// outcomes moves the horizon, and the worker that moves it past deferred
-// batches puts them on the ready queue; a cell that stops skips its
-// deferred batches.  A batch whose predecessors are all accepted is always
-// below the horizon (it exceeds the accepted count until the cell is
-// done), so some batch is always runnable.  Workers that run out of units
-// take batches from the ready queue and wait for it only while batches are
-// still deferred; no lock is held across a trial, so nothing can deadlock.
+// (cell, trial) pairs claimed from one counter in trial-major order (unit
+// u is the cell's trial u / cells of cell u % cells).  A claimed trial
+// below its cell's released count runs at once; any other is deferred.
+// Accepting outcomes moves the horizon, and the worker that moves it past
+// deferred trials puts them on the ready queue; a cell that stops skips
+// its deferred trials.  A trial whose predecessors are all accepted is
+// always below the horizon (it exceeds the accepted count until the cell
+// is done), so some trial is always runnable.  Workers that run out of
+// units take trials from the ready queue and wait for it only while trials
+// are still deferred; no lock is held across a trial, so nothing can
+// deadlock.  One worker runs on the calling thread; more are started here
+// and joined before it returns.
 void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options) {
   const int cell_count = static_cast<int>(cells.size());
   if (cell_count == 0) return;
-  const int batch = std::max(1, options.batch);
 
-  // ---- batch schedule, sized once on this thread ----------------------------
+  // ---- trial schedule, sized once on this thread ----------------------------
   std::vector<CellSchedule> schedule(static_cast<std::size_t>(cell_count));
-  int max_batches = 0;
-  // Raises the cell's released count to the batches below its horizon,
+  int max_count = 0;
+  // Raises the cell's released count to the trials below its horizon,
   // sizing the outcome storage to cover them first.  Returns the old count.
   const auto release = [&](int cell) {
     CellTrials& trials = *cells[static_cast<std::size_t>(cell)].trials;
     CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
-    const int budget = trials.controller.config().max_trials;
     const int horizon = trials.controller.CertainHorizon();
     const int old = sched.released.load(std::memory_order_relaxed);
-    const int now = std::min(sched.batches,
-                             std::max(old, (horizon - sched.first + batch - 1) / batch));
+    const int now = std::min(sched.count, std::max(old, horizon - sched.first));
     if (now > old) {
-      // Capacity for the whole budget is reserved up front, so no batch
+      // Capacity for the whole budget is reserved up front, so no trial
       // ever reallocates; the size (the pages actually touched) covers the
-      // released batches.
-      trials.outcomes.resize(
-          static_cast<std::size_t>(std::min(budget, sched.first + now * batch)));
+      // released trials.
+      trials.outcomes.resize(static_cast<std::size_t>(sched.first + now));
       sched.released.store(now, std::memory_order_release);
     }
     return old;
@@ -223,92 +207,78 @@ void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options
     const int budget = trials.controller.config().max_trials;
     sched.first = trials.controller.trials();
     if (trials.controller.done()) continue;
-    sched.batches = (budget - sched.first + batch - 1) / batch;
-    max_batches = std::max(max_batches, sched.batches);
-    sched.state.assign(static_cast<std::size_t>(sched.batches), BatchState::kOpen);
+    sched.count = budget - sched.first;
+    max_count = std::max(max_count, sched.count);
+    sched.state.assign(static_cast<std::size_t>(sched.count), TrialState::kOpen);
     trials.outcomes.reserve(static_cast<std::size_t>(budget));
     release(cell);
-    if (options.journal != nullptr) {
-      sched.journal_batch.reserve(static_cast<std::size_t>(batch));
-    }
   }
-  const int units = cell_count * max_batches;
+  const int units = cell_count * max_count;
   if (units == 0) return;
 
   // ---- shared claim state ---------------------------------------------------
   std::atomic<int> next_unit{0};
   std::mutex ready_mu;  // taken after a cell's lock, never before
   std::condition_variable ready_cv;
-  std::deque<std::pair<int, int>> ready;  // released deferred (cell, batch)
+  std::deque<std::pair<int, int>> ready;  // released deferred (cell, trial)
   std::atomic<int> ready_size{0};         // ready.size(), readable lock-free
   int deferred = 0;                       // claimed, neither released nor skipped
   bool failed = false;
   std::exception_ptr first_error;
 
-  // Runs batch k of `cell` into its slice of the cell's outcome storage.
-  const auto run_batch = [&](int cell, int k) {
+  // Runs trial k of `cell` into its slot of the cell's outcome storage.
+  const auto run_trial = [&](int cell, int k) {
     telemetry::SpanScope unit_span("cell");
     const ExecCell& exec = cells[static_cast<std::size_t>(cell)];
-    const int first = schedule[static_cast<std::size_t>(cell)].first;
-    const int budget = exec.trials->controller.config().max_trials;
-    const int end = std::min(first + (k + 1) * batch, budget);
-    for (int t = first + k * batch; t < end; ++t) {
-      exec.trials->outcomes[static_cast<std::size_t>(t)] =
-          harness::RunSingleTrial(*exec.fn, exec.env, t);
-    }
+    const int t = schedule[static_cast<std::size_t>(cell)].first + k;
+    exec.trials->outcomes[static_cast<std::size_t>(t)] =
+        harness::RunSingleTrial(*exec.fn, exec.env, t);
   };
 
-  // Marks batch k done and accepts the cell's finished batches in trial
-  // order through its controller, journaling what the controller takes;
-  // then releases the deferred batches the horizon has passed, or skips
-  // them all once the cell is done.
+  // Marks trial k done and accepts the cell's finished trials in trial
+  // order through its controller, journaling each one it takes; then
+  // releases the deferred trials the horizon has passed, or skips them all
+  // once the cell is done.
   const auto finish = [&](int cell, int k) {
     const ExecCell& exec = cells[static_cast<std::size_t>(cell)];
     CellTrials& trials = *exec.trials;
     CellSchedule& sched = schedule[static_cast<std::size_t>(cell)];
     CellController& controller = trials.controller;
-    const int budget = controller.config().max_trials;
     std::unique_lock<std::mutex> lock(sched.mu);
-    sched.state[static_cast<std::size_t>(k)] = BatchState::kDone;
+    sched.state[static_cast<std::size_t>(k)] = TrialState::kDone;
     bool finished = false;
-    while (sched.accepted < sched.batches &&
-           sched.state[static_cast<std::size_t>(sched.accepted)] == BatchState::kDone) {
+    while (sched.accepted < sched.count &&
+           sched.state[static_cast<std::size_t>(sched.accepted)] == TrialState::kDone) {
       if (!controller.done()) {
-        const int base = sched.first + sched.accepted * batch;
-        const int end = std::min(base + batch, budget);
-        sched.journal_batch.clear();
-        for (int t = base; t < end && !controller.done(); ++t) {
-          const harness::TrialOutcome& out = trials.outcomes[static_cast<std::size_t>(t)];
-          controller.Record(out.success);
-          if (options.journal != nullptr) {
-            sched.journal_batch.push_back(ToRecord(out, exec.series, exec.rate, t));
-          }
-        }
+        const int t = sched.first + sched.accepted;
+        const harness::TrialOutcome& out = trials.outcomes[static_cast<std::size_t>(t)];
+        controller.Record(out.success);
         if (options.journal != nullptr) {
-          options.journal->Append(sched.journal_batch.data(), sched.journal_batch.size());
+          const TrialRecord record = ToRecord(out, exec.series, exec.rate, t);
+          options.journal->Append(&record, 1);
         }
         finished = controller.done();
       }
       ++sched.accepted;
     }
-    // Deferred batches resolved here: released onto the ready queue while
+    // Deferred trials resolved here: released onto the ready queue while
     // the cell runs on, all skipped once it is done.
     int resolved = 0;
     std::unique_lock<std::mutex> ready_lock(ready_mu, std::defer_lock);
     if (finished) {
       if (options.count_cells) CountFinishedCell(controller, sched.first);
-      for (BatchState& state : sched.state) {
-        if (state != BatchState::kDeferred) continue;
-        state = BatchState::kDone;
+      for (TrialState& state : sched.state) {
+        if (state != TrialState::kDeferred) continue;
+        state = TrialState::kDone;
         ++resolved;
       }
     } else if (!controller.done()) {
       const int old = release(cell);
       const int now = sched.released.load(std::memory_order_relaxed);
       for (int j = old; j < now; ++j) {
-        BatchState& state = sched.state[static_cast<std::size_t>(j)];
-        if (state != BatchState::kDeferred) continue;
-        state = BatchState::kOpen;
+        TrialState& state = sched.state[static_cast<std::size_t>(j)];
+        if (state != TrialState::kDeferred) continue;
+        state = TrialState::kOpen;
         if (!ready_lock.owns_lock()) ready_lock.lock();
         ready.emplace_back(cell, j);
         ready_size.fetch_add(1, std::memory_order_release);
@@ -321,11 +291,11 @@ void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options
     ready_cv.notify_all();
   };
 
-  // The next batch this worker runs, or false when there is none left:
-  // released batches first, then fresh claims (deferring the ones above
-  // their cell's horizon), then a wait for releases while batches are
-  // still deferred.
-  const auto next_batch = [&](int* cell, int* k) {
+  // The next trial this worker runs, or false when there is none left:
+  // released trials first, then fresh claims (deferring the ones above
+  // their cell's horizon), then a wait for releases while trials are still
+  // deferred.
+  const auto next_trial = [&](int* cell, int* k) {
     // Called with ready_mu held.
     const auto pop_ready = [&] {
       if (ready.empty()) return false;
@@ -344,12 +314,12 @@ void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options
         *cell = unit % cell_count;
         *k = unit / cell_count;
         CellSchedule& sched = schedule[static_cast<std::size_t>(*cell)];
-        if (*k >= sched.batches) continue;  // done on entry, or past the cap
+        if (*k >= sched.count) continue;  // done on entry, or past the cap
         if (*k < sched.released.load(std::memory_order_acquire)) return true;
         std::lock_guard<std::mutex> lock(sched.mu);
         if (*k < sched.released.load(std::memory_order_relaxed)) return true;
         if (cells[static_cast<std::size_t>(*cell)].trials->controller.done()) continue;
-        sched.state[static_cast<std::size_t>(*k)] = BatchState::kDeferred;
+        sched.state[static_cast<std::size_t>(*k)] = TrialState::kDeferred;
         std::lock_guard<std::mutex> ready_lock(ready_mu);
         ++deferred;
         continue;
@@ -360,23 +330,35 @@ void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options
     }
   };
 
-  const int workers = std::min(harness::ResolveThreadCount(options.threads), units);
-  harness::ParallelFor(workers, workers, [&](int) {
+  const auto work = [&] {
     try {
       int cell = 0, k = 0;
-      while (next_batch(&cell, &k)) {
-        run_batch(cell, k);
+      while (next_trial(&cell, &k)) {
+        run_trial(cell, k);
         finish(cell, k);
       }
     } catch (...) {
-      // A failed batch is never accepted, so the batches deferred behind it
+      // A failed trial is never accepted, so the trials deferred behind it
       // would wait forever: wake every waiting worker and stop.
       std::lock_guard<std::mutex> ready_lock(ready_mu);
       if (!first_error) first_error = std::current_exception();
       failed = true;
       ready_cv.notify_all();
     }
-  });
+  };
+  const int workers = std::min(harness::ResolveThreadCount(options.threads), units);
+  if (workers <= 1) {
+    work();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) pool.emplace_back(work);
+    // The calling thread parks here while the workers run; the attribution
+    // ledger books it as pool.wait, so a parent span's self time is its
+    // own machinery, not the wait.
+    telemetry::SpanScope wait_span("pool.wait");
+    for (std::thread& worker : pool) worker.join();
+  }
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -509,7 +491,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
   }
   ExecOptions exec_options;
   exec_options.threads = options.threads;
-  exec_options.batch = spec.batch;
   exec_options.journal = journal.get();
   exec_options.count_cells = true;
   ExecuteCells(exec, exec_options);

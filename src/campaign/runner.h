@@ -1,27 +1,26 @@
 // Campaign execution: the one trial executor behind every figure bench, the
 // campaign CLI, the result store and the query service's fresh trials.
 //
-// The parallel unit is a (cell, batch) pair — one cell is one (series,
-// fault rate) point, one batch is spec.batch consecutive trials of it.
-// Units are claimed in batch-major order, so one cell's trials run on
-// several workers and a transition cell does not pin one worker while the
-// rest idle.  Whether a batch runs is decided so the set of *executed*
-// trials is the serial schedule's (each cell runs batch after batch until
-// its stopping rule fires) for every thread count:
-//   - a batch is *certain* when its first trial is below the cell's certain
-//     horizon (CellController::CertainHorizon, campaign/adaptive.h): the
-//     stopping rule cannot fire before it whatever the outcomes still in
-//     flight are, so it runs as soon as it is claimed.  In a fixed-budget
-//     campaign every batch is certain.
-//   - any other batch waits, without holding a worker, until accepted
+// The parallel unit is a (cell, trial) pair — one cell is one (series,
+// fault rate) point.  Units are claimed in trial-major order, so one
+// cell's trials run on several workers and a transition cell does not pin
+// one worker while the rest idle.  Whether a trial runs is decided so the
+// set of *executed* trials is the serial schedule's (each cell runs trial
+// after trial until its stopping rule fires) for every thread count:
+//   - a trial is *certain* when it is below the cell's certain horizon
+//     (CellController::CertainHorizon, campaign/adaptive.h): the stopping
+//     rule cannot fire before it whatever the outcomes still in flight
+//     are, so it runs as soon as it is claimed.  In a fixed-budget
+//     campaign every trial is certain.
+//   - any other trial waits, without holding a worker, until accepted
 //     outcomes move the horizon past it, and is skipped if the cell stops
 //     first.
-// Finished batches are accepted strictly in trial order under a per-cell
-// lock through the cell's sequential controller, and the journal
-// (campaign/checkpoint.h) is appended under the same lock, so each cell's
-// records stay in trial order.  The final reduction runs serially in cell
-// order — so campaign output is byte-identical for every thread count,
-// batch size, and kill/resume schedule, and so are the work counters
+// Finished trials are accepted strictly in trial order under a per-cell
+// lock through the cell's sequential controller, and each accepted trial
+// is appended to the journal (campaign/checkpoint.h) under the same lock,
+// so each cell's records stay in trial order.  The final reduction runs
+// serially in cell order — so campaign output is byte-identical for every
+// thread count and kill/resume schedule, and so are the work counters
 // (injector ops and faults, solver iterations).
 #pragma once
 
@@ -76,15 +75,15 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
                            const RunnerOptions& options);
 
 // Runs the fresh trials of one cell (series, rate) of `spec` through the
-// same executor: `prefix` (the cell's stored records, sorted by trial index
-// from 0) is replayed through a controller under `config`, and trials
-// continue from where it stops until the controller is done.  Returns the
-// fresh records, trials prefix-size onward in trial order — empty when the
-// rule already fires inside the prefix.  Batches are one trial, so no trial
-// runs that the serial loop (run trial next_trial() until done) would not:
-// the fresh records, and the injector and solver counters, are the same
-// at every thread count (`threads` as in RunnerOptions).  Books no
-// campaign.* counters and no progress.
+// same executor: `prefix` (the cell's stored records, a contiguous trial
+// prefix from 0 as NormalizeRecords leaves it) is replayed through a
+// controller under `config`, and trials continue from where it stops until
+// the controller is done.  Returns the fresh records, trials prefix-size
+// onward in trial order — empty when the rule already fires inside the
+// prefix.  No trial runs that the serial loop (run trial next_trial() until
+// done) would not: the fresh records, and the injector and solver
+// counters, are the same at every thread count (`threads` as in
+// RunnerOptions).  Books no campaign.* counters and no progress.
 std::vector<TrialRecord> ExtendCell(const CampaignSpec& spec, const Scenario& scenario,
                                     int series, int rate,
                                     const std::vector<TrialRecord>& prefix,
@@ -101,8 +100,10 @@ TrialRecord ToRecord(const harness::TrialOutcome& out, int series, int rate,
 
 // Reduces already-recorded trials (a merged store's records, a journal) to
 // a CampaignResult without running anything: per cell, the contiguous
-// trial-index prefix is replayed through the stopping rule — exactly the
-// resume path — and the reduction runs serially in cell order.  Records
+// trial-index prefix (NormalizeRecords, campaign/checkpoint.h: the first
+// copy of a repeated trial wins, as in the store) is replayed through the
+// stopping rule — exactly the resume path — and the reduction runs
+// serially in cell order.  Records
 // beyond a cell's deterministic stopping point are ignored (a store cell
 // extended by a tighter-CI query still reduces to the campaign's own
 // answer), so a store merged from N complete shard runs reduces to a CSV

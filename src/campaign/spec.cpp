@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 namespace robustify::campaign {
 
@@ -21,59 +22,17 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-// Line 0 is text from outside a spec file (ParseRateAxis).
 [[noreturn]] void Fail(int line, const std::string& what) {
-  if (line == 0) throw std::runtime_error(what);
   throw std::runtime_error("spec line " + std::to_string(line) + ": " + what);
 }
 
-// Spec keys report the line the bad integer sits on.
-int ParseIntAt(int line, const std::string& key, const std::string& value) {
-  try {
-    return ParseInt(key, value);
-  } catch (const std::runtime_error& e) {
-    Fail(line, e.what());
-  }
-}
-
-std::uint64_t ParseU64At(int line, const std::string& key, const std::string& value) {
-  try {
-    return ParseU64(key, value);
-  } catch (const std::runtime_error& e) {
-    Fail(line, e.what());
-  }
-}
-
-double ParseDouble(int line, const std::string& key, const std::string& value) {
+double ParseDouble(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
   if (end == value.c_str() || *end != '\0') {
-    Fail(line, "malformed number for '" + key + "': " + value);
+    throw std::runtime_error("malformed number for '" + key + "': " + value);
   }
   return parsed;
-}
-
-std::vector<double> ParseRateList(int line, const std::string& value) {
-  std::vector<double> rates;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    const std::size_t comma = value.find(',', pos);
-    const std::string item =
-        Trim(comma == std::string::npos ? value.substr(pos)
-                                        : value.substr(pos, comma - pos));
-    if (item.empty()) Fail(line, "empty entry in rates list");
-    const double rate = ParseDouble(line, "rates", item);
-    // A fault rate is a per-op probability: the injector cannot scale NaN
-    // to its threshold, and would silently clamp the rest to 0 or 1.
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      Fail(line, "fault rate outside [0, 1] in rates list: " + item);
-    }
-    rates.push_back(rate);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (rates.empty()) Fail(line, "rates list is empty");
-  return rates;
 }
 
 const char* BitModelName(faulty::BitModel model) {
@@ -86,12 +45,13 @@ const char* BitModelName(faulty::BitModel model) {
   return "bimodal";
 }
 
-faulty::BitModel ParseBitModel(int line, const std::string& value) {
+faulty::BitModel ParseBitModel(const std::string& value) {
   if (value == "bimodal") return faulty::BitModel::kBimodal;
   if (value == "uniform") return faulty::BitModel::kUniform;
   if (value == "msb") return faulty::BitModel::kMsbOnly;
   if (value == "lsb") return faulty::BitModel::kLsbOnly;
-  Fail(line, "unknown bit_model '" + value + "' (bimodal|uniform|msb|lsb)");
+  throw std::runtime_error("unknown bit_model '" + value +
+                           "' (bimodal|uniform|msb|lsb)");
 }
 
 // Shortest-round-trip formatting for the rate axis: %.17g always round-trips
@@ -104,103 +64,68 @@ std::string FormatRate(double rate) {
 
 }  // namespace
 
-CampaignSpec ParseSpec(std::istream& is) {
-  CampaignSpec spec;
-  spec.fault_rates.clear();
-  bool saw_rates = false;
-  std::set<std::string> seen;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    line = Trim(line);
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) Fail(line_no, "expected 'key = value': " + line);
-    const std::string key = Trim(line.substr(0, eq));
-    const std::string value = Trim(line.substr(eq + 1));
-    if (value.empty()) Fail(line_no, "empty value for '" + key + "'");
-    // Last-wins would let a stray line silently override a spec; only the
-    // series list is built from repeated lines.
-    if (key != "series" && !seen.insert(key).second) {
-      Fail(line_no, "duplicate key '" + key + "'");
+bool ApplySpecKey(CampaignSpec* spec, const std::string& key, const std::string& value) {
+  if (key == "name") {
+    spec->name = value;
+  } else if (key == "app") {
+    spec->app = value;
+  } else if (key == "series") {
+    spec->series.push_back(value);
+  } else if (key == "rates") {
+    spec->fault_rates = ParseRateAxis(value);
+  } else if (key == "trials") {
+    spec->fixed_trials = ParseInt(key, value);
+  } else if (key == "budget") {
+    spec->max_trials = ParseInt(key, value);
+  } else if (key == "min_trials") {
+    spec->min_trials = ParseInt(key, value);
+  } else if (key == "ci") {
+    spec->ci_half_width = ParseDouble(key, value);
+  } else if (key == "seed") {
+    spec->base_seed = ParseU64(key, value);
+  } else if (key == "bit_model") {
+    spec->bit_model = ParseBitModel(value);
+  } else if (key == "shard") {
+    std::tie(spec->shard_index, spec->shard_count) = ParseShard(value);
+  } else if (key == "model") {
+    const std::optional<faulty::Temporal> temporal = faulty::ParseTemporal(value);
+    if (!temporal) {
+      throw std::runtime_error("unknown model '" + value +
+                               "' (transient|stuck|burst|intermittent)");
     }
-    if (key == "name") {
-      spec.name = value;
-    } else if (key == "app") {
-      spec.app = value;
-    } else if (key == "series") {
-      spec.series.push_back(value);
-    } else if (key == "rates") {
-      spec.fault_rates = ParseRateList(line_no, value);
-      saw_rates = true;
-    } else if (key == "trials") {
-      spec.fixed_trials = ParseIntAt(line_no, key, value);
-    } else if (key == "budget") {
-      spec.max_trials = ParseIntAt(line_no, key, value);
-    } else if (key == "min_trials") {
-      spec.min_trials = ParseIntAt(line_no, key, value);
-    } else if (key == "batch") {
-      spec.batch = ParseIntAt(line_no, key, value);
-    } else if (key == "ci") {
-      spec.ci_half_width = ParseDouble(line_no, key, value);
-    } else if (key == "seed") {
-      spec.base_seed = ParseU64At(line_no, key, value);
-    } else if (key == "bit_model") {
-      spec.bit_model = ParseBitModel(line_no, value);
-    } else if (key == "shard") {
-      try {
-        const std::pair<int, int> shard = ParseShard(value);
-        spec.shard_index = shard.first;
-        spec.shard_count = shard.second;
-      } catch (const std::runtime_error& e) {
-        Fail(line_no, e.what());
-      }
-    } else if (key == "model") {
-      const std::optional<faulty::Temporal> temporal = faulty::ParseTemporal(value);
-      if (!temporal) {
-        Fail(line_no, "unknown model '" + value +
-                          "' (transient|stuck|burst|intermittent)");
-      }
-      spec.model.temporal = *temporal;
-    } else if (key == "op_classes") {
-      try {
-        spec.model.op_classes = faulty::ParseOpClasses(value);
-      } catch (const std::runtime_error& e) {
-        Fail(line_no, e.what());
-      }
-    } else if (key == "stuck_mean") {
-      spec.model.stuck_mean_ops = ParseDouble(line_no, key, value);
-    } else if (key == "burst_width") {
-      spec.model.burst_width_max = ParseIntAt(line_no, key, value);
-    } else if (key == "window_mean") {
-      spec.model.window_mean_ops = ParseDouble(line_no, key, value);
-    } else if (key == "window_rate") {
-      spec.model.window_rate = ParseDouble(line_no, key, value);
-    } else if (key == "guard_flops") {
-      spec.guard.max_flops = ParseU64At(line_no, key, value);
-    } else if (key == "guard_iters") {
-      spec.guard.max_iterations = ParseIntAt(line_no, key, value);
-    } else if (key == "guard_bailout") {
-      if (value == "1" || value == "true") {
-        spec.guard.nonfinite_bailout = true;
-      } else if (value == "0" || value == "false") {
-        spec.guard.nonfinite_bailout = false;
-      } else {
-        Fail(line_no, "guard_bailout must be 0|1|true|false, got '" + value + "'");
-      }
+    spec->model.temporal = *temporal;
+  } else if (key == "op_classes") {
+    spec->model.op_classes = faulty::ParseOpClasses(value);
+  } else if (key == "stuck_mean") {
+    spec->model.stuck_mean_ops = ParseDouble(key, value);
+  } else if (key == "burst_width") {
+    spec->model.burst_width_max = ParseInt(key, value);
+  } else if (key == "window_mean") {
+    spec->model.window_mean_ops = ParseDouble(key, value);
+  } else if (key == "window_rate") {
+    spec->model.window_rate = ParseDouble(key, value);
+  } else if (key == "guard_flops") {
+    spec->guard.max_flops = ParseU64(key, value);
+  } else if (key == "guard_iters") {
+    spec->guard.max_iterations = ParseInt(key, value);
+  } else if (key == "guard_bailout") {
+    if (value == "1" || value == "true") {
+      spec->guard.nonfinite_bailout = true;
+    } else if (value == "0" || value == "false") {
+      spec->guard.nonfinite_bailout = false;
     } else {
-      Fail(line_no, "unknown key '" + key + "'");
+      throw std::runtime_error("guard_bailout must be 0|1|true|false, got '" + value +
+                               "'");
     }
+  } else {
+    return false;
   }
-  if (spec.app.empty()) throw std::runtime_error("spec: missing required key 'app'");
-  if (!saw_rates) throw std::runtime_error("spec: missing required key 'rates'");
-  if (spec.name.empty()) spec.name = spec.app;
-  if (spec.fixed_trials < 1 || spec.max_trials < 1 || spec.min_trials < 1 ||
-      spec.batch < 1) {
-    throw std::runtime_error("spec: trials/budget/min_trials/batch must be >= 1");
+  return true;
+}
+
+void ValidateSpec(const CampaignSpec& spec) {
+  if (spec.fixed_trials < 1 || spec.max_trials < 1 || spec.min_trials < 1) {
+    throw std::runtime_error("spec: trials/budget/min_trials must be >= 1");
   }
   if (spec.min_trials > spec.max_trials) {
     throw std::runtime_error("spec: min_trials exceeds budget");
@@ -223,6 +148,48 @@ CampaignSpec ParseSpec(std::istream& is) {
   if (spec.guard.max_iterations < 0) {
     throw std::runtime_error("spec: guard_iters must be >= 0");
   }
+}
+
+CampaignSpec ParseSpec(std::istream& is) {
+  CampaignSpec spec;
+  std::set<std::string> seen;
+  std::string line;
+  int line_no = 0;
+  while (std::getline(is, line)) {
+    ++line_no;
+    const std::size_t hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    line = Trim(line);
+    if (line.empty()) continue;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) Fail(line_no, "expected 'key = value': " + line);
+    const std::string key = Trim(line.substr(0, eq));
+    const std::string value = Trim(line.substr(eq + 1));
+    if (value.empty()) Fail(line_no, "empty value for '" + key + "'");
+    // Last-wins would let a stray line silently override a spec; only the
+    // series list is built from repeated lines.
+    if (key != "series" && !seen.insert(key).second) {
+      Fail(line_no, "duplicate key '" + key + "'");
+    }
+    // The one value the retired batch knob may still carry (spec.h).
+    if (key == "batch") {
+      if (value != "1") {
+        Fail(line_no, "batch must be 1 (trials run one at a time), got '" + value + "'");
+      }
+      continue;
+    }
+    bool known = false;
+    try {
+      known = ApplySpecKey(&spec, key, value);
+    } catch (const std::runtime_error& e) {
+      Fail(line_no, e.what());
+    }
+    if (!known) Fail(line_no, "unknown key '" + key + "'");
+  }
+  if (spec.app.empty()) throw std::runtime_error("spec: missing required key 'app'");
+  if (!seen.count("rates")) throw std::runtime_error("spec: missing required key 'rates'");
+  if (spec.name.empty()) spec.name = spec.app;
+  ValidateSpec(spec);
   return spec;
 }
 
@@ -233,7 +200,25 @@ CampaignSpec ParseSpecFile(const std::string& path) {
 }
 
 std::vector<double> ParseRateAxis(const std::string& text) {
-  return ParseRateList(0, text);
+  std::vector<double> rates;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t comma = text.find(',', pos);
+    const std::string item =
+        Trim(comma == std::string::npos ? text.substr(pos)
+                                        : text.substr(pos, comma - pos));
+    if (item.empty()) throw std::runtime_error("empty entry in rates list");
+    const double rate = ParseDouble("rates", item);
+    // A fault rate is a per-op probability: the injector cannot scale NaN
+    // to its threshold, and would silently clamp the rest to 0 or 1.
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      throw std::runtime_error("fault rate outside [0, 1] in rates list: " + item);
+    }
+    rates.push_back(rate);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return rates;
 }
 
 std::pair<int, int> ParseShard(const std::string& text) {
@@ -309,7 +294,7 @@ std::string FormatSpec(const CampaignSpec& spec) {
   os << "trials = " << spec.fixed_trials << "\n";
   os << "budget = " << spec.max_trials << "\n";
   os << "min_trials = " << spec.min_trials << "\n";
-  os << "batch = " << spec.batch << "\n";
+  os << "batch = 1\n";  // the retired batch knob's only value (spec.h)
   os << "ci = " << FormatRate(spec.ci_half_width) << "\n";
   os << "seed = " << spec.base_seed << "\n";
   os << "bit_model = " << BitModelName(spec.bit_model) << "\n";
@@ -353,11 +338,10 @@ std::string CanonicalSpecText(const CampaignSpec& spec) {
   // Canonical form minus every knob that provably cannot change a journaled
   // outcome: trial t of a cell always runs at seed base_seed + t, so the
   // per-cell outcome *sequence* is a pure function of the scenario, series
-  // subset, rate axis, seed, bit model, fault model, and guard.  Batch size
-  // only schedules speculation, sharding only selects which cells this
-  // process runs, and the trial-allocation knobs (fixed trials, adaptive
-  // budget/floor/ci target) only decide how far along each cell's sequence
-  // sampling stops — every run of the campaign journals a *prefix* of the
+  // subset, rate axis, seed, bit model, fault model, and guard.  Sharding
+  // only selects which cells this process runs, and the trial-allocation
+  // knobs (fixed trials, adaptive budget/floor/ci target) only decide how
+  // far along each cell's sequence sampling stops — every run of the campaign journals a *prefix* of the
   // same sequences.  Hashing any of them would make resume reject journals
   // it could continue byte-identically, keep one campaign's shard journals
   // from merging into one store key, and fragment the result store into a
@@ -365,7 +349,6 @@ std::string CanonicalSpecText(const CampaignSpec& spec) {
   // serve at any requested ci.
   CampaignSpec canonical = spec;
   const CampaignSpec defaults;
-  canonical.batch = defaults.batch;
   canonical.shard_index = defaults.shard_index;
   canonical.shard_count = defaults.shard_count;
   canonical.fixed_trials = defaults.fixed_trials;

@@ -38,21 +38,13 @@ struct CampaignSpec {
   int fixed_trials = 10;
 
   // Adaptive mode: per-cell budget cap, floor before the stopping rule may
-  // fire, trials per batch (the runner's unit of work, see
-  // campaign/runner.h), and the target Wilson 95% half-width on the success
-  // fraction.  The stopping point of a cell is a pure function of its
-  // outcome sequence in trial order — never of batch size or thread count
-  // (campaign/adaptive.h).  Batch size is not what parallelizes a cell:
-  // every trial below the cell's certain horizon runs as soon as a worker
-  // claims it, at batch=1 too.  batch > 1 runs speculative trials that are
-  // discarded if the rule fires mid-batch (deterministic, but wasted wall
-  // time — a cell settling at 9 executes 16 under batch=8), so batch=1 is
-  // the default and larger batches exist for coarser journal flushing and
-  // the batch-invariance tests.  The query service's fresh trials always
-  // run at batch=1 (campaign::ExtendCell).
+  // fire, and the target Wilson 95% half-width on the success fraction.
+  // The stopping point of a cell is a pure function of its outcome sequence
+  // in trial order — never of thread count (campaign/adaptive.h).  The
+  // runner claims one trial at a time and runs every trial below the cell's
+  // certain horizon as soon as a worker claims it (campaign/runner.h).
   int max_trials = 100;
   int min_trials = 4;
-  int batch = 1;
   double ci_half_width = 0.15;
 
   std::uint64_t base_seed = 1;
@@ -63,8 +55,8 @@ struct CampaignSpec {
   // independent (per-cell seeding), so N shard runs of the same spec
   // produce, cell for cell, exactly the records one unsharded run would —
   // their journals merge into the result store (store/result_store.h) and
-  // reduce to a byte-identical CSV.  Like batch, sharding schedules work
-  // without changing any accepted tally, so it is canonicalized away by
+  // reduce to a byte-identical CSV.  Sharding schedules work without
+  // changing any accepted tally, so it is canonicalized away by
   // SpecFingerprint: every shard of a campaign shares one fingerprint.
   int shard_index = 0;
   int shard_count = 1;
@@ -91,26 +83,42 @@ struct CampaignSpec {
 // may repeat, one series name per line (names contain commas, e.g.
 // "SGD+AS,LS", so no list syntax).  Keys:
 //   name, app, rates (comma-separated), trials (fixed budget),
-//   budget (adaptive cap), min_trials, batch, ci (half-width fraction),
+//   budget (adaptive cap), min_trials, ci (half-width fraction),
 //   seed, bit_model (bimodal|uniform|msb|lsb), series, shard (i/N),
 //   model (transient|stuck|burst|intermittent),
 //   op_classes (comma-joined arith|cmp|mem subset),
 //   stuck_mean / burst_width / window_mean / window_rate (model params),
 //   guard_flops / guard_iters (budget caps), guard_bailout (0|1).
+// Every key but name, app and bit_model is also a robustify_cli flag,
+// spelled --a-b=v for key a_b (--guard-bailout alone sets guard_bailout =
+// 1), and goes through the same ApplySpecKey and ValidateSpec.
 // FormatSpec emits the model/guard keys only when they differ from the
-// defaults, so fingerprints of pre-model specs are unchanged.
+// defaults, so fingerprints of pre-model specs are unchanged.  It also
+// writes a literal `batch = 1` line: specs once carried a trials-per-work-
+// unit knob, and the line keeps every fingerprint and stored spec.txt as
+// it was.  ParseSpec accepts `batch = 1` and refuses any other value.
+
+// Sets the field `key` names from its text `value`.  Returns false when
+// `key` is not a spec key; throws std::runtime_error (naming the key) on a
+// malformed value.  `series` appends.  Checks that span fields are
+// ValidateSpec's.
+bool ApplySpecKey(CampaignSpec* spec, const std::string& key, const std::string& value);
+
+// Throws std::runtime_error when a field is out of range: a trial count
+// below 1, min_trials above budget, ci <= 0, a model parameter outside its
+// domain, or guard_iters < 0.
+void ValidateSpec(const CampaignSpec& spec);
 
 // Throws std::runtime_error with a line-numbered message on malformed input.
 CampaignSpec ParseSpec(std::istream& is);
 CampaignSpec ParseSpecFile(const std::string& path);
 
-// The rate-axis list parser the spec format uses ("0, 1e-4, 0.25"); shared
-// with the CLI's --rates flag so the two surfaces cannot drift.  Throws std::runtime_error on malformed or empty input and
-// on a rate outside [0, 1] (NaN included).
+// The rate-axis list parser behind the `rates` key ("0, 1e-4, 0.25").
+// Throws std::runtime_error on malformed or empty input and on a rate
+// outside [0, 1] (NaN included).
 std::vector<double> ParseRateAxis(const std::string& text);
 
-// The "i/N" shard selector parser, shared between the spec format's `shard`
-// key and the CLI's --shard flag.  Throws std::runtime_error on malformed
+// The "i/N" shard selector parser behind the `shard` key.  Throws std::runtime_error on malformed
 // input, N == 0, or i >= N — a shard that silently owned zero cells would
 // look like a completed (empty) campaign.
 std::pair<int, int> ParseShard(const std::string& text);
@@ -128,8 +136,8 @@ std::uint64_t ParseU64(const std::string& key, const std::string& text);
 // Canonical round-trip text form (ParseSpec(FormatSpec(s)) == s).
 std::string FormatSpec(const CampaignSpec& spec);
 
-// FormatSpec with the scheduling and trial-allocation knobs (batch, shard,
-// fixed trials, adaptive budget/floor/ci target) reset to their defaults:
+// FormatSpec with the scheduling and trial-allocation knobs (shard, fixed
+// trials, adaptive budget/floor/ci target) reset to their defaults:
 // the text whose FNV hash is the fingerprint, and the spec.txt a result
 // store directory carries so its key is self-describing.
 std::string CanonicalSpecText(const CampaignSpec& spec);
@@ -139,7 +147,7 @@ std::string CanonicalSpecText(const CampaignSpec& spec);
 // incompatible tallies.  The fingerprint identifies the campaign's
 // deterministic per-cell outcome *sequences* (scenario, series, rates,
 // seed, bit model, fault model, guard) — not how far they were sampled:
-// batch, shard, and the trial-allocation knobs are canonicalized away, so
+// shard and the trial-allocation knobs are canonicalized away, so
 // shard journals merge under one store key and the query service can
 // extend a stored cell at any requested precision.
 std::uint64_t SpecFingerprint(const CampaignSpec& spec);

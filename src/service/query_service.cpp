@@ -419,6 +419,12 @@ bool QueryService::ParseQueryJson(const std::string& line, Query* query,
     *error = "expected ',' or '}'";
     return false;
   }
+  ++i;
+  SkipWs(line, i);
+  if (i < line.size()) {
+    *error = "unexpected text after the query object";
+    return false;
+  }
   if (query->cmd.empty() && (!have_app || !have_series || !have_rate)) {
     *error = "query needs \"app\", \"series\", and \"rate\"";
     return false;

@@ -23,43 +23,10 @@ using campaign::CampaignJournal;
 using campaign::CampaignSpec;
 using campaign::TrialRecord;
 
-using CellKey = std::pair<int, int>;  // (series, rate)
-
 std::string FingerprintHex(std::uint64_t fingerprint) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, fingerprint);
   return std::string(buf);
-}
-
-// Buckets records per cell and normalizes each bucket to the contiguous
-// trial-index prefix from 0 — the only shape a valid journal can produce,
-// and the shape the prefix-wins merge below relies on.  The sort is stable
-// and the first of equal trial indices is kept, so a repeated line neither
-// truncates the cell nor overrides the record written first.  std::map keys
-// give deterministic (series, rate) iteration order for the rewrite.
-std::map<CellKey, std::vector<TrialRecord>> Normalize(
-    const std::vector<TrialRecord>& records) {
-  std::map<CellKey, std::vector<TrialRecord>> cells;
-  for (const TrialRecord& r : records) {
-    if (r.series < 0 || r.rate < 0 || r.trial < 0) continue;
-    cells[{r.series, r.rate}].push_back(r);
-  }
-  for (auto& [key, bucket] : cells) {
-    std::stable_sort(bucket.begin(), bucket.end(),
-                     [](const TrialRecord& a, const TrialRecord& b) {
-                       return a.trial < b.trial;
-                     });
-    std::size_t keep = 0;
-    for (const TrialRecord& r : bucket) {
-      if (r.trial == static_cast<int>(keep)) {
-        bucket[keep++] = r;
-      } else if (r.trial > static_cast<int>(keep)) {
-        break;  // a gap ends the prefix
-      }         // else a duplicate of a kept trial index
-    }
-    bucket.resize(keep);
-  }
-  return cells;
 }
 
 // Records at the start of `records` in strictly increasing (series, rate,
@@ -132,7 +99,7 @@ const ResultStore::Entry* ResultStore::Resident(std::uint64_t fingerprint) const
   entry.clean_tail = loaded.clean_tail;
   entry.head = SortedHeadLength(loaded.records);
   entry.appended = static_cast<long>(loaded.records.size()) - entry.head;
-  for (auto& [cell_key, bucket] : Normalize(loaded.records)) {
+  for (auto& [cell_key, bucket] : campaign::NormalizeRecords(loaded.records)) {
     StoredCell& cell = entry.cells[cell_key];
     cell.successes = static_cast<int>(
         std::count_if(bucket.begin(), bucket.end(),
@@ -203,7 +170,7 @@ ResultStore::IngestStats ResultStore::Ingest(
   // is "append the tail".
   IngestStats stats;
   std::vector<TrialRecord> delta;
-  for (const auto& [key, bucket] : Normalize(records)) {
+  for (const auto& [key, bucket] : campaign::NormalizeRecords(records)) {
     std::size_t have = 0;
     if (stored != nullptr) {
       const auto it = stored->cells.find(key);

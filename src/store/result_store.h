@@ -8,9 +8,9 @@
 // self-describing.  A journal is a *sorted head* — records in (series, rate,
 // trial) order, each cell a contiguous trial-index prefix from 0 — followed
 // by zero or more *appended deltas*: the records a write-back added past
-// each cell's stored prefix.  Readers normalize (stable sort per cell, first
-// of equal trial indices, contiguous prefix from 0), so the head/delta split
-// never shows in what Load() returns.
+// each cell's stored prefix.  Readers normalize (campaign::NormalizeRecords:
+// stable sort per cell, first of equal trial indices, contiguous prefix from
+// 0), so the head/delta split never shows in what Load() returns.
 //
 // Merge.  Content addressing is what makes merging trivial: per-cell seeding
 // makes a cell's outcome sequence a pure function of the canonical spec, so

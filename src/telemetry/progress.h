@@ -7,7 +7,7 @@
 //   [progress] campaign: 12/35 cells, 480 trials, 123.4 trials/s, ETA 8.2s
 //
 // Units are campaign cells, each reported when its stopping rule fires
-// (however many (cell, batch) work units it took); the ETA comes from an
+// (however many (cell, trial) work units it took); the ETA comes from an
 // EWMA of per-unit completion intervals, so wildly unequal adaptive cells
 // converge onto a usable estimate instead of whipsawing on each cheap
 // saturated cell.  Heartbeats go only to stderr and never touch results,

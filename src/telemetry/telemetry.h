@@ -6,8 +6,8 @@
 // ping-pong, no allocation (shards are constant-initialized thread_local
 // objects, registered on their thread's first count).  SnapshotCounters()
 // merges the live shards with the folded totals of threads that have
-// already exited (ParallelFor starts and joins its workers per call, so
-// most shards retire quickly).
+// already exited (the campaign runner starts and joins its workers per
+// call, so most shards retire quickly).
 //
 // Determinism contract: telemetry observes, it never participates.  No
 // counter or histogram touches the simulation RNG, reorders a fault
@@ -58,7 +58,7 @@ enum class Counter : int {
   kCampaignCellsSettled, // of those, stopped by the CI rule within budget
   kCampaignTrials,       // accepted campaign trials
   kCampaignTrialsResumed,// of those, replayed from a checkpoint journal
-  kCheckpointFlushes,    // journal batch appends (one locked write each)
+  kCheckpointFlushes,    // journal appends (one locked write each)
   kCheckpointRecords,    // trial records journaled
   kInjectorFaultsArith,  // corrupted arithmetic results (per op class)
   kInjectorFaultsCompare,// inverted comparison predicates

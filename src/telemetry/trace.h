@@ -5,13 +5,13 @@
 // Perfetto.  The span hierarchy mirrors the execution layers:
 //
 //   campaign            one RunCampaign invocation
-//     cell              one (cell, batch) unit: a batch of one (series,
-//                       fault-rate) cell's trials
+//     cell              one (cell, trial) unit: one trial of one
+//                       (series, fault-rate) cell
 //       trial           one RunSingleTrial
 //         solve.sgd     one MinimizeSgd descent
 //           phase       one phase-schedule segment
 //         solve.cgls    one restarted-CGLS solve
-//       checkpoint.flush one journal batch append
+//       checkpoint.flush one journal append
 //
 // plus sampled "fault" instant events: every Nth injected fault per thread
 // (a deterministic modulo counter — telemetry consumes NO simulation RNG,

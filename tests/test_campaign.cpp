@@ -1,6 +1,6 @@
 // Campaign subsystem: spec parsing/registry, the Wilson stopping rule, the
-// adaptive runner's determinism contract (thread-count, batch-size, and
-// kill/resume invariance, byte-for-byte), and the golden adaptive-vs-fixed
+// adaptive runner's determinism contract (thread-count and kill/resume
+// invariance, byte-for-byte), and the golden adaptive-vs-fixed
 // comparison on the real figure scenarios.
 #include <gtest/gtest.h>
 
@@ -43,7 +43,6 @@ campaign::CampaignSpec SampleSpec() {
   spec.fixed_trials = 7;
   spec.max_trials = 40;
   spec.min_trials = 5;
-  spec.batch = 9;
   spec.ci_half_width = 0.08;
   spec.base_seed = 123;
   spec.bit_model = faulty::BitModel::kUniform;
@@ -62,14 +61,66 @@ TEST(CampaignSpec, FormatParseRoundTrip) {
   EXPECT_EQ(campaign::SpecFingerprint(parsed), campaign::SpecFingerprint(spec));
 }
 
-// Batch size schedules speculation only — accepted tallies are invariant
-// to it (CsvByteIdenticalAcrossThreadsAndBatches) — so a journal written
-// under one batch size must resume under another.
+// Specs once carried a batch knob that the fingerprint ignored.  Its line
+// survives as a literal `batch = 1` in FormatSpec, so every fingerprint and
+// stored spec.txt keeps its bytes: a spec with or without the line is the
+// same campaign, and any other batch value is refused, not dropped.
 TEST(CampaignSpec, FingerprintIgnoresBatch) {
-  const campaign::CampaignSpec base = SampleSpec();
-  campaign::CampaignSpec changed = base;
-  changed.batch = base.batch + 7;
-  EXPECT_EQ(campaign::SpecFingerprint(base), campaign::SpecFingerprint(changed));
+  const auto parse = [](const std::string& text) {
+    std::istringstream is(text);
+    return campaign::ParseSpec(is);
+  };
+  const std::string text = campaign::FormatSpec(SampleSpec());
+  ASSERT_NE(text.find("\nbatch = 1\n"), std::string::npos) << text;
+  std::string without = text;
+  without.erase(without.find("batch = 1\n"), 10);
+  EXPECT_EQ(campaign::SpecFingerprint(parse(without)),
+            campaign::SpecFingerprint(parse(text)));
+  EXPECT_EQ(campaign::FormatSpec(parse(without)), text);
+  for (const char* batch : {"0", "3", "x"}) {
+    std::string other = text;
+    other.replace(other.find("batch = 1"), 9, std::string("batch = ") + batch);
+    try {
+      parse(other);
+      ADD_FAILURE() << "batch = " << batch << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("batch must be 1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Spec files and robustify_cli flags share one key table and one check:
+// a value ApplySpecKey takes can still fail ValidateSpec, which ParseSpec
+// and every CLI subcommand run on the finished spec.
+TEST(CampaignSpec, ApplySpecKeyAndValidateSpec) {
+  campaign::CampaignSpec spec = SampleSpec();
+  EXPECT_TRUE(campaign::ApplySpecKey(&spec, "burst_width", "8"));
+  EXPECT_EQ(spec.model.burst_width_max, 8);
+  EXPECT_TRUE(campaign::ApplySpecKey(&spec, "series", "Extra"));
+  EXPECT_EQ(spec.series.back(), "Extra");
+  EXPECT_TRUE(campaign::ApplySpecKey(&spec, "guard_bailout", "1"));
+  EXPECT_TRUE(spec.guard.nonfinite_bailout);
+  EXPECT_NO_THROW(campaign::ValidateSpec(spec));
+  EXPECT_FALSE(campaign::ApplySpecKey(&spec, "no_such_key", "1"));
+  EXPECT_FALSE(campaign::ApplySpecKey(&spec, "batch", "1"));
+  EXPECT_THROW(campaign::ApplySpecKey(&spec, "seed", "-1"), std::runtime_error);
+  EXPECT_THROW(campaign::ApplySpecKey(&spec, "model", "sticky"), std::runtime_error);
+
+  const auto invalid = [](const char* key, const char* value) {
+    campaign::CampaignSpec changed = SampleSpec();
+    EXPECT_TRUE(campaign::ApplySpecKey(&changed, key, value)) << key;
+    EXPECT_THROW(campaign::ValidateSpec(changed), std::runtime_error)
+        << key << " = " << value;
+  };
+  invalid("burst_width", "100");
+  invalid("window_rate", "2");
+  invalid("guard_iters", "-5");
+  invalid("stuck_mean", "0.5");
+  invalid("window_mean", "0");
+  invalid("ci", "0");
+  invalid("trials", "0");
+  invalid("min_trials", "41");  // above the budget of 40
 }
 
 TEST(CampaignSpec, ParseRateAxisSharedWithCli) {
@@ -413,7 +464,6 @@ campaign::CampaignSpec SyntheticSpec() {
   spec.fixed_trials = 30;
   spec.max_trials = 30;
   spec.min_trials = 4;
-  spec.batch = 8;
   spec.ci_half_width = 0.2;
   spec.base_seed = 977;
   return spec;
@@ -481,30 +531,25 @@ TEST(Campaign, AdaptiveCellsArePrefixesOfTheFixedSweep) {
   EXPECT_LT(adaptive_result.total_trials, full.total_trials);
 }
 
-TEST(Campaign, CsvByteIdenticalAcrossThreadsAndBatches) {
-  campaign::CampaignSpec spec = SyntheticSpec();
+TEST(Campaign, CsvByteIdenticalAcrossThreads) {
+  const campaign::CampaignSpec spec = SyntheticSpec();
   const campaign::Scenario scenario = SyntheticScenario();
 
   campaign::RunnerOptions options;
   options.threads = 1;
-  spec.batch = 8;
   const std::string reference =
       CampaignCsvBytes(campaign::RunCampaign(spec, scenario, options), "ref");
   EXPECT_FALSE(reference.empty());
 
-  for (const int threads : {2, 8}) {
-    for (const int batch : {1, 3, 32}) {
-      options.threads = threads;
-      spec.batch = batch;
-      const std::string got = CampaignCsvBytes(
-          campaign::RunCampaign(spec, scenario, options),
-          "t" + std::to_string(threads) + "b" + std::to_string(batch));
-      EXPECT_EQ(got, reference) << threads << " threads, batch " << batch;
-    }
+  for (const int threads : {2, 3, 8}) {
+    options.threads = threads;
+    const std::string got = CampaignCsvBytes(
+        campaign::RunCampaign(spec, scenario, options), "t" + std::to_string(threads));
+    EXPECT_EQ(got, reference) << threads << " threads";
   }
 }
 
-// The runner claims (cell, batch) units, so one cell's trials spread over
+// The runner claims (cell, trial) units, so one cell's trials spread over
 // several workers: 16 sleeping trials of a single cell at 4 threads must
 // not all land on one thread.
 TEST(Campaign, OneCellRunsOnSeveralWorkers) {
@@ -528,60 +573,51 @@ TEST(Campaign, OneCellRunsOnSeveralWorkers) {
   EXPECT_GT(workers.size(), 1u);
 }
 
-// Speculation is bounded the same way at every thread count: a batch runs
-// early only while its first trial is below the cell's certain horizon,
-// and otherwise only once the horizon passes it, so the number of trials
-// *executed* (accepted or discarded) is the per-cell sequential
-// schedule's — run batch after batch until the stopping rule fires — at 1,
-// 2 and 8 threads.  The tight-ci spec keeps cells open far past
-// min_trials, where the horizon, not the floor, decides what runs early.
+// Speculation is bounded the same way at every thread count: a trial runs
+// early only while it is below the cell's certain horizon, and otherwise
+// only once the horizon passes it, so the trials *executed* are exactly
+// the per-cell sequential schedule's — run trial after trial until the
+// stopping rule fires — at 1, 2 and 8 threads.  The tight-ci spec keeps
+// cells open far past min_trials, where the horizon, not the floor,
+// decides what runs early.
 TEST(Campaign, ExecutedTrialsAreThreadInvariant) {
-  campaign::CampaignSpec wide = SyntheticSpec();
-  wide.batch = 3;
   campaign::CampaignSpec tight = SyntheticSpec();
   tight.max_trials = 120;
   tight.ci_half_width = 0.09;
-  for (const campaign::CampaignSpec& base : {wide, tight}) {
-    for (const int batch : {base.batch, 2}) {
-      campaign::CampaignSpec spec = base;
-      spec.batch = batch;
-      campaign::Scenario scenario = SyntheticScenario();
-      const std::string where =
-          "ci " + std::to_string(spec.ci_half_width) + ", batch " + std::to_string(batch);
+  for (const campaign::CampaignSpec& spec : {SyntheticSpec(), tight}) {
+    campaign::Scenario scenario = SyntheticScenario();
+    const std::string where = "ci " + std::to_string(spec.ci_half_width);
 
-      // The sequential schedule: each cell runs whole batches until its
-      // controller is done.
-      long expected = 0;
-      for (const harness::NamedTrial& series : scenario.series) {
-        for (std::size_t r = 0; r < spec.fault_rates.size(); ++r) {
-          const core::FaultEnvironment env =
-              campaign::SpecEnvironment(spec, static_cast<int>(r));
-          campaign::CellController controller(campaign::SpecAdaptiveConfig(spec, true));
-          for (int base_trial = 0; !controller.done(); base_trial += spec.batch) {
-            const int end = std::min(base_trial + spec.batch, spec.max_trials);
-            expected += end - base_trial;
-            for (int t = base_trial; t < end && !controller.done(); ++t) {
-              controller.Record(harness::RunSingleTrial(series.fn, env, t).success);
-            }
-          }
+    // The sequential schedule: each cell runs trials until its controller
+    // is done.
+    long expected = 0;
+    for (const harness::NamedTrial& series : scenario.series) {
+      for (std::size_t r = 0; r < spec.fault_rates.size(); ++r) {
+        const core::FaultEnvironment env =
+            campaign::SpecEnvironment(spec, static_cast<int>(r));
+        campaign::CellController controller(campaign::SpecAdaptiveConfig(spec, true));
+        while (!controller.done()) {
+          controller.Record(
+              harness::RunSingleTrial(series.fn, env, controller.trials()).success);
         }
+        expected += controller.trials();
       }
-      ASSERT_LT(expected, static_cast<long>(spec.max_trials) * 6) << where;  // fires early
+    }
+    ASSERT_LT(expected, static_cast<long>(spec.max_trials) * 6) << where;  // fires early
 
-      std::atomic<long> executed{0};
-      for (harness::NamedTrial& series : scenario.series) {
-        series.fn = [&executed, fn = series.fn](const core::FaultEnvironment& env) {
-          executed.fetch_add(1);
-          return fn(env);
-        };
-      }
-      for (const int threads : {1, 2, 8}) {
-        executed.store(0);
-        campaign::RunnerOptions options;
-        options.threads = threads;
-        campaign::RunCampaign(spec, scenario, options);
-        EXPECT_EQ(executed.load(), expected) << where << ", " << threads << " threads";
-      }
+    std::atomic<long> executed{0};
+    for (harness::NamedTrial& series : scenario.series) {
+      series.fn = [&executed, fn = series.fn](const core::FaultEnvironment& env) {
+        executed.fetch_add(1);
+        return fn(env);
+      };
+    }
+    for (const int threads : {1, 2, 8}) {
+      executed.store(0);
+      campaign::RunnerOptions options;
+      options.threads = threads;
+      campaign::RunCampaign(spec, scenario, options);
+      EXPECT_EQ(executed.load(), expected) << where << ", " << threads << " threads";
     }
   }
 }
@@ -630,13 +666,12 @@ TEST(Campaign, TrialsBelowTheHorizonRunConcurrentlyPastMinTrials) {
 }
 
 // A trial that throws fails the run instead of stranding the workers that
-// wait for the batches deferred behind it: RunCampaign rethrows and every
+// wait for the trials deferred behind it: RunCampaign rethrows and every
 // worker returns.
 TEST(Campaign, ThrowingTrialFailsTheRunWithoutHanging) {
   campaign::CampaignSpec spec = SyntheticSpec();
   spec.max_trials = 200;
-  spec.ci_half_width = 0.01;  // every cell stays open, with batches deferred
-  spec.batch = 1;
+  spec.ci_half_width = 0.01;  // every cell stays open, with trials deferred
   campaign::Scenario scenario = SyntheticScenario();
   scenario.series[1].fn = [fn = scenario.series[1].fn](const core::FaultEnvironment& env) {
     if (env.seed - 977 == 40) throw std::runtime_error("trial 40 failed");

@@ -1,13 +1,8 @@
-// Parallel harness: parallel-for, thread-count resolution, and the
-// determinism guarantee — sweep output is identical for every worker count.
+// Parallel harness: thread-count resolution, and the determinism guarantee
+// — sweep output is identical for every worker count.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdlib>
-#include <map>
-#include <mutex>
-#include <stdexcept>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -31,104 +26,6 @@ TEST(ResolveThreadCount, UnspecifiedMeansHardwareConcurrency) {
   const int expected = hw > 0 ? static_cast<int>(hw) : 1;
   EXPECT_EQ(harness::ResolveThreadCount(0), expected);
   EXPECT_EQ(harness::ResolveThreadCount(-3), expected);
-}
-
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  for (const int threads : {1, 2, 8}) {
-    std::vector<std::atomic<int>> visits(257);
-    for (auto& v : visits) v.store(0);
-    harness::ParallelFor(static_cast<int>(visits.size()), threads,
-                         [&](int i) { visits[static_cast<std::size_t>(i)].fetch_add(1); });
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-  }
-}
-
-// --- load balance under skewed per-item cost ---------------------------------
-//
-// ParallelFor's contract is dynamic claiming from one shared counter, which
-// is what bounds idle imbalance when cells cost wildly different amounts
-// (the adaptive campaign runner's exact shape: one transition cell can cost
-// 20x a saturated one).  On this 1-CPU container wall-clock speedup is ~1.0
-// by construction, so these tests pin the *scheduling* properties instead:
-// a worker stuck on an arbitrarily expensive item must never strand queued
-// items behind it, and results must not depend on the schedule.
-
-// The most skewed cost distribution possible: item 0 cannot finish until
-// every other item has run.  Static chunking would assign items 1..15 to
-// the stuck worker and deadlock; dynamic claiming lets the other workers
-// drain the whole queue, so this test terminating at all is the proof.
-TEST(ParallelFor, StuckItemDoesNotStrandQueuedItems) {
-  constexpr int kItems = 64;
-  std::mutex mu;
-  std::condition_variable done_cv;
-  int done = 0;
-  std::map<std::thread::id, std::vector<int>> claims;
-  harness::ParallelFor(kItems, 4, [&](int i) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      claims[std::this_thread::get_id()].push_back(i);
-    }
-    if (i == 0) {
-      std::unique_lock<std::mutex> lock(mu);
-      done_cv.wait(lock, [&] { return done == kItems - 1; });
-      return;
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    ++done;
-    if (done == kItems - 1) done_cv.notify_all();
-  });
-
-  // Idle-imbalance bound: while one worker was pinned to the expensive
-  // item, the others drained everything — the stuck worker claimed item 0
-  // and nothing else, and at least two workers participated.
-  int total = 0;
-  for (const auto& [id, items] : claims) {
-    total += static_cast<int>(items.size());
-    for (const int i : items) {
-      if (i == 0) {
-        EXPECT_EQ(items.size(), 1u) << "stuck worker claimed more work";
-      }
-    }
-  }
-  EXPECT_EQ(total, kItems);
-  EXPECT_GE(claims.size(), 2u);
-}
-
-// Oversubscription (4x more workers than this container has cores) with a
-// skewed busy-work distribution: every index still runs exactly once and
-// the output is identical to the serial schedule.
-TEST(ParallelFor, OversubscribedSkewedCostsStayDeterministic) {
-  constexpr int kItems = 300;
-  const auto cost = [](int i) { return (i % 97 == 0) ? 40000 : 400; };
-  const auto work = [&](int i) {
-    // Deterministic busy work proportional to the item's cost skew.
-    std::uint64_t acc = static_cast<std::uint64_t>(i) * 0x9E3779B97F4A7C15ull;
-    for (int k = 0; k < cost(i); ++k) acc = acc * 6364136223846793005ull + 1442695040888963407ull;
-    return acc;
-  };
-  std::vector<std::uint64_t> serial(kItems);
-  for (int i = 0; i < kItems; ++i) serial[static_cast<std::size_t>(i)] = work(i);
-
-  for (const int threads : {4, 16}) {
-    std::vector<std::uint64_t> parallel(kItems, 0);
-    std::vector<std::atomic<int>> visits(kItems);
-    for (auto& v : visits) v.store(0);
-    harness::ParallelFor(kItems, threads, [&](int i) {
-      visits[static_cast<std::size_t>(i)].fetch_add(1);
-      parallel[static_cast<std::size_t>(i)] = work(i);
-    });
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-    EXPECT_EQ(parallel, serial) << threads << " threads";
-  }
-}
-
-TEST(ParallelFor, PropagatesTheFirstException) {
-  EXPECT_THROW(
-      harness::ParallelFor(64, 4,
-                           [](int i) {
-                             if (i % 7 == 0) throw std::runtime_error("cell failed");
-                           }),
-      std::runtime_error);
 }
 
 // A trial that actually exercises the faulty FPU, so the determinism check

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -532,6 +533,8 @@ TEST(QueryService, NdjsonQueryRoundTrip) {
            R"({"app":"x","series":"A","rate":1,"nope":2})",  // unknown key
            R"({"app":"x","series":"A","rate":1)",        // unterminated
            R"({"app":"x","series":"A","rate":1,"rate":2})",  // duplicate key
+           R"({"app":"x","series":"A","rate":1} trailing garbage)",  // trailing text
+           R"({"app":"x","series":"A","rate":1}})",      // a second '}'
        }) {
     EXPECT_FALSE(service::QueryService::ParseQueryJson(bad, &q, &error)) << bad;
     EXPECT_FALSE(error.empty());
@@ -692,6 +695,63 @@ TEST(ReduceRecords, MatchesRunnerOnItsOwnJournal) {
             CsvBytes(direct.series, "reduce_b"));
   EXPECT_EQ(reduced.total_trials, direct.total_trials);
   EXPECT_EQ(reduced.settled_cells, direct.settled_cells);
+}
+
+// Resume, ReduceRecords and the store read records through one prefix rule
+// (campaign::NormalizeRecords): in a cell where every trial index appears
+// twice, the copy written first wins everywhere.  The second copies carry
+// metric 1000 + t, so a reduction that keeps any of them shows it in the
+// mean metric.
+TEST(ReduceRecords, RepeatedTrialsKeepTheFirstCopyLikeTheStore) {
+  constexpr int kTrials = 20;
+  campaign::CampaignSpec spec;
+  spec.name = spec.app = "repeats";
+  spec.fault_rates = {0.1};
+  spec.fixed_trials = kTrials;
+  campaign::Scenario scenario;
+  scenario.app = "repeats";
+  scenario.series = {{"A", [](const core::FaultEnvironment&) -> harness::TrialOutcome {
+                        throw std::runtime_error("every trial is journaled; none may run");
+                      }}};
+  std::vector<campaign::TrialRecord> records;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int t = 0; t < kTrials; ++t) {
+      campaign::TrialRecord r;
+      r.trial = t;
+      r.success = true;
+      r.metric = 1000.0 * copy + t;
+      records.push_back(r);
+    }
+  }
+
+  const std::string base = TempPath("repeats");
+  std::filesystem::remove_all(base + ".store");
+  store::ResultStore rs(base + ".store");
+  rs.IngestRecords(spec, records);
+  const campaign::CampaignResult stored =
+      campaign::ReduceRecords(spec, scenario, rs.Load(spec).records, /*adaptive=*/false);
+  EXPECT_EQ(stored.series[0].points[0].summary.mean_metric, 9.5);
+  const std::string expected = CsvBytes(stored.series, "repeats_store");
+
+  const campaign::CampaignResult reduced =
+      campaign::ReduceRecords(spec, scenario, records, /*adaptive=*/false);
+  EXPECT_EQ(CsvBytes(reduced.series, "repeats_reduce"), expected);
+
+  campaign::RunnerOptions options;
+  options.threads = 1;
+  options.adaptive = false;
+  options.journal_path = base + ".journal";
+  options.resume = true;
+  {
+    campaign::CampaignJournal journal(options.journal_path);
+    journal.Start(campaign::SpecFingerprint(spec));
+    journal.Append(records.data(), records.size());
+  }
+  const campaign::CampaignResult resumed = campaign::RunCampaign(spec, scenario, options);
+  EXPECT_EQ(resumed.resumed_trials, kTrials);
+  EXPECT_EQ(CsvBytes(resumed.series, "repeats_resume"), expected);
+  std::filesystem::remove_all(base + ".store");
+  std::remove(options.journal_path.c_str());
 }
 
 // ---- resident index + delta writes -----------------------------------------

@@ -32,7 +32,6 @@
 #include "core/fault_env.h"
 #include "fixed_sweep.h"
 #include "harness/csv.h"
-#include "harness/parallel.h"
 #include "harness/trial.h"
 #include "linalg/scalar.h"
 #include "service/query_service.h"
@@ -263,26 +262,31 @@ TEST(Telemetry, HistogramBucketsAreLog2) {
 }
 
 // Shards of exited threads fold into the retired totals: counts made on
-// ParallelFor's short-lived workers must survive the workers.
+// short-lived workers must survive the workers.
 TEST(Telemetry, RegistryMergesRetiredWorkerShards) {
   telemetry::SetCountersEnabled(true);
   telemetry::ResetCounters();
-  constexpr int kUnits = 64;
-  harness::ParallelFor(kUnits, 4, [](int) {
-    telemetry::Count(telemetry::Counter::kCampaignTrials, 3);
-  });
-  // The workers are started and joined inside ParallelFor, so every worker
-  // shard has retired by now.
+  constexpr int kWorkers = 4;
+  constexpr int kCountsEach = 16;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([] {
+      for (int i = 0; i < kCountsEach; ++i) {
+        telemetry::Count(telemetry::Counter::kCampaignTrials, 3);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  // Every worker has exited, so every worker shard has retired by now.
   const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
   EXPECT_EQ(snap.value(telemetry::Counter::kCampaignTrials),
-            static_cast<std::uint64_t>(kUnits) * 3u);
+            static_cast<std::uint64_t>(kWorkers * kCountsEach) * 3u);
 }
 
 // The result-store counters obey the same contracts as the rest: every one
 // of store.{hits,misses,fresh_trials,ingested_cells} fires on the
 // run → ingest → query pipeline, and the totals are identical whether the
-// store-filling campaign ran on 1 worker or 8 (fresh query trials are
-// serial on the calling thread; the campaign is the only fanned-out stage).
+// store-filling campaign ran on 1 worker or 8.
 TEST(Telemetry, StoreCountersNonzeroAndThreadCountInvariant) {
   telemetry::SetCountersEnabled(true);
   const auto trial = [](const core::FaultEnvironment& env) {

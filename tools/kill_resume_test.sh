@@ -7,10 +7,10 @@
 # 3. Resumes from the (possibly torn) journal.
 # 4. Asserts the resumed CSV is byte-identical to the reference.
 #
-# Steps 2-4 run twice: once single-threaded with batch=1 (the journal grows
-# one trial at a time), and once with 4 threads and batch=3, where one
-# cell's batches run on several workers at once and the kill can land
-# while several of them are in flight.
+# Steps 2-4 run twice: once single-threaded, and once with 4 threads, where
+# one cell's trials run on several workers at once and the kill can land
+# while several of them are in flight.  Either way the journal grows one
+# accepted trial at a time.
 #
 # The campaign is sized to run for several seconds (tight CI, generous
 # budget) and the kill lands early; if the process happens to finish before
@@ -32,7 +32,7 @@ ARGS=(run fig6_1 --rates=0.05,0.1,0.2 --series=SGD+AS,SQS --series=Base
 REF_CSV="$WORKDIR/reference.csv"
 REF_JOURNAL="$WORKDIR/reference.journal"
 echo "== reference run (uninterrupted, 1 thread) =="
-"$CLI" "${ARGS[@]}" --batch=1 --threads=1 --journal="$REF_JOURNAL" \
+"$CLI" "${ARGS[@]}" --threads=1 --journal="$REF_JOURNAL" \
     --csv="$REF_CSV" --json="$WORKDIR/reference.json" \
     > "$WORKDIR/reference.log" 2>&1 \
     || { echo "reference run failed"; cat "$WORKDIR/reference.log"; exit 1; }
@@ -85,6 +85,6 @@ kill_and_resume() {
   return 1
 }
 
-kill_and_resume serial --batch=1 --threads=1 || exit 1
-kill_and_resume parallel --batch=3 --threads=4 || exit 1
+kill_and_resume serial --threads=1 || exit 1
+kill_and_resume parallel --threads=4 || exit 1
 exit 0

@@ -31,7 +31,7 @@ STORE="$WORKDIR/store"
 # below must agree on them) vs. allocation flags (canonicalized away, but
 # run/merge must agree so the reduction replays the same stopping rule).
 SPEC=(fig6_1 --rates=0.05,0.1,0.2 --series=SGD+AS,SQS --series=Base)
-ALLOC=(--ci=0.02 --budget=400 --batch=1)
+ALLOC=(--ci=0.02 --budget=400)
 
 echo "== golden run (unsharded) =="
 "$CLI" run "${SPEC[@]}" "${ALLOC[@]}" --threads=1 \
