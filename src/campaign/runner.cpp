@@ -9,7 +9,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -158,7 +157,7 @@ struct ExecCell {
 };
 
 struct ExecOptions {
-  int threads = 0;
+  harness::WorkerPool* pool = nullptr;  // the workers
   CampaignJournal* journal = nullptr;  // null = no checkpointing
   bool count_cells = false;  // book campaign.* counters and progress per cell
 };
@@ -175,8 +174,8 @@ struct ExecOptions {
 // is done), so some trial is always runnable.  Workers that run out of
 // units take trials from the ready queue and wait for it only while trials
 // are still deferred; no lock is held across a trial, so nothing can
-// deadlock.  One worker runs on the calling thread; more are started here
-// and joined before it returns.
+// deadlock.  The workers come from `options.pool` (a lone worker is the
+// calling thread) and have all returned before this does.
 void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options) {
   const int cell_count = static_cast<int>(cells.size());
   if (cell_count == 0) return;
@@ -346,19 +345,7 @@ void ExecuteCells(const std::vector<ExecCell>& cells, const ExecOptions& options
       ready_cv.notify_all();
     }
   };
-  const int workers = std::min(harness::ResolveThreadCount(options.threads), units);
-  if (workers <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(work);
-    // The calling thread parks here while the workers run; the attribution
-    // ledger books it as pool.wait, so a parent span's self time is its
-    // own machinery, not the wait.
-    telemetry::SpanScope wait_span("pool.wait");
-    for (std::thread& worker : pool) worker.join();
-  }
+  options.pool->Run(units, work);
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -489,11 +476,14 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
                     SpecEnvironment(spec, cell % rate_count), cell / rate_count,
                     cell % rate_count});
   }
-  ExecOptions exec_options;
-  exec_options.threads = options.threads;
-  exec_options.journal = journal.get();
-  exec_options.count_cells = true;
-  ExecuteCells(exec, exec_options);
+  {
+    harness::WorkerPool pool(options.threads);  // joined at the block's end
+    ExecOptions exec_options;
+    exec_options.pool = &pool;
+    exec_options.journal = journal.get();
+    exec_options.count_cells = true;
+    ExecuteCells(exec, exec_options);
+  }
   telemetry::ProgressEnd();
 
   // ---- serial in-order reduction --------------------------------------------
@@ -507,12 +497,13 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
 std::vector<TrialRecord> ExtendCell(const CampaignSpec& spec, const Scenario& scenario,
                                     int series, int rate,
                                     const std::vector<TrialRecord>& prefix,
-                                    const AdaptiveConfig& config, int threads) {
+                                    const AdaptiveConfig& config,
+                                    harness::WorkerPool* pool) {
   CellTrials trials(config);
   AcceptPrefix(prefix, &trials);
   const int first = trials.controller.trials();
   ExecOptions options;
-  options.threads = threads;
+  options.pool = pool;
   ExecuteCells({{&trials, &scenario.series[static_cast<std::size_t>(series)].fn,
                  SpecEnvironment(spec, rate), series, rate}},
                options);

@@ -22,6 +22,10 @@
 // serially in cell order — so campaign output is byte-identical for every
 // thread count and kill/resume schedule, and so are the work counters
 // (injector ops and faults, solver iterations).
+//
+// The workers come from a harness::WorkerPool (harness/parallel.h).
+// RunCampaign makes one per call, so its threads start and join with the
+// call; ExtendCell runs on the caller's pool, whose threads outlive it.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
+#include "harness/parallel.h"
 #include "harness/trial.h"
 
 namespace robustify::campaign {
@@ -82,12 +87,16 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
 // onward in trial order — empty when the rule already fires inside the
 // prefix.  No trial runs that the serial loop (run trial next_trial() until
 // done) would not: the fresh records, and the injector and solver
-// counters, are the same at every thread count (`threads` as in
-// RunnerOptions).  Books no campaign.* counters and no progress.
+// counters, are the same for every pool size.  The workers come from
+// `pool`, which the caller keeps across calls, so a stream of fresh
+// queries starts its threads once (RunCampaign instead makes a pool per
+// call).  A throwing trial is rethrown here and leaves `pool` usable.
+// Books no campaign.* counters and no progress.
 std::vector<TrialRecord> ExtendCell(const CampaignSpec& spec, const Scenario& scenario,
                                     int series, int rate,
                                     const std::vector<TrialRecord>& prefix,
-                                    const AdaptiveConfig& config, int threads);
+                                    const AdaptiveConfig& config,
+                                    harness::WorkerPool* pool);
 
 // The stopping-rule configuration RunCampaign derives from a spec — shared
 // with ReduceRecords and the query service so every consumer of stored

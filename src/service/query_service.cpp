@@ -38,6 +38,20 @@ Answer Fail(std::string error) {
   return answer;
 }
 
+// An answered stored tally of `trials` with `successes`, at requested `ci`.
+Answer TallyAnswer(const char* source, int trials, int successes, double ci) {
+  Answer answer;
+  answer.ok = true;
+  answer.source = source;
+  answer.trials = trials;
+  answer.successes = successes;
+  answer.half_width = campaign::WilsonHalfWidth(successes, trials);
+  answer.success_rate =
+      trials > 0 ? static_cast<double>(successes) / trials : 0.0;
+  answer.settled = answer.half_width <= ci;
+  return answer;
+}
+
 // ---- minimal flat-object JSON ----------------------------------------------
 //
 // The serve protocol is one flat object per line with string / number /
@@ -85,8 +99,13 @@ bool ParseJsonString(const std::string& s, std::size_t& i, std::string* out,
 
 }  // namespace
 
+QueryService::AppEntry::AppEntry(const CampaignSpec& spec, Scenario scenario)
+    : spec(spec),
+      scenario(std::move(scenario)),
+      fingerprint(campaign::SpecFingerprint(spec)) {}
+
 void QueryService::RegisterSpec(const CampaignSpec& spec, Scenario scenario) {
-  apps_.insert_or_assign(spec.app, AppEntry{spec, std::move(scenario)});
+  apps_.insert_or_assign(spec.app, AppEntry(spec, std::move(scenario)));
 }
 
 const QueryService::AppEntry* QueryService::ResolveApp(const std::string& app,
@@ -101,7 +120,7 @@ const QueryService::AppEntry* QueryService::ResolveApp(const std::string& app,
   try {
     Scenario scenario = campaign::BuildScenario(*registry);
     const auto [inserted, ok] =
-        apps_.emplace(app, AppEntry{*registry, std::move(scenario)});
+        apps_.emplace(app, AppEntry(*registry, std::move(scenario)));
     (void)ok;
     return &inserted->second;
   } catch (const std::exception& e) {
@@ -110,94 +129,70 @@ const QueryService::AppEntry* QueryService::ResolveApp(const std::string& app,
   }
 }
 
-Answer QueryService::AnswerCell(const CampaignSpec& spec,
+Answer QueryService::AnswerCell(const store::CampaignKey& key,
                                 const Scenario& scenario, int series_index,
                                 int rate_index, double ci, bool allow_fresh) {
-  const store::StoredCell cell = store_->LoadCell(spec, series_index, rate_index);
-  const int full_trials = static_cast<int>(cell.records.size());
-  const double full_hw = campaign::WilsonHalfWidth(cell.successes, full_trials);
-
-  Answer answer;
-  answer.trials = full_trials;
-  answer.successes = cell.successes;
-  answer.half_width = full_hw;
-  answer.success_rate =
-      full_trials > 0 ? static_cast<double>(cell.successes) / full_trials : 0.0;
+  const CampaignSpec& spec = key.spec;
+  const store::CellTally tally = store_->Tally(key, series_index, rate_index);
+  const double full_hw = campaign::WilsonHalfWidth(tally.successes, tally.trials);
 
   // Cache hit: the full stored tally already meets the requested precision.
   // Serving the full tally (never a replayed prefix) is what makes a
   // repeated query return the identical interval.
-  if (full_trials >= spec.min_trials && full_hw <= ci) {
+  if (tally.trials >= spec.min_trials && full_hw <= ci) {
     telemetry::Count(telemetry::Counter::kStoreHits);
-    answer.ok = true;
-    answer.source = "cache";
-    answer.settled = true;
-    return answer;
+    return TallyAnswer("cache", tally.trials, tally.successes, ci);
   }
 
   telemetry::Count(telemetry::Counter::kStoreMisses);
   if (!allow_fresh) {
     return Fail("cell not cached at the requested precision (stored trials=" +
-                std::to_string(full_trials) + ") and fresh trials disallowed");
+                std::to_string(tally.trials) + ") and fresh trials disallowed");
   }
 
   // Fresh path: replay the stored prefix through the stopping rule at the
   // requested ci, then continue the cell's deterministic trial sequence
   // from where the store left off, on the campaign executor.
+  const store::StoredCell cell = store_->LoadCell(key, series_index, rate_index);
   campaign::AdaptiveConfig config;
   config.min_trials = spec.min_trials;
   config.max_trials = spec.max_trials;
   config.ci_half_width = ci;
   const std::vector<TrialRecord> fresh = campaign::ExtendCell(
-      spec, scenario, series_index, rate_index, cell.records, config, threads_);
+      spec, scenario, series_index, rate_index, cell.records, config, &pool_);
 
-  if (fresh.empty()) {
-    // The sequential rule fired inside the stored prefix (possible when the
-    // full tally's half-width is wider than an early prefix's): nothing to
-    // run, nothing to write back — serve the full tally as a cache answer.
-    answer.ok = true;
-    answer.source = "cache";
-    answer.settled = full_hw <= ci;
-    return answer;
-  }
-
-  telemetry::Count(telemetry::Counter::kStoreFreshTrials,
-                   static_cast<std::uint64_t>(fresh.size()));
   // Write back the extended prefix.  `fresh` continues the stored records
   // (replay consumed them all before anything ran), so stored + fresh is
   // the cell's new contiguous prefix.
-  std::vector<TrialRecord> prefix = cell.records;
-  prefix.insert(prefix.end(), fresh.begin(), fresh.end());
-  store_->IngestRecords(spec, prefix);
-
+  if (!fresh.empty()) {
+    telemetry::Count(telemetry::Counter::kStoreFreshTrials,
+                     static_cast<std::uint64_t>(fresh.size()));
+    store_->IngestFresh(key, cell.records, fresh);
+  }
   int successes = cell.successes;
   for (const TrialRecord& r : fresh) {
     if (r.success) ++successes;
   }
-  const int trials = static_cast<int>(prefix.size());
-  const double hw = campaign::WilsonHalfWidth(successes, trials);
-  answer.ok = true;
-  answer.source = "fresh-trials";
-  answer.trials = trials;
-  answer.successes = successes;
+  // An empty `fresh` means the sequential rule fired inside the stored
+  // prefix (possible when the full tally's half-width is wider than an
+  // early prefix's): nothing ran or was written, and the full tally is
+  // served as a cache answer.
+  Answer answer = TallyAnswer(fresh.empty() ? "cache" : "fresh-trials",
+                              static_cast<int>(cell.records.size() + fresh.size()),
+                              successes, ci);
   answer.fresh_trials = static_cast<int>(fresh.size());
-  answer.success_rate = static_cast<double>(successes) / trials;
-  answer.half_width = hw;
-  answer.settled = hw <= ci;
   return answer;
 }
 
-Answer QueryService::AnswerSurrogate(const CampaignSpec& spec,
-                                     const Scenario& scenario,
+Answer QueryService::AnswerSurrogate(const store::CampaignKey& key,
                                      int series_index, double rate) {
-  (void)scenario;
   const std::vector<store::CellTally> stored =
-      store_->SeriesTallies(spec, series_index);
+      store_->SeriesTallies(key, series_index);
   std::vector<CellTally> tallies;
   for (std::size_t r = 0; r < stored.size(); ++r) {
     if (stored[r].trials == 0) continue;
     CellTally tally;
-    tally.rate = spec.fault_rates[r];
+    tally.rate = key.spec.fault_rates[r];
     tally.successes = stored[r].successes;
     tally.trials = stored[r].trials;
     tallies.push_back(tally);
@@ -280,12 +275,11 @@ Answer QueryService::HandleQuery(const Query& query) {
     }
 
     if (rate_index >= 0) {
-      Answer answer = AnswerCell(app->spec, app->scenario, series_index,
+      Answer answer = AnswerCell(app->key(), app->scenario, series_index,
                                  rate_index, ci, query.allow_fresh);
       answer.on_grid = true;
       if (!answer.ok && !query.allow_fresh && query.allow_surrogate) {
-        Answer fallback = AnswerSurrogate(app->spec, app->scenario,
-                                          series_index, query.rate);
+        Answer fallback = AnswerSurrogate(app->key(), series_index, query.rate);
         if (fallback.ok) {
           fallback.on_grid = true;
           fallback.settled = fallback.half_width <= ci;
@@ -299,8 +293,7 @@ Answer QueryService::HandleQuery(const Query& query) {
     // derived from the spec — its own fingerprint, so the cell is content-
     // addressed like any other.
     if (query.allow_surrogate) {
-      Answer answer = AnswerSurrogate(app->spec, app->scenario, series_index,
-                                      query.rate);
+      Answer answer = AnswerSurrogate(app->key(), series_index, query.rate);
       if (answer.ok) {
         answer.settled = answer.half_width <= ci;
         return answer;
@@ -317,8 +310,9 @@ Answer QueryService::HandleQuery(const Query& query) {
     }
     CampaignSpec derived = app->spec;
     derived.fault_rates = {query.rate};
-    Answer answer = AnswerCell(derived, app->scenario, series_index,
-                               /*rate_index=*/0, ci, /*allow_fresh=*/true);
+    Answer answer = AnswerCell(store::CampaignKey(derived), app->scenario,
+                               series_index, /*rate_index=*/0, ci,
+                               /*allow_fresh=*/true);
     answer.on_grid = false;
     return answer;
   } catch (const std::exception& e) {

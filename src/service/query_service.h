@@ -13,10 +13,13 @@
 // ci and continues trials from where the store left off (per-cell seeding:
 // trial t always runs at seed base_seed + t, so fresh trials extend the
 // same deterministic sequence), then writes the extended prefix back.  The
-// fresh trials run on the campaign executor (campaign::ExtendCell): trials
-// below the cell's certain horizon run in parallel, none past it runs
-// speculatively, so the executed trials, the answer, the store bytes and
-// the telemetry counters are the serial loop's at every thread count.
+// fresh trials run on the campaign executor (campaign::ExtendCell), on
+// workers the service keeps for its lifetime: trials below the cell's
+// certain horizon run in parallel, none past it runs speculatively, so the
+// executed trials, the answer, the store bytes and the telemetry counters
+// are the serial loop's at every thread count.  The write-back appends
+// only the fresh records when the stored cell still ends where they begin
+// (ResultStore::IngestFresh).
 // Tightening ci only ever *extends* a stored prefix — the stopping rule
 // fires at the first trial count meeting the target, and a tighter target
 // can only fire later — so the store's prefix-wins merge absorbs write-
@@ -27,14 +30,20 @@
 // rate lies inside the fitted support; otherwise (or with the surrogate
 // disallowed) the service derives a single-rate spec — same campaign, axis
 // = {rate} — whose own fingerprint content-addresses the fresh cell.
+//
+// Fingerprints.  A registered app's fingerprint is computed once, when it
+// is registered (or resolved from the registry); a derived off-grid spec's
+// once per query.  Every store call takes it as a store::CampaignKey.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
 
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
+#include "harness/parallel.h"
 #include "store/result_store.h"
 
 namespace robustify::service {
@@ -66,10 +75,12 @@ class QueryService {
  public:
   // `store` must outlive the service.  A query misses at most one cell;
   // its fresh trials run on the campaign executor (campaign::ExtendCell)
-  // across `threads` workers (0 = hardware concurrency), started for the
-  // query and joined before it is answered.
+  // across up to `threads` workers (0 = hardware concurrency).  The
+  // workers belong to the service: they start on the first fresh query
+  // that needs more than one, serve every later query, and are joined
+  // when the service is destroyed.  Constructing a service starts none.
   explicit QueryService(store::ResultStore* store, int threads = 0)
-      : store_(store), threads_(threads) {}
+      : store_(store), pool_(threads) {}
 
   // Registers an app the service may answer for.  Unregistered apps fall
   // back to the campaign registry (campaign/spec.h) at query time; tests
@@ -107,8 +118,12 @@ class QueryService {
 
  private:
   struct AppEntry {
+    AppEntry(const campaign::CampaignSpec& spec, campaign::Scenario scenario);
+    store::CampaignKey key() const { return {spec, fingerprint}; }
+
     campaign::CampaignSpec spec;
     campaign::Scenario scenario;
+    std::uint64_t fingerprint;  // of `spec`, computed once
   };
 
   // Looks up (registering from the campaign registry on first use) the
@@ -118,16 +133,17 @@ class QueryService {
   // Handle() minus the latency accounting that wraps it.
   Answer HandleQuery(const Query& query);
 
-  Answer AnswerCell(const campaign::CampaignSpec& spec,
+  // The cache decision reads the cell's tally; only a miss copies its
+  // records, to replay them ahead of the fresh trials.
+  Answer AnswerCell(const store::CampaignKey& key,
                     const campaign::Scenario& scenario, int series_index,
                     int rate_index, double ci, bool allow_fresh);
 
-  Answer AnswerSurrogate(const campaign::CampaignSpec& spec,
-                         const campaign::Scenario& scenario, int series_index,
+  Answer AnswerSurrogate(const store::CampaignKey& key, int series_index,
                          double rate);
 
   store::ResultStore* store_;
-  int threads_;
+  harness::WorkerPool pool_;  // fresh-trial workers, for the service's life
   std::map<std::string, AppEntry> apps_;
 };
 

@@ -20,7 +20,6 @@ namespace {
 namespace fs = std::filesystem;
 
 using campaign::CampaignJournal;
-using campaign::CampaignSpec;
 using campaign::TrialRecord;
 
 std::string FingerprintHex(std::uint64_t fingerprint) {
@@ -71,8 +70,8 @@ bool ResultStore::StatJournal(const std::string& path, JournalKey* key) {
   return true;
 }
 
-std::string ResultStore::CampaignDir(const CampaignSpec& spec) const {
-  return CampaignDirOf(root_, campaign::SpecFingerprint(spec));
+std::string ResultStore::CampaignDir(const CampaignKey& key) const {
+  return CampaignDirOf(root_, key.fingerprint);
 }
 
 const ResultStore::Entry* ResultStore::Resident(std::uint64_t fingerprint) const {
@@ -109,37 +108,43 @@ const ResultStore::Entry* ResultStore::Resident(std::uint64_t fingerprint) const
   return &index_.emplace(fingerprint, std::move(entry)).first->second;
 }
 
-StoredCells ResultStore::Load(const CampaignSpec& spec) const {
-  const std::uint64_t fingerprint = campaign::SpecFingerprint(spec);
+StoredCells ResultStore::Load(const CampaignKey& key) const {
   StoredCells stored;
   std::lock_guard<std::mutex> lock(mu_);
-  const Entry* entry = Resident(fingerprint);
+  const Entry* entry = Resident(key.fingerprint);
   if (entry == nullptr) return stored;
   stored.exists = true;
   stored.records.reserve(static_cast<std::size_t>(entry->head + entry->appended));
-  for (const auto& [key, cell] : entry->cells) {
+  for (const auto& [cell_key, cell] : entry->cells) {
     stored.records.insert(stored.records.end(), cell.records.begin(),
                           cell.records.end());
   }
   return stored;
 }
 
-StoredCell ResultStore::LoadCell(const CampaignSpec& spec, int series,
+StoredCell ResultStore::LoadCell(const CampaignKey& key, int series,
                                  int rate) const {
-  const std::uint64_t fingerprint = campaign::SpecFingerprint(spec);
   std::lock_guard<std::mutex> lock(mu_);
-  const Entry* entry = Resident(fingerprint);
+  const Entry* entry = Resident(key.fingerprint);
   if (entry == nullptr) return {};
   const auto it = entry->cells.find({series, rate});
   return it == entry->cells.end() ? StoredCell{} : it->second;
 }
 
-std::vector<CellTally> ResultStore::SeriesTallies(const CampaignSpec& spec,
-                                                  int series) const {
-  const std::uint64_t fingerprint = campaign::SpecFingerprint(spec);
-  std::vector<CellTally> tallies(spec.fault_rates.size());
+CellTally ResultStore::Tally(const CampaignKey& key, int series, int rate) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const Entry* entry = Resident(fingerprint);
+  const Entry* entry = Resident(key.fingerprint);
+  if (entry == nullptr) return {};
+  const auto it = entry->cells.find({series, rate});
+  if (it == entry->cells.end()) return {};
+  return {static_cast<int>(it->second.records.size()), it->second.successes};
+}
+
+std::vector<CellTally> ResultStore::SeriesTallies(const CampaignKey& key,
+                                                  int series) const {
+  std::vector<CellTally> tallies(key.spec.fault_rates.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  const Entry* entry = Resident(key.fingerprint);
   if (entry == nullptr) return tallies;
   for (auto it = entry->cells.lower_bound({series, 0});
        it != entry->cells.end() && it->first.first == series; ++it) {
@@ -152,28 +157,49 @@ std::vector<CellTally> ResultStore::SeriesTallies(const CampaignSpec& spec,
 }
 
 ResultStore::IngestStats ResultStore::IngestRecords(
-    const CampaignSpec& spec, const std::vector<TrialRecord>& records) {
-  return Ingest(spec, records, /*compact=*/false);
+    const CampaignKey& key, const std::vector<TrialRecord>& records) {
+  return Ingest(key, records, /*compact=*/false);
+}
+
+ResultStore::IngestStats ResultStore::IngestFresh(
+    const CampaignKey& key, const std::vector<TrialRecord>& stored,
+    const std::vector<TrialRecord>& fresh) {
+  if (fresh.empty()) return {};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const Entry* entry = Resident(key.fingerprint);
+    std::size_t have = 0;
+    if (entry != nullptr) {
+      const auto it = entry->cells.find({fresh.front().series, fresh.front().rate});
+      if (it != entry->cells.end()) have = it->second.records.size();
+    }
+    if (have == stored.size() &&
+        fresh.front().trial == static_cast<int>(have)) {
+      const IngestStats stats{1, static_cast<long>(fresh.size())};
+      WriteDelta(key, entry, fresh, stats, /*compact=*/false);
+      return stats;
+    }
+  }
+  std::vector<TrialRecord> prefix = stored;
+  prefix.insert(prefix.end(), fresh.begin(), fresh.end());
+  return Ingest(key, prefix, /*compact=*/false);
 }
 
 ResultStore::IngestStats ResultStore::Ingest(
-    const CampaignSpec& spec, const std::vector<TrialRecord>& records,
+    const CampaignKey& key, const std::vector<TrialRecord>& records,
     bool compact) {
-  const std::uint64_t fingerprint = campaign::SpecFingerprint(spec);
-  const std::string dir = CampaignDirOf(root_, fingerprint);
-  const std::string path = JournalPath(dir);
   std::lock_guard<std::mutex> lock(mu_);
-  const Entry* stored = Resident(fingerprint);
+  const Entry* stored = Resident(key.fingerprint);
 
   // Per cell, the incoming records past the stored prefix.  Content
   // addressing makes the shared prefix identical, so "longer prefix wins"
   // is "append the tail".
   IngestStats stats;
   std::vector<TrialRecord> delta;
-  for (const auto& [key, bucket] : campaign::NormalizeRecords(records)) {
+  for (const auto& [cell_key, bucket] : campaign::NormalizeRecords(records)) {
     std::size_t have = 0;
     if (stored != nullptr) {
-      const auto it = stored->cells.find(key);
+      const auto it = stored->cells.find(cell_key);
       if (it != stored->cells.end()) have = it->second.records.size();
     }
     if (bucket.size() <= have) continue;
@@ -183,10 +209,18 @@ ResultStore::IngestStats ResultStore::Ingest(
                  bucket.end());
   }
   if (stats.cells_updated == 0) return stats;  // idempotent re-ingest: no I/O
+  WriteDelta(key, stored, delta, stats, compact);
+  return stats;
+}
 
+void ResultStore::WriteDelta(const CampaignKey& key, const Entry* stored,
+                             const std::vector<TrialRecord>& delta,
+                             const IngestStats& stats, bool compact) {
+  const std::string dir = CampaignDirOf(root_, key.fingerprint);
+  const std::string path = JournalPath(dir);
   compact = compact || stored == nullptr || !stored->clean_tail ||
             stored->appended + static_cast<long>(delta.size()) > stored->head;
-  Entry& entry = index_[fingerprint];
+  Entry& entry = index_[key.fingerprint];
   try {
     for (const TrialRecord& r : delta) {
       StoredCell& cell = entry.cells[{r.series, r.rate}];
@@ -197,7 +231,7 @@ ResultStore::IngestStats ResultStore::Ingest(
       fs::create_directories(dir);
       {
         std::ofstream spec_out(dir + "/spec.txt", std::ios::trunc);
-        spec_out << campaign::CanonicalSpecText(spec);
+        spec_out << campaign::CanonicalSpecText(key.spec);
       }
       // Rewrite the whole journal on a tmp path, then rename into place:
       // readers never observe a partially merged store.
@@ -205,8 +239,8 @@ ResultStore::IngestStats ResultStore::Ingest(
       long total = 0;
       {
         CampaignJournal journal(tmp);
-        journal.Start(fingerprint);
-        for (const auto& [key, cell] : entry.cells) {
+        journal.Start(key.fingerprint);
+        for (const auto& [cell_key, cell] : entry.cells) {
           journal.Append(cell.records.data(), cell.records.size());
           total += static_cast<long>(cell.records.size());
         }
@@ -227,13 +261,11 @@ ResultStore::IngestStats ResultStore::Ingest(
       throw std::runtime_error("result store journal vanished: " + path);
     }
   } catch (...) {
-    index_.erase(fingerprint);
+    index_.erase(key.fingerprint);
     throw;
   }
-
   telemetry::Count(telemetry::Counter::kStoreIngestedCells,
                    static_cast<std::uint64_t>(stats.cells_updated));
-  return stats;
 }
 
 std::vector<ResultStore::ManifestEntry> ResultStore::Manifest() const {
@@ -285,21 +317,20 @@ std::vector<ResultStore::ManifestEntry> ResultStore::Manifest() const {
   return manifest;
 }
 
-ResultStore::IngestStats ResultStore::IngestJournal(const CampaignSpec& spec,
+ResultStore::IngestStats ResultStore::IngestJournal(const CampaignKey& key,
                                                     const std::string& path) {
   CampaignJournal::Loaded loaded = CampaignJournal::Load(path);
   if (!loaded.exists) {
     throw std::runtime_error("cannot ingest: no readable journal at " + path);
   }
-  const std::uint64_t fingerprint = campaign::SpecFingerprint(spec);
-  if (loaded.fingerprint != fingerprint) {
+  if (loaded.fingerprint != key.fingerprint) {
     throw std::runtime_error(
         "cannot ingest " + path + ": journal fingerprint " +
         FingerprintHex(loaded.fingerprint) + " does not match spec " +
-        FingerprintHex(fingerprint) +
+        FingerprintHex(key.fingerprint) +
         " (different campaign — merging would mix incompatible tallies)");
   }
-  return Ingest(spec, loaded.records, /*compact=*/true);
+  return Ingest(key, loaded.records, /*compact=*/true);
 }
 
 }  // namespace robustify::store

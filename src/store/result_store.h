@@ -26,9 +26,12 @@
 // a per-cell index kept in the ResultStore; every later call revalidates it
 // with one stat() of the journal, keyed on (st_dev, st_ino, st_size,
 // st_mtim).  Any mismatch — another process's rename (new inode), append
-// (new size) or rewrite — means a full re-parse.  Queries read one cell, or
-// one series' tallies, from the index.  A mutex guards it, so every method
-// is safe to call from several threads.
+// (new size) or rewrite — means a full re-parse.  Queries read one cell's
+// tally, or one series' tallies, from the index without copying a record;
+// LoadCell copies a cell's records only for a caller that replays them.  A
+// mutex guards the index, so every method is safe to call from several
+// threads.  Every entry point takes a CampaignKey, so a caller that holds
+// one never re-hashes its spec.
 //
 // Write protocol.  A write that adds records either *appends* the delta
 // (only the records past each cell's stored prefix, one flushed block) or
@@ -80,26 +83,44 @@ struct CellTally {
   int successes = 0;
 };
 
+// A campaign as the store addresses it: its spec and the spec's
+// fingerprint.  campaign::SpecFingerprint formats and hashes the canonical
+// spec text, microseconds per call, so a caller that addresses one campaign
+// on every request (the query service) builds the key once and passes it
+// to each read and write.  Converting a bare spec computes the fingerprint
+// on the spot.
+struct CampaignKey {
+  CampaignKey(const campaign::CampaignSpec& spec)  // NOLINT: implicit on purpose
+      : spec(spec), fingerprint(campaign::SpecFingerprint(spec)) {}
+  CampaignKey(const campaign::CampaignSpec& spec, std::uint64_t fingerprint)
+      : spec(spec), fingerprint(fingerprint) {}
+  const campaign::CampaignSpec& spec;  // must outlive the key
+  std::uint64_t fingerprint;           // campaign::SpecFingerprint(spec)
+};
+
 class ResultStore {
  public:
   explicit ResultStore(std::string root) : root_(std::move(root)) {}
 
   const std::string& root() const { return root_; }
 
-  // `<root>/<%016x>` for the spec's fingerprint.
-  std::string CampaignDir(const campaign::CampaignSpec& spec) const;
+  // `<root>/<%016x>` for the campaign's fingerprint.
+  std::string CampaignDir(const CampaignKey& key) const;
 
   // Reads the campaign's stored records (normalized: sorted, contiguous
   // prefixes).  exists == false when the campaign has no stored journal.
-  StoredCells Load(const campaign::CampaignSpec& spec) const;
+  StoredCells Load(const CampaignKey& key) const;
 
-  // One cell of the campaign; empty when nothing is stored for it.
-  StoredCell LoadCell(const campaign::CampaignSpec& spec, int series,
-                      int rate) const;
+  // One cell of the campaign, its records copied; empty when nothing is
+  // stored for it.
+  StoredCell LoadCell(const CampaignKey& key, int series, int rate) const;
+
+  // One cell's {trials, successes}, read from the resident index without
+  // copying a record; zero when nothing is stored for it.
+  CellTally Tally(const CampaignKey& key, int series, int rate) const;
 
   // One series' stored tally at every rate index of the spec's axis.
-  std::vector<CellTally> SeriesTallies(const campaign::CampaignSpec& spec,
-                                       int series) const;
+  std::vector<CellTally> SeriesTallies(const CampaignKey& key, int series) const;
 
   struct IngestStats {
     int cells_updated = 0;   // cells that gained at least one record
@@ -111,15 +132,26 @@ class ResultStore {
   // records that are not a contiguous prefix from trial 0 are truncated at
   // the first gap (they could not have come from a valid journal).  Creates
   // the campaign directory (and spec.txt) on first ingest.  Idempotent.
-  IngestStats IngestRecords(const campaign::CampaignSpec& spec,
+  IngestStats IngestRecords(const CampaignKey& key,
                             const std::vector<campaign::TrialRecord>& records);
+
+  // The write-back of one cell's fresh trials: `stored` is the prefix they
+  // continue (trials 0..n-1 of the cell, as LoadCell returned it) and
+  // `fresh` trials n onward, in trial order.  When the resident cell still
+  // ends at trial n, `fresh` is the delta as it stands — nothing is
+  // re-normalized — and is written under the same append-or-compact rule;
+  // otherwise (another writer moved the cell) this is
+  // IngestRecords(stored + fresh).  Either way the journal bytes equal
+  // IngestRecords(stored + fresh)'s.
+  IngestStats IngestFresh(const CampaignKey& key,
+                          const std::vector<campaign::TrialRecord>& stored,
+                          const std::vector<campaign::TrialRecord>& fresh);
 
   // Loads the journal at `path` (tolerating a torn tail), validates its
   // fingerprint against the spec, and ingests its records, compacting.
   // Throws std::runtime_error when the journal is unreadable or was written
   // by a different spec.
-  IngestStats IngestJournal(const campaign::CampaignSpec& spec,
-                            const std::string& path);
+  IngestStats IngestJournal(const CampaignKey& key, const std::string& path);
 
   struct ManifestCell {
     int series = 0;
@@ -168,9 +200,17 @@ class ResultStore {
   // Caller holds mu_.
   const Entry* Resident(std::uint64_t fingerprint) const;
 
-  IngestStats Ingest(const campaign::CampaignSpec& spec,
+  IngestStats Ingest(const CampaignKey& key,
                      const std::vector<campaign::TrialRecord>& records,
                      bool compact);
+
+  // Writes `delta` (the records past each cell's stored prefix, grouped by
+  // cell in trial order; `stats` counts them) into the entry `stored`
+  // (nullptr = none yet), appending or compacting by the rule above.
+  // Caller holds mu_.
+  void WriteDelta(const CampaignKey& key, const Entry* stored,
+                  const std::vector<campaign::TrialRecord>& delta,
+                  const IngestStats& stats, bool compact);
 
   std::string root_;
   mutable std::mutex mu_;

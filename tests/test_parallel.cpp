@@ -1,8 +1,10 @@
-// Parallel harness: thread-count resolution, and the determinism guarantee
-// — sweep output is identical for every worker count.
+// Parallel harness: thread-count resolution, the worker pool, and the
+// determinism guarantee — sweep output is identical for every worker count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,35 @@ TEST(ResolveThreadCount, UnspecifiedMeansHardwareConcurrency) {
   const int expected = hw > 0 ? static_cast<int>(hw) : 1;
   EXPECT_EQ(harness::ResolveThreadCount(0), expected);
   EXPECT_EQ(harness::ResolveThreadCount(-3), expected);
+}
+
+// A pool starts a thread only when a job first needs it and keeps it: jobs
+// after the first start none.  A job that throws on a pool thread is
+// rethrown by Run once every worker has returned, and the pool runs the
+// next job on the same threads.
+TEST(WorkerPool, KeepsItsThreadsAndRethrowsAJobsException) {
+  const std::uint64_t before = harness::WorkerPool::ThreadsStarted();
+  {
+    harness::WorkerPool pool(3);
+    std::atomic<int> runs{0};
+    pool.Run(1, [&] { ++runs; });  // the calling thread
+    EXPECT_EQ(harness::WorkerPool::ThreadsStarted(), before);
+    pool.Run(2, [&] { ++runs; });
+    pool.Run(8, [&] { ++runs; });  // capped at the pool's 3
+    EXPECT_EQ(runs.load(), 1 + 2 + 3);
+    EXPECT_EQ(harness::WorkerPool::ThreadsStarted(), before + 3);
+
+    std::atomic<int> calls{0};
+    EXPECT_THROW(pool.Run(3,
+                          [&] {
+                            if (calls.fetch_add(1) == 1) throw std::runtime_error("job failed");
+                          }),
+                 std::runtime_error);
+    EXPECT_EQ(calls.load(), 3);
+    pool.Run(3, [&] { ++runs; });
+    EXPECT_EQ(runs.load(), 1 + 2 + 3 + 3);
+  }
+  EXPECT_EQ(harness::WorkerPool::ThreadsStarted(), before + 3);
 }
 
 // A trial that actually exercises the faulty FPU, so the determinism check

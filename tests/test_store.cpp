@@ -43,6 +43,7 @@
 #include "campaign/spec.h"
 #include "core/fault_env.h"
 #include "harness/csv.h"
+#include "harness/parallel.h"
 #include "harness/trial.h"
 #include "service/query_service.h"
 #include "service/surrogate.h"
@@ -1196,5 +1197,240 @@ TEST(QueryService, ResidentIndexParsesEachJournalOnce) {
             std::string::npos);
 }
 #endif
+
+// ---- one service, many queries ---------------------------------------------
+
+// A fig6_6 store of `fixed_trials` trials per cell over `rates`, seeded by
+// a fixed-budget campaign run; returns its journal path.
+std::string SeedFig66Journal(const campaign::CampaignSpec& spec,
+                             const campaign::Scenario& scenario,
+                             const std::string& tag) {
+  campaign::RunnerOptions fixed;
+  fixed.threads = 2;
+  fixed.adaptive = false;
+  fixed.journal_path = TempPath(tag) + ".journal";
+  campaign::RunCampaign(spec, scenario, fixed);
+  return fixed.journal_path;
+}
+
+// A stream of fresh queries through one service gives the answers and the
+// store files of a fresh service per query, at 1, 2 and 4 threads, and the
+// service starts its workers once, not once per query.  Three rounds visit
+// the 8 cells of a small fig6_6 store, each round raising the budget by 6
+// (an allocation knob: one fingerprint) and asking for a ci no tally
+// meets: 24 fresh queries of 6 trials each.  Each round also repeats its
+// first cell, which finds the budget spent and is served from the tally.
+TEST(QueryService, WorkersStartOncePerServiceAndMatchAFreshServicePerQuery) {
+  campaign::CampaignSpec spec = campaign::RegistrySpec("fig6_6");
+  spec.fault_rates = {1e-3, 1e-1};
+  spec.fixed_trials = 3;
+  spec.min_trials = 2;
+  const campaign::Scenario scenario = campaign::BuildScenario(spec);
+  const std::string seed_journal = SeedFig66Journal(spec, scenario, "reuse");
+  struct Step {
+    int budget, series, rate;
+  };
+  std::vector<Step> steps;
+  for (int round = 1; round <= 3; ++round) {
+    for (int cell = 0; cell < 8; ++cell) steps.push_back({3 + 6 * round, cell / 2, cell % 2});
+    steps.push_back({3 + 6 * round, 0, 0});
+  }
+
+  struct Run {
+    std::vector<std::string> answers;
+    std::string store_files;
+    std::uint64_t threads_started = 0;
+    int fresh_queries = 0;
+  };
+  const auto run = [&](int threads, bool one_service) {
+    const std::string root = TempPath("reuse_" + std::to_string(threads) +
+                                      (one_service ? "_one" : "_each")) + ".store";
+    std::filesystem::remove_all(root);
+    store::ResultStore rs(root);
+    rs.IngestJournal(spec, seed_journal);
+    Run out;
+    const std::uint64_t started = harness::WorkerPool::ThreadsStarted();
+    std::unique_ptr<service::QueryService> qs;
+    for (const Step& step : steps) {
+      if (!one_service || qs == nullptr) {
+        qs = std::make_unique<service::QueryService>(&rs, threads);
+      }
+      campaign::CampaignSpec budget = spec;
+      budget.max_trials = step.budget;
+      qs->RegisterSpec(budget, scenario);
+      service::Query query;
+      query.app = spec.app;
+      query.series = scenario.series[static_cast<std::size_t>(step.series)].name;
+      query.rate = spec.fault_rates[static_cast<std::size_t>(step.rate)];
+      query.ci = 1e-3;
+      const service::Answer a = qs->Handle(query);
+      EXPECT_TRUE(a.ok) << a.error;
+      if (a.source == "fresh-trials") {
+        ++out.fresh_queries;
+        EXPECT_EQ(a.fresh_trials, 6);
+      }
+      out.answers.push_back(service::QueryService::AnswerJson(a));
+    }
+    qs.reset();
+    out.threads_started = harness::WorkerPool::ThreadsStarted() - started;
+    out.store_files = FileBytes(JournalOf(rs, spec)) +
+                      FileBytes(rs.CampaignDir(spec) + "/spec.txt");
+    std::filesystem::remove_all(root);
+    return out;
+  };
+
+  const Run reference = run(2, /*one_service=*/false);
+  EXPECT_EQ(reference.fresh_queries, 24);
+  for (const int threads : {1, 2, 4}) {
+    const Run got = run(threads, /*one_service=*/true);
+    EXPECT_EQ(got.fresh_queries, 24) << threads << " threads";
+    EXPECT_EQ(got.answers, reference.answers) << threads << " threads";
+    EXPECT_EQ(got.store_files, reference.store_files) << threads << " threads";
+    EXPECT_EQ(got.threads_started, static_cast<std::uint64_t>(threads > 1 ? threads : 0))
+        << threads << " threads";
+  }
+  std::remove(seed_journal.c_str());
+}
+
+// A trial that throws fails its own query (ok == false, nothing written
+// back); the service's workers survive it and answer the next query, and
+// no worker is started twice.
+TEST(QueryService, ThrowingTrialFailsOnlyItsQuery) {
+  ServiceFixture f("throws", /*prefill=*/false);
+  campaign::Scenario scenario = StoreScenario();
+  const std::uint64_t bad_seed = f.spec.base_seed + 3;
+  scenario.series.push_back(
+      {"Throws", [bad_seed](const core::FaultEnvironment& env) {
+         if (env.seed == bad_seed) throw std::runtime_error("trial 3 exploded");
+         return CliffTrial()(env);
+       }});
+  service::QueryService qs(f.rs.get(), 4);
+  qs.RegisterSpec(f.spec, scenario);
+  const std::uint64_t started = harness::WorkerPool::ThreadsStarted();
+  for (int round = 0; round < 2; ++round) {
+    const service::Answer bad = qs.Handle(f.Q("Throws", 0.1, 0.05));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("trial 3 exploded"), std::string::npos) << bad.error;
+    EXPECT_EQ(f.rs->Tally(f.spec, 2, 2).trials, 0);
+    const service::Answer good = qs.Handle(f.Q("A", round == 0 ? 0.1 : 0.2, 0.05));
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_EQ(good.source, "fresh-trials");
+    EXPECT_EQ(f.rs->Tally(f.spec, 0, round == 0 ? 2 : 3).trials, good.trials);
+  }
+  EXPECT_EQ(harness::WorkerPool::ThreadsStarted() - started, 4u);
+}
+
+// The service's cache and surrogate answers read tallies from the resident
+// index; they must equal the answers computed from the records LoadCell and
+// Load copy out, follow another instance's append on the next query, and
+// an off-grid fresh query must still file under its derived spec's own
+// fingerprint.
+TEST(QueryService, ResidentTalliesMatchTheStoredRecords) {
+  campaign::CampaignSpec spec = campaign::RegistrySpec("fig6_6");
+  spec.fault_rates = {1e-4, 1e-3, 1e-2, 1e-1};
+  spec.fixed_trials = 5;
+  spec.min_trials = 2;
+  spec.max_trials = 8;
+  const campaign::Scenario scenario = campaign::BuildScenario(spec);
+  const std::string seed_journal = SeedFig66Journal(spec, scenario, "tallies");
+  const std::string root = TempPath("tallies") + ".store";
+  std::filesystem::remove_all(root);
+  store::ResultStore rs(root);
+  rs.IngestJournal(spec, seed_journal);
+  service::QueryService qs(&rs, 2);
+  qs.RegisterSpec(spec, scenario);
+  const auto query = [&](int series, double rate, double ci, bool fresh, bool surrogate) {
+    service::Query q;
+    q.app = spec.app;
+    q.series = scenario.series[static_cast<std::size_t>(series)].name;
+    q.rate = rate;
+    q.ci = ci;
+    q.allow_fresh = fresh;
+    q.allow_surrogate = surrogate;
+    return qs.Handle(q);
+  };
+  const store::StoredCells stored = rs.Load(spec);
+  const int series_count = static_cast<int>(scenario.series.size());
+  const int rate_count = static_cast<int>(spec.fault_rates.size());
+  int surrogate_answers = 0;
+  for (int s = 0; s < series_count; ++s) {
+    std::vector<service::CellTally> tallies;
+    for (int r = 0; r < rate_count; ++r) {
+      const store::StoredCell cell = rs.LoadCell(spec, s, r);
+      const int trials = static_cast<int>(cell.records.size());
+      const int successes = static_cast<int>(
+          std::count_if(cell.records.begin(), cell.records.end(),
+                        [](const campaign::TrialRecord& rec) { return rec.success; }));
+      ASSERT_EQ(trials, 5);
+      EXPECT_EQ(successes, cell.successes);
+      const service::Answer a = query(s, spec.fault_rates[static_cast<std::size_t>(r)], 1.0,
+                                      /*fresh=*/false, /*surrogate=*/false);
+      ASSERT_TRUE(a.ok) << a.error;
+      EXPECT_EQ(a.source, "cache");
+      EXPECT_EQ(a.trials, trials);
+      EXPECT_EQ(a.successes, successes);
+      EXPECT_EQ(a.success_rate, static_cast<double>(successes) / trials);
+      EXPECT_EQ(a.half_width, campaign::WilsonHalfWidth(successes, trials));
+      // The surrogate's input, rebuilt from Load()'s records.
+      int load_trials = 0, load_successes = 0;
+      for (const campaign::TrialRecord& rec : stored.records) {
+        if (rec.series != s || rec.rate != r) continue;
+        ++load_trials;
+        if (rec.success) ++load_successes;
+      }
+      EXPECT_EQ(load_trials, trials);
+      tallies.push_back({spec.fault_rates[static_cast<std::size_t>(r)], load_successes,
+                         load_trials});
+    }
+    const double off_grid = std::sqrt(1e-3 * 1e-2);
+    const service::CliffSurrogate fit = service::FitCliffSurrogate(tallies);
+    const service::Answer a = query(s, off_grid, 1.0, /*fresh=*/false, /*surrogate=*/true);
+    if (fit.valid && fit.InSupport(off_grid)) {
+      ASSERT_TRUE(a.ok) << a.error;
+      EXPECT_EQ(a.source, "surrogate");
+      EXPECT_EQ(a.success_rate, fit.Predict(off_grid));
+      EXPECT_EQ(a.half_width, fit.HalfWidthAt(off_grid));
+      ++surrogate_answers;
+    } else {
+      EXPECT_FALSE(a.ok);
+    }
+  }
+  EXPECT_GT(surrogate_answers, 0);
+
+  // Another instance appends three trials to cell (1, 2); this service's
+  // next cache query reports the new tally.
+  {
+    store::ResultStore other(root);
+    store::StoredCell cell = other.LoadCell(spec, 1, 2);
+    std::vector<campaign::TrialRecord> longer = cell.records;
+    for (int t = 5; t < 8; ++t) {
+      campaign::TrialRecord r = longer.back();
+      r.trial = t;
+      r.success = true;
+      r.verdict = static_cast<int>(core::TrialVerdict::kSuccess);
+      longer.push_back(r);
+    }
+    EXPECT_EQ(other.IngestRecords(spec, longer).records_added, 3);
+    const service::Answer a = query(1, spec.fault_rates[2], 1.0, false, false);
+    ASSERT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(a.trials, 8);
+    EXPECT_EQ(a.successes, cell.successes + 3);
+  }
+
+  // Off-grid and no surrogate: fresh trials under the derived single-rate
+  // spec's own fingerprint, not the app's.
+  const service::Answer off = query(0, 0.05, 1e-3, /*fresh=*/true, /*surrogate=*/false);
+  ASSERT_TRUE(off.ok) << off.error;
+  EXPECT_EQ(off.source, "fresh-trials");
+  EXPECT_FALSE(off.on_grid);
+  campaign::CampaignSpec derived = spec;
+  derived.fault_rates = {0.05};
+  ASSERT_NE(campaign::SpecFingerprint(derived), campaign::SpecFingerprint(spec));
+  EXPECT_TRUE(std::filesystem::exists(JournalOf(rs, derived)));
+  EXPECT_EQ(store::ResultStore(root).Tally(derived, 0, 0).trials, off.trials);
+  EXPECT_EQ(store::ResultStore(root).Tally(spec, 0, 0).trials, 5);
+  std::filesystem::remove_all(root);
+  std::remove(seed_journal.c_str());
+}
 
 }  // namespace
