@@ -1,8 +1,7 @@
 // Shared helpers for the bespoke benches (the measurements that are not a
 // registry campaign: fault distribution, voltage curve, energy frontier,
-// FLOP overhead, roofline, runtime, telemetry overhead, fault-model
-// ablation).  The registry figures run through
-// `robustify_cli run <name> --fixed`.
+// FLOP overhead, roofline, runtime, telemetry overhead).  The registry
+// figures run through `robustify_cli run <name> --fixed`.
 //
 // Every bench prints (a) what it reproduces and the expected shape, (b) its
 // tables, and (c) emits a BENCH_<name>.json perf report (wall time and

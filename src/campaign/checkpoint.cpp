@@ -47,9 +47,7 @@ bool ParseRecord(const std::string& line, TrialRecord* out) {
       !parse_long(&success)) {
     return false;
   }
-  if (series < 0 || rate < 0 || trial < 0 || (success != 0 && success != 1)) {
-    return false;
-  }
+  if (success != 0 && success != 1) return false;
   const double metric = std::strtod(p, &end);
   if (end == p) return false;
   p = end;
@@ -65,24 +63,29 @@ bool ParseRecord(const std::string& line, TrialRecord* out) {
   // Optional trailing verdict (journals predating the guarded executor lack
   // it; derive the two-way verdict from the success flag for those).
   long verdict = success == 1 ? 0 : 1;
-  if (*p == ' ') {
-    if (!parse_long(&verdict)) return false;
-    if (verdict < 0 || verdict > 3) return false;
-    if ((verdict == 0) != (success == 1)) return false;
-  }
+  if (*p == ' ' && !parse_long(&verdict)) return false;
   if (*p != '\0') return false;
-  out->series = static_cast<int>(series);
-  out->rate = static_cast<int>(rate);
-  out->trial = static_cast<int>(trial);
-  out->success = success == 1;
-  out->metric = metric;
-  out->faulty_flops = flops;
-  out->faults_injected = faults;
-  out->verdict = static_cast<int>(verdict);
+  TrialRecord r;
+  r.series = static_cast<int>(series);
+  r.rate = static_cast<int>(rate);
+  r.trial = static_cast<int>(trial);
+  r.success = success == 1;
+  r.metric = metric;
+  r.faulty_flops = flops;
+  r.faults_injected = faults;
+  r.verdict = static_cast<int>(verdict);
+  if (r.verdict != verdict || !ValidRecord(r)) return false;
+  *out = r;
   return true;
 }
 
 }  // namespace
+
+bool ValidRecord(const TrialRecord& record) {
+  return record.series >= 0 && record.rate >= 0 && record.trial >= 0 &&
+         record.verdict >= 0 && record.verdict <= 3 &&
+         (record.verdict == 0) == record.success;
+}
 
 std::map<std::pair<int, int>, std::vector<TrialRecord>> NormalizeRecords(
     const std::vector<TrialRecord>& records) {

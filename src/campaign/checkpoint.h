@@ -43,6 +43,12 @@ struct TrialRecord {
   int verdict = 0;
 };
 
+// The one rule a record must meet to be journaled: non-negative coordinates,
+// a verdict in 0..3, and success exactly when the verdict is success.  The
+// journal parser stops at a line that breaks it, and the result store
+// refuses to write such a record.
+bool ValidRecord(const TrialRecord& record);
+
 // Buckets records per (series, rate) cell, in std::map key order, and cuts
 // each bucket to its contiguous trial-index prefix from 0 — the only shape
 // a valid journal can produce.  The sort is stable and the first of equal

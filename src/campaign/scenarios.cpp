@@ -18,6 +18,7 @@
 #include "core/fault_env.h"
 #include "core/phases.h"
 #include "core/variants.h"
+#include "faulty/fault_model.h"
 #include "graph/generators.h"
 #include "graph/maxflow.h"
 #include "graph/shortest_paths.h"
@@ -51,10 +52,14 @@ harness::TrialFn SortBaseFn() {
   };
 }
 
-harness::TrialFn SortVariantFn(const apps::LpSolveConfig& config) {
-  return [config](const core::FaultEnvironment& env) {
+// Sorts `fixed_input` when given, else a fresh input drawn from the trial seed.
+harness::TrialFn SortVariantFn(
+    const apps::LpSolveConfig& config,
+    std::shared_ptr<const std::vector<double>> fixed_input = nullptr) {
+  return [config, fixed_input](const core::FaultEnvironment& env) {
     harness::TrialOutcome out;
-    const std::vector<double> input = SortInput(env.seed * 7919);
+    const std::vector<double> input =
+        fixed_input ? *fixed_input : SortInput(env.seed * 7919);
     const apps::RobustSortResult r = core::WithFaultyFpu(
         env, [&] { return apps::RobustSort<faulty::Real>(input, config); },
         &out.fpu_stats);
@@ -452,11 +457,87 @@ Scenario MakeSvmScenario() {
   return s;
 }
 
+// ---- fault_model_ablation: every fault model on sort and lsq ---------------
+
+// The series' own fault model replaces the bit model, temporal model and op
+// classes of the environment it receives; rate, seed, law parameters and
+// guard still come from the spec (BuildScenario refuses a spec that sets
+// the replaced fields, which would otherwise be silently overridden).
+harness::TrialFn UnderFaultModel(harness::TrialFn trial, faulty::BitModel bit_model,
+                                 faulty::Temporal temporal, unsigned op_classes) {
+  return [trial = std::move(trial), bit_model, temporal,
+          op_classes](const core::FaultEnvironment& env) {
+    core::FaultEnvironment own = env;
+    own.bit_model = bit_model;
+    own.model.temporal = temporal;
+    own.model.op_classes = op_classes;
+    return trial(own);
+  };
+}
+
+// Chapter 7 (future work): robustness under other fault models.  One series
+// per app x bit model x temporal model x op-class mask, named
+// "app/bit/temporal/classes"; the spec's guard bounds the sticky models'
+// trials, whose exponent faults can otherwise let a solver grind.
+Scenario MakeFaultModelAblationScenario() {
+  const struct {
+    const char* name;
+    harness::TrialFn trial;
+  } apps_axis[] = {
+      {"sort", SortVariantFn(apps::SortSgdAsSqs(),
+                             std::make_shared<const std::vector<double>>(
+                                 std::vector<double>{0.9, 0.1, 0.6, 0.3, 0.7}))},
+      {"lsq", LsqSgdFn(std::make_shared<const apps::LsqProblem>(
+                           apps::MakeRandomLsqProblem(100, 10, 12)),
+                       apps::LsqSgdAsLs())},
+  };
+  const struct {
+    faulty::BitModel model;
+    const char* name;
+  } bit_models[] = {
+      {faulty::BitModel::kBimodal, "bimodal"},
+      {faulty::BitModel::kUniform, "uniform"},
+      {faulty::BitModel::kMsbOnly, "msb"},
+      {faulty::BitModel::kLsbOnly, "lsb"},
+  };
+  const faulty::Temporal temporals[] = {
+      faulty::Temporal::kTransient, faulty::Temporal::kStuckAt,
+      faulty::Temporal::kBurst, faulty::Temporal::kIntermittent};
+  const struct {
+    unsigned mask;
+    const char* name;
+  } op_classes[] = {
+      {faulty::kOpClassArith, "arith"},
+      {faulty::kOpClassDefault, "arith+cmp"},
+      {faulty::kOpClassAll, "arith+cmp+mem"},
+  };
+  Scenario s;
+  s.app = "fault_model_ablation";
+  s.title = "Fault-model ablation (median relative error; sort reports 0)";
+  s.value = harness::TableValue::kMedianMetric;
+  s.value_label = "median relative error w.r.t. ideal";
+  for (const auto& app : apps_axis) {
+    for (const auto& bit : bit_models) {
+      for (const faulty::Temporal temporal : temporals) {
+        for (const auto& classes : op_classes) {
+          s.series.push_back(
+              {std::string(app.name) + "/" + bit.name + "/" +
+                   faulty::TemporalName(temporal) + "/" + classes.name,
+               UnderFaultModel(app.trial, bit.model, temporal, classes.mask)});
+        }
+      }
+    }
+  }
+  return s;
+}
+
 // ---- dispatch ---------------------------------------------------------------
 
 struct ScenarioEntry {
   const char* app;
   Scenario (*make)();
+  // The series set their own bit model, temporal model and op classes.
+  bool series_own_fault_model = false;
 };
 
 constexpr ScenarioEntry kScenarios[] = {
@@ -472,11 +553,12 @@ constexpr ScenarioEntry kScenarios[] = {
     {"apsp", MakeApspScenario},
     {"eigen_rayleigh", MakeEigenScenario},
     {"svm", MakeSvmScenario},
+    {"fault_model_ablation", MakeFaultModelAblationScenario, true},
 };
 
-Scenario MakeScenario(const std::string& app) {
+const ScenarioEntry& FindScenario(const std::string& app) {
   for (const ScenarioEntry& entry : kScenarios) {
-    if (app == entry.app) return entry.make();
+    if (app == entry.app) return entry;
   }
   throw std::runtime_error("unknown scenario app '" + app + "'");
 }
@@ -484,7 +566,7 @@ Scenario MakeScenario(const std::string& app) {
 }  // namespace
 
 std::vector<std::string> ScenarioSeriesNames(const std::string& app) {
-  const Scenario s = MakeScenario(app);
+  const Scenario s = FindScenario(app).make();
   std::vector<std::string> names;
   names.reserve(s.series.size());
   for (const harness::NamedTrial& t : s.series) names.push_back(t.name);
@@ -492,7 +574,16 @@ std::vector<std::string> ScenarioSeriesNames(const std::string& app) {
 }
 
 Scenario BuildScenario(const CampaignSpec& spec) {
-  Scenario s = MakeScenario(spec.app);
+  const ScenarioEntry& entry = FindScenario(spec.app);
+  if (entry.series_own_fault_model &&
+      (spec.bit_model != faulty::BitModel::kBimodal ||
+       spec.model.temporal != faulty::Temporal::kTransient ||
+       spec.model.op_classes != faulty::kOpClassDefault)) {
+    throw std::runtime_error("scenario '" + spec.app +
+                             "' sets each series' bit_model, model and op_classes; "
+                             "the spec must leave them at their defaults");
+  }
+  Scenario s = entry.make();
   if (spec.series.empty()) return s;
   std::vector<harness::NamedTrial> selected;
   selected.reserve(spec.series.size());

@@ -34,7 +34,9 @@ std::vector<std::string> ScenarioSeriesNames(const std::string& app);
 
 // Builds the scenario for spec.app, restricted (and reordered) to
 // spec.series when non-empty.  Throws std::runtime_error on an unknown app
-// or series name.
+// or series name, and on a spec that sets the bit_model, model or
+// op_classes of a scenario whose series set their own
+// (fault_model_ablation).
 Scenario BuildScenario(const CampaignSpec& spec);
 
 }  // namespace robustify::campaign

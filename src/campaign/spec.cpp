@@ -402,6 +402,15 @@ const std::vector<CampaignSpec>& Registry() {
       MakeSpec("eigen_rayleigh", "eigen_rayleigh", {0.0, 0.001, 0.01, 0.05, 0.1}, 6,
                72),
       MakeSpec("svm", "svm", {0.0, 0.01, 0.05, 0.1, 0.3, 0.5}, 6, 74),
+      [] {
+        // Each series sets its own fault model; the guard bounds the
+        // sticky models' trials and reports how often it ended one.
+        CampaignSpec spec =
+            MakeSpec("fault_model_ablation", "fault_model_ablation", {0.05}, 6, 73);
+        spec.guard.max_iterations = 20000;
+        spec.guard.nonfinite_bailout = true;
+        return spec;
+      }(),
   };
   return specs;
 }

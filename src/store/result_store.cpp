@@ -52,6 +52,21 @@ std::runtime_error CorruptStore(const std::string& path, std::uint64_t found,
                             " but is filed under " + FingerprintHex(expected));
 }
 
+// Writers refuse what the journal parser would stop at: a record that
+// breaks campaign::ValidRecord would be counted here and dropped, with
+// everything after it, by every reader.
+void RequireValidRecords(const std::vector<TrialRecord>& records) {
+  for (const TrialRecord& r : records) {
+    if (!campaign::ValidRecord(r)) {
+      throw std::runtime_error(
+          "result store: invalid trial record (series " + std::to_string(r.series) +
+          ", rate " + std::to_string(r.rate) + ", trial " + std::to_string(r.trial) +
+          ", success " + std::to_string(r.success ? 1 : 0) + ", verdict " +
+          std::to_string(r.verdict) + ")");
+    }
+  }
+}
+
 }  // namespace
 
 bool ResultStore::JournalKey::operator==(const JournalKey& o) const {
@@ -164,6 +179,7 @@ ResultStore::IngestStats ResultStore::IngestRecords(
 ResultStore::IngestStats ResultStore::IngestFresh(
     const CampaignKey& key, const std::vector<TrialRecord>& stored,
     const std::vector<TrialRecord>& fresh) {
+  RequireValidRecords(fresh);
   if (fresh.empty()) return {};
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -188,6 +204,7 @@ ResultStore::IngestStats ResultStore::IngestFresh(
 ResultStore::IngestStats ResultStore::Ingest(
     const CampaignKey& key, const std::vector<TrialRecord>& records,
     bool compact) {
+  RequireValidRecords(records);
   std::lock_guard<std::mutex> lock(mu_);
   const Entry* stored = Resident(key.fingerprint);
 

@@ -132,6 +132,8 @@ class ResultStore {
   // records that are not a contiguous prefix from trial 0 are truncated at
   // the first gap (they could not have come from a valid journal).  Creates
   // the campaign directory (and spec.txt) on first ingest.  Idempotent.
+  // Throws std::runtime_error, before touching the index or the files,
+  // when a record breaks campaign::ValidRecord (IngestFresh likewise).
   IngestStats IngestRecords(const CampaignKey& key,
                             const std::vector<campaign::TrialRecord>& records);
 

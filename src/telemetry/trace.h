@@ -48,9 +48,10 @@ void EmitEvent(const char* name, char phase);
 // When a traced thread exits, its ring's valid events are copied into a
 // buffer of their own size and kept for WriteTrace; the retained copies
 // are bounded by bytes (oldest dropped first, flight-recorder style), so a
-// long run that starts thousands of short-lived workers — a serve loop
-// under ROBUSTIFY_TRACE=1 starts them per fresh query — holds at most this
-// much for the exited ones.
+// long traced process that starts thousands of short-lived workers — every
+// campaign::RunCampaign call starts and joins its own (the query service
+// keeps one pool for its lifetime) — holds at most this much for the
+// exited ones.
 inline constexpr std::size_t kMaxRetiredTraceBytes = std::size_t{8} << 20;
 
 // Bytes the retired copies hold now (for tests).

@@ -320,6 +320,39 @@ TEST(CampaignScenario, SeriesSubsetSelectsAndReorders) {
   EXPECT_THROW(campaign::BuildScenario(spec), std::runtime_error);
 }
 
+// The ablation's series carry their own bit model, temporal model and op
+// classes: a spec that sets one is refused rather than silently
+// overridden, while the model's law parameters still come from the spec.
+TEST(CampaignScenario, FaultModelAblationSeriesOwnTheirModel) {
+  campaign::CampaignSpec spec = campaign::RegistrySpec("fault_model_ablation");
+  const campaign::Scenario scenario = campaign::BuildScenario(spec);
+  ASSERT_EQ(scenario.series.size(), 96u);
+  EXPECT_EQ(scenario.series.front().name, "sort/bimodal/transient/arith");
+  EXPECT_EQ(scenario.series[95].name, "lsq/lsb/intermittent/arith+cmp+mem");
+  std::set<std::string> names;
+  for (const harness::NamedTrial& t : scenario.series) names.insert(t.name);
+  EXPECT_EQ(names.size(), 96u);
+
+  campaign::CampaignSpec bad = spec;
+  bad.bit_model = faulty::BitModel::kMsbOnly;
+  EXPECT_THROW(campaign::BuildScenario(bad), std::runtime_error);
+  bad = spec;
+  bad.model.temporal = faulty::Temporal::kStuckAt;
+  EXPECT_THROW(campaign::BuildScenario(bad), std::runtime_error);
+  bad = spec;
+  bad.model.op_classes = faulty::kOpClassAll;
+  EXPECT_THROW(campaign::BuildScenario(bad), std::runtime_error);
+
+  spec.series = {"lsq/bimodal/stuck/arith"};
+  const campaign::Scenario lsq_stuck = campaign::BuildScenario(spec);
+  const harness::TrialOutcome short_stuck = harness::RunSingleTrial(
+      lsq_stuck.series[0].fn, campaign::SpecEnvironment(spec, 0), 0);
+  spec.model.stuck_mean_ops = 4096;
+  const harness::TrialOutcome long_stuck = harness::RunSingleTrial(
+      campaign::BuildScenario(spec).series[0].fn, campaign::SpecEnvironment(spec, 0), 0);
+  EXPECT_NE(short_stuck.fpu_stats.faults_injected, long_stuck.fpu_stats.faults_injected);
+}
+
 // ---- the stopping rule ------------------------------------------------------
 
 TEST(WilsonHalfWidth, MatchesClosedForm) {

@@ -847,6 +847,74 @@ TEST(ResultStore, DuplicateTrialIndicesKeepTheFirst) {
   EXPECT_EQ(direct.LoadCell(spec, 0, 1).records[2].metric, records[2].metric);
 }
 
+// A writer refuses, before it touches the index or the files, every record
+// the journal parser would stop at: what a resident tally counts is what a
+// fresh instance reads back.
+TEST(ResultStore, InvalidRecordsAreRefusedBeforeAnyWrite) {
+  const campaign::CampaignSpec spec = StoreSpec();
+  const std::string root = TempPath("invalid") + ".store";
+  std::filesystem::remove_all(root);
+  store::ResultStore rs(root);
+  const std::vector<campaign::TrialRecord> prefix = CellPrefix(0, 0, 4);
+  rs.IngestRecords(spec, prefix);
+  const std::string path = JournalOf(rs, spec);
+  const std::string before = FileBytes(path);
+
+  std::vector<campaign::TrialRecord> invalid;
+  const auto next = [] { return CellPrefix(0, 0, 5).back(); };
+  campaign::TrialRecord r = next();
+  r.success = true;
+  r.verdict = static_cast<int>(core::TrialVerdict::kDiverged);
+  invalid.push_back(r);
+  r = next();
+  r.success = false;
+  r.verdict = static_cast<int>(core::TrialVerdict::kSuccess);
+  invalid.push_back(r);
+  r = next();
+  r.success = false;
+  r.verdict = 4;
+  invalid.push_back(r);
+  r.verdict = -1;
+  invalid.push_back(r);
+  r = next();
+  r.trial = -1;
+  invalid.push_back(r);
+  r = next();
+  r.series = -2;
+  invalid.push_back(r);
+  r = next();
+  r.rate = -1;
+  invalid.push_back(r);
+
+  for (const campaign::TrialRecord& bad : invalid) {
+    SCOPED_TRACE("series " + std::to_string(bad.series) + " rate " +
+                 std::to_string(bad.rate) + " trial " + std::to_string(bad.trial) +
+                 " success " + std::to_string(bad.success) + " verdict " +
+                 std::to_string(bad.verdict));
+    EXPECT_FALSE(campaign::ValidRecord(bad));
+    std::vector<campaign::TrialRecord> records = prefix;
+    records.push_back(bad);
+    EXPECT_THROW(rs.IngestRecords(spec, records), std::runtime_error);
+    EXPECT_THROW(rs.IngestFresh(spec, prefix, {bad}), std::runtime_error);
+    EXPECT_EQ(rs.Tally(spec, 0, 0).trials, 4);
+    EXPECT_EQ(FileBytes(path), before);
+
+    // The journal parser stops at the same record.
+    const std::string journal = TempPath("invalid") + ".journal";
+    {
+      campaign::CampaignJournal writer(journal);
+      writer.Start(campaign::SpecFingerprint(spec));
+      writer.Append(records.data(), records.size());
+    }
+    EXPECT_EQ(campaign::CampaignJournal::Load(journal).records.size(), 4u);
+    std::remove(journal.c_str());
+  }
+  EXPECT_TRUE(campaign::ValidRecord(next()));
+  rs.IngestFresh(spec, prefix, {next()});
+  EXPECT_EQ(rs.Tally(spec, 0, 0).trials, 5);
+  EXPECT_EQ(store::ResultStore(root).Tally(spec, 0, 0).trials, 5);
+}
+
 TEST(ResultStore, TornDeltaIsDroppedAndTheNextWriteCompacts) {
   const campaign::CampaignSpec spec = StoreSpec();
   const std::string root = TempPath("torndelta") + ".store";

@@ -141,6 +141,32 @@ TEST(Telemetry, CampaignCsvInvariantUnderTelemetryStateAndThreads) {
   EXPECT_EQ(off_t1, on_t8);
 }
 
+// Shards of exited threads fold into the retired totals: counts made on
+// short-lived workers must survive the workers.  Defined in both builds:
+// CI's TSan filter names it.
+TEST(Telemetry, RegistryMergesRetiredWorkerShards) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#endif
+  telemetry::SetCountersEnabled(true);
+  telemetry::ResetCounters();
+  constexpr int kWorkers = 4;
+  constexpr int kCountsEach = 16;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([] {
+      for (int i = 0; i < kCountsEach; ++i) {
+        telemetry::Count(telemetry::Counter::kCampaignTrials, 3);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  // Every worker has exited, so every worker shard has retired by now.
+  const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
+  EXPECT_EQ(snap.value(telemetry::Counter::kCampaignTrials),
+            static_cast<std::uint64_t>(kWorkers * kCountsEach) * 3u);
+}
+
 #if ROBUSTIFY_TELEMETRY_ENABLED
 
 // Counter totals must not depend on how the grid was fanned out: the
@@ -259,28 +285,6 @@ TEST(Telemetry, HistogramBucketsAreLog2) {
   EXPECT_EQ(telemetry::HistogramBucketLowerBound(0), 0u);
   EXPECT_EQ(telemetry::HistogramBucketLowerBound(1), 1u);
   EXPECT_EQ(telemetry::HistogramBucketLowerBound(9), 256u);
-}
-
-// Shards of exited threads fold into the retired totals: counts made on
-// short-lived workers must survive the workers.
-TEST(Telemetry, RegistryMergesRetiredWorkerShards) {
-  telemetry::SetCountersEnabled(true);
-  telemetry::ResetCounters();
-  constexpr int kWorkers = 4;
-  constexpr int kCountsEach = 16;
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([] {
-      for (int i = 0; i < kCountsEach; ++i) {
-        telemetry::Count(telemetry::Counter::kCampaignTrials, 3);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  // Every worker has exited, so every worker shard has retired by now.
-  const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
-  EXPECT_EQ(snap.value(telemetry::Counter::kCampaignTrials),
-            static_cast<std::uint64_t>(kWorkers * kCountsEach) * 3u);
 }
 
 // The result-store counters obey the same contracts as the rest: every one
