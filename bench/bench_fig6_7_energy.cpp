@@ -92,6 +92,32 @@ int main(int argc, char** argv) {
   std::printf("-----------------------------------------------------------------------"
               "---------------------------------------------------\n");
 
+  // The joint (iterations, voltage) frontier of one CG configuration: the
+  // cheapest operating point that meets `target`, scanning each iteration
+  // count's voltages from nominal downward like the Cholesky scan below.
+  const auto cg_frontier = [&](opt::CgOptions (*config)(int),
+                               std::uint64_t seed_base, double target) {
+    Operating best;
+    for (int iters = 2; iters <= 16; iters += 2) {
+      for (auto vit = voltages.rbegin(); vit != voltages.rend(); ++vit) {
+        const double v = *vit;
+        const auto [err, flops] = Measure(
+            [&] {
+              return signal::RelativeError(
+                  apps::SolveLsqCg<faulty::Real>(problem, config(iters)).x,
+                  problem.exact);
+            },
+            vm.error_rate(v),
+            seed_base + static_cast<std::uint64_t>(v * 1000) +
+                static_cast<std::uint64_t>(iters));
+        if (err > target) break;
+        const double e = energy_model.energy(static_cast<std::uint64_t>(flops), v);
+        if (e < best.energy) best = {v, iters, e, true};
+      }
+    }
+    return best;
+  };
+
   for (const double target : targets) {
     // Feasibility in voltage is monotone (more overscaling, more faults), so
     // scan from nominal downward and stop at the first failure — this avoids
@@ -117,54 +143,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    // CG: joint frontier over (iterations, voltage).
-    Operating cg;
-    for (int iters = 2; iters <= 16; iters += 2) {
-      for (auto vit = voltages.rbegin(); vit != voltages.rend(); ++vit) {
-        const double v = *vit;
-        const auto [err, flops] = Measure(
-            [&] {
-              return signal::RelativeError(
-                  apps::SolveLsqCg<faulty::Real>(problem, apps::LsqCg(iters)).x,
-                  problem.exact);
-            },
-            vm.error_rate(v),
-            2000 + static_cast<std::uint64_t>(v * 1000) +
-                static_cast<std::uint64_t>(iters));
-        if (err > target) break;
-        {
-          const double e = energy_model.energy(static_cast<std::uint64_t>(flops), v);
-          if (e < cg.energy) {
-            cg = {v, iters, e, true};
-          }
-        }
-      }
-    }
-
-    // CG-NE: the paper's iteration — G = A^T A precomputed once, one n x n
-    // mat-vec per step instead of two m x n ones.  Same joint frontier.
-    Operating cgne;
-    for (int iters = 2; iters <= 16; iters += 2) {
-      for (auto vit = voltages.rbegin(); vit != voltages.rend(); ++vit) {
-        const double v = *vit;
-        const auto [err, flops] = Measure(
-            [&] {
-              return signal::RelativeError(
-                  apps::SolveLsqCg<faulty::Real>(problem, apps::LsqCgNormal(iters)).x,
-                  problem.exact);
-            },
-            vm.error_rate(v),
-            3000 + static_cast<std::uint64_t>(v * 1000) +
-                static_cast<std::uint64_t>(iters));
-        if (err > target) break;
-        {
-          const double e = energy_model.energy(static_cast<std::uint64_t>(flops), v);
-          if (e < cgne.energy) {
-            cgne = {v, iters, e, true};
-          }
-        }
-      }
-    }
+    // CG, and CG-NE — the paper's iteration: G = A^T A precomputed once,
+    // one n x n mat-vec per step instead of two m x n ones.
+    const Operating cg = cg_frontier(apps::LsqCg, 2000, target);
+    const Operating cgne = cg_frontier(apps::LsqCgNormal, 3000, target);
 
     std::printf("%-16.0e ", target);
     if (chol.feasible) {

@@ -293,21 +293,29 @@ int RunCampaignCommand(bool resume, const std::string& target,
                            "success rate (%)");
 
   // Per-cell allocation map: where the adaptive controller actually spent
-  // the budget.
-  std::cout << "trials per cell (* = budget hit before the CI target):\n";
+  // the budget.  A fixed run has no CI target, so no cell is marked or
+  // counted as settled.
+  const bool adaptive = cli.runner.adaptive;
+  std::cout << (adaptive ? "trials per cell (* = budget hit before the CI target):\n"
+                         : "trials per cell:\n");
   for (std::size_t s = 0; s < result.cells.size(); ++s) {
     std::printf("  %-24s", result.series[s].name.c_str());
     for (const campaign::CellStats& cell : result.cells[s]) {
-      std::printf(" %5d%c", cell.trials, cell.settled ? ' ' : '*');
+      std::printf(" %5d", cell.trials);
+      if (adaptive) std::putchar(cell.settled ? ' ' : '*');
     }
     std::printf("\n");
   }
+  const std::string settled =
+      adaptive ? ", " + std::to_string(result.settled_cells) + "/" +
+                     std::to_string(result.cell_count) + " cells settled"
+               : "";
   std::printf(
-      "total trials: %ld / %ld budget (%.1f%%), %d/%d cells settled%s\n",
+      "total trials: %ld / %ld budget (%.1f%%)%s%s\n",
       result.total_trials, result.budget_trials,
       100.0 * static_cast<double>(result.total_trials) /
           static_cast<double>(result.budget_trials > 0 ? result.budget_trials : 1),
-      result.settled_cells, result.cell_count,
+      settled.c_str(),
       result.resumed_trials > 0
           ? (" (" + std::to_string(result.resumed_trials) + " replayed from journal)")
                 .c_str()

@@ -1,5 +1,6 @@
 #include "harness/table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -18,18 +19,22 @@ double ExtractValue(const TrialSummary& summary, TableValue value) {
 
 namespace {
 
+// Minimum column width; a column widens to fit its longest series name
+// plus two spaces, so no name is cut.
 constexpr int kColWidth = 16;
 
 std::string FormatCell(double v, TableValue value) {
+  if (value != TableValue::kSuccessRatePct && !std::isfinite(v)) return "inf";
   char buf[64];
-  if (value == TableValue::kSuccessRatePct) {
-    std::snprintf(buf, sizeof(buf), "%-*.1f", kColWidth, v);
-  } else if (!std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "%-*s", kColWidth, "inf");
-  } else {
-    std::snprintf(buf, sizeof(buf), "%-*.4e", kColWidth, v);
-  }
+  std::snprintf(buf, sizeof(buf),
+                value == TableValue::kSuccessRatePct ? "%.1f" : "%.4e", v);
   return buf;
+}
+
+// Left-aligns text in a column of the given width.
+std::string Pad(std::string text, int width) {
+  if (text.size() < static_cast<std::size_t>(width)) text.resize(width, ' ');
+  return text;
 }
 
 }  // namespace
@@ -37,28 +42,26 @@ std::string FormatCell(double v, TableValue value) {
 void PrintSweepTable(std::ostream& os, const std::string& title,
                      const std::vector<Series>& series, TableValue value,
                      const std::string& value_label) {
+  int width = kColWidth;
+  for (const Series& s : series) {
+    width = std::max(width, static_cast<int>(s.name.size()) + 2);
+  }
   os << title << "\n";
   os << "value: " << value_label << "\n";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%-*s", kColWidth, "fault_rate");
-  os << buf;
-  for (const Series& s : series) {
-    std::string name = s.name;
-    if (name.size() > kColWidth - 2) name = name.substr(0, kColWidth - 2);
-    std::snprintf(buf, sizeof(buf), "%-*s", kColWidth, name.c_str());
-    os << buf;
-  }
+  os << Pad("fault_rate", width);
+  for (const Series& s : series) os << Pad(s.name, width);
   os << "\n";
-  const std::size_t total_width = kColWidth * (series.size() + 1);
-  os << std::string(total_width, '-') << "\n";
+  os << std::string(static_cast<std::size_t>(width) * (series.size() + 1), '-')
+     << "\n";
   if (series.empty()) return;
   for (std::size_t r = 0; r < series.front().points.size(); ++r) {
-    std::snprintf(buf, sizeof(buf), "%-*.6g", kColWidth, series.front().points[r].fault_rate);
-    os << buf;
+    char rate[64];
+    std::snprintf(rate, sizeof(rate), "%.6g", series.front().points[r].fault_rate);
+    os << Pad(rate, width);
     for (const Series& s : series) {
       const double v = r < s.points.size() ? ExtractValue(s.points[r].summary, value)
                                            : 0.0;
-      os << FormatCell(v, value);
+      os << Pad(FormatCell(v, value), width);
     }
     os << "\n";
   }

@@ -18,7 +18,8 @@ enum class TableValue {
 
 double ExtractValue(const TrialSummary& summary, TableValue value);
 
-// One row per fault rate, one fixed-width column per series.
+// One row per fault rate, one column per series.  Columns share one width:
+// 16, or the longest series name plus two, so names are never cut.
 void PrintSweepTable(std::ostream& os, const std::string& title,
                      const std::vector<Series>& series, TableValue value,
                      const std::string& value_label);

@@ -1,12 +1,13 @@
 #include "telemetry/attribution.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <ostream>
+
+#include "telemetry/registry.h"
 
 namespace robustify::telemetry {
 
@@ -44,58 +45,7 @@ std::atomic<bool> g_attribution{false};
 
 namespace {
 
-inline std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// Span nesting in this repo is ~6 deep (campaign > cell > trial > solve >
-// phase); 64 leaves room for future layers.  Deeper entries are dropped —
-// the matching exits unwind the overflow counter, never the wrong frame.
-inline constexpr int kMaxDepth = 64;
-
-struct Frame {
-  int category = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t child_ns = 0;  // summed durations of directly nested spans
-};
-
-// One thread's ledger.  Totals are relaxed atomics (single writer: the
-// owning thread; concurrent readers: SnapshotAttribution) exactly like the
-// counter shards; the frame stack is owner-only plain data.
-struct Ledger {
-  std::atomic<std::uint64_t> count[kNumAttrCategories];
-  std::atomic<std::uint64_t> total_ns[kNumAttrCategories];
-  std::atomic<std::uint64_t> self_ns[kNumAttrCategories];
-  Frame stack[kMaxDepth];
-  int depth = 0;
-  int overflow = 0;                      // enters dropped past kMaxDepth
-  int category_depth[kNumAttrCategories] = {};  // recursion guard for total
-  int tid = 0;
-  Ledger* next = nullptr;
-  Ledger* prev = nullptr;
-};
-
-struct RetiredLedger {
-  int tid = 0;
-  AttrTotals totals[kNumAttrCategories];
-};
-
-struct Registry {
-  std::mutex mu;
-  Ledger* head = nullptr;  // live ledgers, intrusively linked
-  int next_tid = 1;        // stable ids in registration order
-  std::vector<RetiredLedger> retired;
-};
-
-Registry& GetRegistry() {
-  static Registry registry;
-  return registry;
-}
-
-void FoldInto(const Ledger& ledger, AttrTotals* totals) {
+void FoldInto(const AttrLedger& ledger, AttrTotals* totals) {
   for (int c = 0; c < kNumAttrCategories; ++c) {
     totals[c].count += ledger.count[c].load(std::memory_order_relaxed);
     totals[c].total_ns += ledger.total_ns[c].load(std::memory_order_relaxed);
@@ -103,45 +53,15 @@ void FoldInto(const Ledger& ledger, AttrTotals* totals) {
   }
 }
 
-void ZeroLedger(Ledger* ledger) {
+bool IsZero(const AttrTotals* totals) {
   for (int c = 0; c < kNumAttrCategories; ++c) {
-    ledger->count[c].store(0, std::memory_order_relaxed);
-    ledger->total_ns[c].store(0, std::memory_order_relaxed);
-    ledger->self_ns[c].store(0, std::memory_order_relaxed);
-  }
-}
-
-// Registers on first span entry (threads that never span never appear) and
-// folds into the retired list on thread exit, keeping the tid so exited
-// workers still report individually.
-struct LedgerHolder {
-  Ledger ledger{};
-  LedgerHolder() {
-    ZeroLedger(&ledger);
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    ledger.tid = registry.next_tid++;
-    ledger.next = registry.head;
-    if (registry.head != nullptr) registry.head->prev = &ledger;
-    registry.head = &ledger;
-  }
-  ~LedgerHolder() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    RetiredLedger retired;
-    retired.tid = ledger.tid;
-    FoldInto(ledger, retired.totals);
-    registry.retired.push_back(retired);
-    if (ledger.prev != nullptr) {
-      ledger.prev->next = ledger.next;
-    } else {
-      registry.head = ledger.next;
+    if (totals[c].count != 0 || totals[c].total_ns != 0 ||
+        totals[c].self_ns != 0) {
+      return false;
     }
-    if (ledger.next != nullptr) ledger.next->prev = ledger.prev;
   }
-};
-
-thread_local LedgerHolder tls_ledger;
+  return true;
+}
 
 int ResolveCategory(const char* name) {
   for (int c = 0; c < kNumAttrCategories; ++c) {
@@ -152,13 +72,22 @@ int ResolveCategory(const char* name) {
 
 }  // namespace
 
+// Threads that never spanned with attribution on leave nothing behind;
+// the rest keep their tid so exited workers still report individually.
+void RetireLedger(ThreadRecord& record, Registry& registry) {
+  AttributionSnapshot::ThreadLedger retired;
+  retired.tid = static_cast<int>(record.tid);
+  FoldInto(record.ledger, retired.totals);
+  if (!IsZero(retired.totals)) registry.retired_ledgers.push_back(retired);
+}
+
 void AttrEnter(const char* name) {
-  Ledger& ledger = tls_ledger.ledger;
-  if (ledger.depth >= kMaxDepth) {
+  AttrLedger& ledger = ThisThread().ledger;
+  if (ledger.depth >= kMaxSpanDepth) {
     ++ledger.overflow;
     return;
   }
-  Frame& frame = ledger.stack[ledger.depth++];
+  SpanFrame& frame = ledger.stack[ledger.depth++];
   frame.category = ResolveCategory(name);
   frame.child_ns = 0;
   frame.start_ns = NowNs();
@@ -166,15 +95,16 @@ void AttrEnter(const char* name) {
 }
 
 void AttrExit() {
-  Ledger& ledger = tls_ledger.ledger;
+  AttrLedger& ledger = ThisThread().ledger;
   if (ledger.overflow > 0) {
     --ledger.overflow;
     return;
   }
   if (ledger.depth == 0) return;  // enabled mid-span: exit without an enter
-  const Frame& frame = ledger.stack[--ledger.depth];
-  const std::uint64_t now = NowNs();
-  const std::uint64_t dur = now > frame.start_ns ? now - frame.start_ns : 0;
+  const SpanFrame& frame = ledger.stack[--ledger.depth];
+  const std::int64_t now = NowNs();
+  const std::uint64_t dur =
+      now > frame.start_ns ? static_cast<std::uint64_t>(now - frame.start_ns) : 0;
   const std::uint64_t self = dur > frame.child_ns ? dur - frame.child_ns : 0;
   const int c = frame.category;
   ledger.self_ns[c].store(
@@ -204,36 +134,15 @@ AttributionSnapshot SnapshotAttribution() {
   AttributionSnapshot snapshot;
   detail::Registry& registry = detail::GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  for (const detail::RetiredLedger& retired : registry.retired) {
+  snapshot.threads = registry.retired_ledgers;
+  for (const detail::ThreadRecord* record = registry.head; record != nullptr;
+       record = record->next) {
     AttributionSnapshot::ThreadLedger thread;
-    thread.tid = retired.tid;
-    for (int c = 0; c < kNumAttrCategories; ++c) {
-      thread.totals[c] = retired.totals[c];
-    }
-    snapshot.threads.push_back(thread);
+    thread.tid = static_cast<int>(record->tid);
+    detail::FoldInto(record->ledger, thread.totals);
+    // Threads that spanned only while attribution was off carry no ledger.
+    if (!detail::IsZero(thread.totals)) snapshot.threads.push_back(thread);
   }
-  for (detail::Ledger* ledger = registry.head; ledger != nullptr;
-       ledger = ledger->next) {
-    AttributionSnapshot::ThreadLedger thread;
-    thread.tid = ledger->tid;
-    detail::FoldInto(*ledger, thread.totals);
-    snapshot.threads.push_back(thread);
-  }
-  // Drop all-zero ledgers (threads that spanned only while attribution was
-  // off) and present the rest in stable tid order.
-  snapshot.threads.erase(
-      std::remove_if(snapshot.threads.begin(), snapshot.threads.end(),
-                     [](const AttributionSnapshot::ThreadLedger& t) {
-                       for (int c = 0; c < kNumAttrCategories; ++c) {
-                         if (t.totals[c].count != 0 ||
-                             t.totals[c].total_ns != 0 ||
-                             t.totals[c].self_ns != 0) {
-                           return false;
-                         }
-                       }
-                       return true;
-                     }),
-      snapshot.threads.end());
   std::sort(snapshot.threads.begin(), snapshot.threads.end(),
             [](const AttributionSnapshot::ThreadLedger& a,
                const AttributionSnapshot::ThreadLedger& b) {
@@ -252,10 +161,15 @@ AttributionSnapshot SnapshotAttribution() {
 void ResetAttribution() {
   detail::Registry& registry = detail::GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  registry.retired.clear();
-  for (detail::Ledger* ledger = registry.head; ledger != nullptr;
-       ledger = ledger->next) {
-    detail::ZeroLedger(ledger);
+  registry.retired_ledgers.clear();
+  for (detail::ThreadRecord* record = registry.head; record != nullptr;
+       record = record->next) {
+    detail::AttrLedger& ledger = record->ledger;
+    for (int c = 0; c < kNumAttrCategories; ++c) {
+      ledger.count[c].store(0, std::memory_order_relaxed);
+      ledger.total_ns[c].store(0, std::memory_order_relaxed);
+      ledger.self_ns[c].store(0, std::memory_order_relaxed);
+    }
   }
 }
 

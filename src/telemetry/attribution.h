@@ -16,8 +16,9 @@
 // decomposes into campaign self (scheduling + serial reduction), pool.wait
 // (the main thread parked on the worker pool), cell/trial self (injector +
 // controller machinery), solve.* self (kernel loops), phase, and
-// checkpoint.flush — per thread, with exited workers keeping their own
-// ledgers.
+// checkpoint.flush — per thread.  The ledger is part of the thread's one
+// telemetry record (telemetry.h), so a ledger's tid is the thread's tid in
+// a --trace file too, and an exited worker's ledger keeps it.
 //
 // Determinism contract: identical to the rest of the telemetry layer — the
 // ledger observes steady-clock timestamps and touches nothing the
@@ -38,29 +39,6 @@
 
 namespace robustify::telemetry {
 
-// Fixed category catalog: one entry per span name emitted anywhere in the
-// repo (trace.h documents the hierarchy), plus kOther so a future span name
-// degrades to an aggregated bucket instead of vanishing.
-enum class AttrCategory : int {
-  kCampaign,
-  kCell,
-  kTrial,
-  kSolveSgd,
-  kSolveCgls,
-  kSolveCgne,
-  kPhase,
-  kCheckpointFlush,
-  kQuery,
-  kStats,
-  kReduce,
-  kPoolWait,
-  kCalibrate,
-  kOther,
-  kCount
-};
-
-inline constexpr int kNumAttrCategories = static_cast<int>(AttrCategory::kCount);
-
 // The span name the category folds ("campaign", "solve.sgd", ...).
 const char* AttrCategoryName(AttrCategory c);
 
@@ -74,7 +52,7 @@ struct AttrTotals {
 
 struct AttributionSnapshot {
   struct ThreadLedger {
-    int tid = 0;  // stable per-thread id, 1-based in registration order
+    int tid = 0;  // the thread's telemetry tid (telemetry.h), as in WriteTrace
     AttrTotals totals[kNumAttrCategories];
   };
   std::vector<ThreadLedger> threads;        // live + exited, by tid

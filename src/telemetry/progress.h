@@ -1,4 +1,4 @@
-// Flight-recorder telemetry, part 3: the --progress stderr heartbeat.
+// Flight-recorder telemetry, part 4: the --progress stderr heartbeat.
 //
 // Long campaigns (bench sweeps included) are silent until their final
 // table; with --progress the runner emits a throttled heartbeat line to

@@ -1,6 +1,9 @@
 #include "telemetry/telemetry.h"
 
+#include <chrono>
 #include <mutex>
+
+#include "telemetry/registry.h"
 
 namespace robustify::telemetry {
 
@@ -98,84 +101,72 @@ namespace detail {
 
 std::atomic<bool> g_counters_enabled{true};
 
-namespace {
-
-// Registry of live shards plus the folded totals of exited threads.  A
-// Meyers singleton so it outlives every thread's ShardRetirer (function
-// statics are destroyed after thread-local storage on normal exit).
-struct Registry {
-  std::mutex mu;
-  Shard* head = nullptr;              // live shards, intrusively linked
-  std::uint64_t retired_counters[kNumCounters] = {};
-  std::uint64_t retired_histograms[kNumHistograms][kHistogramBuckets] = {};
-};
-
 Registry& GetRegistry() {
   static Registry registry;
   return registry;
 }
 
-void FoldInto(const Shard& shard, std::uint64_t* counters,
-              std::uint64_t (*histograms)[kHistogramBuckets]) {
-  for (int c = 0; c < kNumCounters; ++c) {
-    counters[c] += shard.counters[c].load(std::memory_order_relaxed);
-  }
-  for (int h = 0; h < kNumHistograms; ++h) {
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      histograms[h][b] += shard.histograms[h][b].load(std::memory_order_relaxed);
-    }
-  }
+std::int64_t NowNs() {
+  static const std::chrono::steady_clock::time_point anchor =
+      std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - anchor)
+      .count();
 }
-
-void ZeroShard(Shard* shard) {
-  for (int c = 0; c < kNumCounters; ++c) {
-    shard->counters[c].store(0, std::memory_order_relaxed);
-  }
-  for (int h = 0; h < kNumHistograms; ++h) {
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      shard->histograms[h][b].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-}  // namespace
 
 namespace {
 
-// Folds the thread's shard into the retired totals and unlinks it when the
-// thread exits.  The shard stays marked registered: a count from a later
-// thread-exit destructor lands in the unlinked shard and is dropped, never
-// re-registers.
-struct ShardRetirer {
-  ~ShardRetirer() {
-    Shard& shard = tls_shard;
+void FoldInto(const ThreadRecord& record, CounterSnapshot* snapshot) {
+  for (int c = 0; c < kNumCounters; ++c) {
+    snapshot->counters[c] += record.counters[c].load(std::memory_order_relaxed);
+  }
+  for (int h = 0; h < kNumHistograms; ++h) {
+    for (int b = 0; b < kHistogramBuckets; ++b) {
+      snapshot->histograms[h][b] +=
+          record.histograms[h][b].load(std::memory_order_relaxed);
+    }
+  }
+}
+
+// Retires the thread's record when the thread exits: counters fold into
+// the retired totals, the ledger and ring are kept by their modules, and
+// the record leaves the live list.  It stays marked registered: a count
+// from a later thread-exit destructor lands in the unlinked record and is
+// dropped, never re-registers.
+struct Retirer {
+  ~Retirer() {
+    ThreadRecord& record = tls_record;
     Registry& registry = GetRegistry();
     std::lock_guard<std::mutex> lock(registry.mu);
-    FoldInto(shard, registry.retired_counters, registry.retired_histograms);
-    if (shard.prev != nullptr) {
-      shard.prev->next = shard.next;
+    FoldInto(record, &registry.retired_counters);
+    RetireLedger(record, registry);
+    RetireRing(record, registry);
+    record.retired = true;
+    if (record.prev != nullptr) {
+      record.prev->next = record.next;
     } else {
-      registry.head = shard.next;
+      registry.head = record.next;
     }
-    if (shard.next != nullptr) shard.next->prev = shard.prev;
+    if (record.next != nullptr) record.next->prev = record.prev;
   }
 };
 
 }  // namespace
 
-void RegisterThreadShard() {
-  Shard& shard = tls_shard;
+void RegisterThread() {
+  ThreadRecord& record = tls_record;
   {
     Registry& registry = GetRegistry();
     std::lock_guard<std::mutex> lock(registry.mu);
-    shard.next = registry.head;
-    shard.prev = nullptr;
-    if (registry.head != nullptr) registry.head->prev = &shard;
-    registry.head = &shard;
+    record.tid = registry.next_tid++;
+    record.next = registry.head;
+    record.prev = nullptr;
+    if (registry.head != nullptr) registry.head->prev = &record;
+    registry.head = &record;
   }
-  shard.registered = true;
+  record.registered = true;
   // Constructed here, after the registry: destroyed at thread exit, before it.
-  static thread_local ShardRetirer retirer;
+  static thread_local Retirer retirer;
   (void)retirer;
 }
 
@@ -186,19 +177,12 @@ void SetCountersEnabled(bool enabled) {
 }
 
 CounterSnapshot SnapshotCounters() {
-  CounterSnapshot snapshot;
   detail::Registry& registry = detail::GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  for (int c = 0; c < kNumCounters; ++c) {
-    snapshot.counters[c] = registry.retired_counters[c];
-  }
-  for (int h = 0; h < kNumHistograms; ++h) {
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      snapshot.histograms[h][b] = registry.retired_histograms[h][b];
-    }
-  }
-  for (detail::Shard* shard = registry.head; shard != nullptr; shard = shard->next) {
-    detail::FoldInto(*shard, snapshot.counters, snapshot.histograms);
+  CounterSnapshot snapshot = registry.retired_counters;
+  for (const detail::ThreadRecord* record = registry.head; record != nullptr;
+       record = record->next) {
+    detail::FoldInto(*record, &snapshot);
   }
   return snapshot;
 }
@@ -206,14 +190,17 @@ CounterSnapshot SnapshotCounters() {
 void ResetCounters() {
   detail::Registry& registry = detail::GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  for (int c = 0; c < kNumCounters; ++c) registry.retired_counters[c] = 0;
-  for (int h = 0; h < kNumHistograms; ++h) {
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      registry.retired_histograms[h][b] = 0;
+  registry.retired_counters = CounterSnapshot{};
+  for (detail::ThreadRecord* record = registry.head; record != nullptr;
+       record = record->next) {
+    for (std::atomic<std::uint64_t>& slot : record->counters) {
+      slot.store(0, std::memory_order_relaxed);
     }
-  }
-  for (detail::Shard* shard = registry.head; shard != nullptr; shard = shard->next) {
-    detail::ZeroShard(shard);
+    for (auto& histogram : record->histograms) {
+      for (std::atomic<std::uint64_t>& slot : histogram) {
+        slot.store(0, std::memory_order_relaxed);
+      }
+    }
   }
 }
 

@@ -1,13 +1,22 @@
-// Flight-recorder telemetry, part 1: counters and histograms.
+// Flight-recorder telemetry, part 1: counters, histograms and the thread
+// registry.
 //
 // A process-wide registry of named uint64 counters and fixed-bucket (log2)
 // histograms, sharded per thread so a hot-path increment is one relaxed
 // store to the calling thread's own slot — no atomic RMW, no cache-line
-// ping-pong, no allocation (shards are constant-initialized thread_local
-// objects, registered on their thread's first count).  SnapshotCounters()
-// merges the live shards with the folded totals of threads that have
-// already exited (the campaign runner starts and joins its workers per
-// call, so most shards retire quickly).
+// ping-pong, no allocation.
+//
+// Every per-thread piece of telemetry lives in one record: the counter
+// shard, the attribution ledger (attribution.h) and the trace ring
+// (trace.h).  The record is constant-initialized thread_local storage,
+// linked into one registry on the thread's first count, span or event,
+// which gives it the thread's one tid — the `tN` row of an --attr report
+// and tid N of a --trace file name the same thread.  On thread exit one
+// retirer folds the counters into the retired totals and keeps the ledger
+// (under its tid) and a right-sized copy of the ring's events.
+// SnapshotCounters(), SnapshotAttribution() and WriteTrace() walk the live
+// records plus that retired state (the campaign runner starts and joins
+// its workers per call, so most records retire quickly).
 //
 // Determinism contract: telemetry observes, it never participates.  No
 // counter or histogram touches the simulation RNG, reorders a fault
@@ -92,9 +101,33 @@ enum class Histogram : int {
   kCount
 };
 
+// The attribution category catalog: one entry per span name emitted
+// anywhere in the repo (trace.h documents the hierarchy), plus kOther so a
+// future span name degrades to an aggregated bucket instead of vanishing.
+// It sizes the ledger in every thread's record, so it lives with the other
+// catalogs; attribution.h names and reports the categories.
+enum class AttrCategory : int {
+  kCampaign,
+  kCell,
+  kTrial,
+  kSolveSgd,
+  kSolveCgls,
+  kSolveCgne,
+  kPhase,
+  kCheckpointFlush,
+  kQuery,
+  kStats,
+  kReduce,
+  kPoolWait,
+  kCalibrate,
+  kOther,
+  kCount
+};
+
 inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 inline constexpr int kNumHistograms = static_cast<int>(Histogram::kCount);
 inline constexpr int kHistogramBuckets = 65;
+inline constexpr int kNumAttrCategories = static_cast<int>(AttrCategory::kCount);
 
 // Dotted metric name for exports ("injector.faults", ...).
 const char* CounterName(Counter c);
@@ -115,30 +148,59 @@ double HistogramQuantile(const std::uint64_t* buckets, double q);
 
 namespace detail {
 
-// One thread's slice of every counter and histogram.  The slots are
-// relaxed atomics so the owning thread's plain-speed increments and a
-// concurrent SnapshotCounters() read are race-free; only the owner writes.
-// No member initializers: the thread-local shard must be constant (zero)
-// initialized, so reaching it never calls a TLS init function.
-struct Shard {
-  std::atomic<std::uint64_t> counters[kNumCounters];
-  std::atomic<std::uint64_t> histograms[kNumHistograms][kHistogramBuckets];
-  Shard* next;  // intrusive registry list: no allocation, ever
-  Shard* prev;
-  bool registered;  // linked into the registry (set on the first count)
+// Span nesting in this repo is ~6 deep (campaign > cell > trial > solve >
+// phase); 64 leaves room for future layers.  Deeper entries are dropped —
+// the matching exits unwind the overflow counter, never the wrong frame.
+inline constexpr int kMaxSpanDepth = 64;
+
+// One open span on a thread's attribution stack.
+struct SpanFrame {
+  int category;
+  std::int64_t start_ns;
+  std::uint64_t child_ns;  // summed durations of directly nested spans
 };
 
-inline thread_local Shard tls_shard;
+// One thread's wall-time attribution ledger (attribution.h).  Totals are
+// relaxed atomics like the counters; the frame stack is owner-only.
+struct AttrLedger {
+  std::atomic<std::uint64_t> count[kNumAttrCategories];
+  std::atomic<std::uint64_t> total_ns[kNumAttrCategories];
+  std::atomic<std::uint64_t> self_ns[kNumAttrCategories];
+  SpanFrame stack[kMaxSpanDepth];
+  int depth;
+  int overflow;                             // enters dropped past the depth
+  int category_depth[kNumAttrCategories];  // recursion guard for total
+};
 
-// Links this thread's shard into the process registry and arranges for its
-// totals to fold into the retired accumulator on thread exit.  Out of line:
-// runs once per thread, on its first count.
-void RegisterThreadShard();
+struct TraceRing;  // trace.cpp: allocated on the thread's first traced event
 
-inline Shard& ThreadShard() {
-  Shard& shard = tls_shard;
-  if (!shard.registered) RegisterThreadShard();
-  return shard;
+// One thread's telemetry state.  The slots are relaxed atomics so the
+// owning thread's plain-speed increments and a concurrent snapshot read
+// are race-free; only the owner writes them.  No member initializers: the
+// thread-local record must be constant (zero) initialized, so reaching it
+// never calls a TLS init function.
+struct ThreadRecord {
+  std::atomic<std::uint64_t> counters[kNumCounters];
+  std::atomic<std::uint64_t> histograms[kNumHistograms][kHistogramBuckets];
+  AttrLedger ledger;
+  TraceRing* ring;  // set and cleared under the registry lock
+  ThreadRecord* next;  // intrusive registry list: no allocation, ever
+  ThreadRecord* prev;
+  std::uint32_t tid;  // 1-based, in registration order
+  bool registered;    // linked into the registry (set on first use)
+  bool retired;       // the thread is exiting: its state has been folded
+};
+
+inline thread_local ThreadRecord tls_record;
+
+// Links this thread's record into the registry, numbers it, and arranges
+// for it to retire on thread exit.  Out of line: runs once per thread.
+void RegisterThread();
+
+inline ThreadRecord& ThisThread() {
+  ThreadRecord& record = tls_record;
+  if (!record.registered) RegisterThread();
+  return record;
 }
 
 // Master switch for counter/histogram collection.  On by default when
@@ -167,14 +229,14 @@ inline std::uint64_t Log2Bucket(std::uint64_t value) {
 inline void Count(Counter c, std::uint64_t n = 1) {
   if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
   std::atomic<std::uint64_t>& slot =
-      detail::ThreadShard().counters[static_cast<int>(c)];
+      detail::ThisThread().counters[static_cast<int>(c)];
   slot.store(slot.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
 
 inline void Observe(Histogram h, std::uint64_t value) {
   if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
   std::atomic<std::uint64_t>& slot =
-      detail::ThreadShard().histograms[static_cast<int>(h)][detail::Log2Bucket(value)];
+      detail::ThisThread().histograms[static_cast<int>(h)][detail::Log2Bucket(value)];
   slot.store(slot.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
@@ -194,10 +256,10 @@ inline void SetCountersEnabled(bool) {}
 
 #endif  // ROBUSTIFY_TELEMETRY_ENABLED
 
-// Merged view of every shard, live and retired.  Call when the producers
-// of interest are quiescent (worker pools joined) for exact totals; a
-// mid-flight snapshot is a consistent-enough progress reading.  Compiled
-// out, it is all zeros.
+// Merged view of every thread's counters, live and retired.  Call when the
+// producers of interest are quiescent (worker pools joined) for exact
+// totals; a mid-flight snapshot is a consistent-enough progress reading.
+// Compiled out, it is all zeros.
 struct CounterSnapshot {
   std::uint64_t counters[kNumCounters] = {};
   std::uint64_t histograms[kNumHistograms][kHistogramBuckets] = {};
@@ -214,8 +276,8 @@ struct CounterSnapshot {
 
 CounterSnapshot SnapshotCounters();
 
-// Zeroes every live shard and the retired totals.  Test/bench support
-// only; callers must be quiescent (no concurrent producers).
+// Zeroes every live thread's counters and the retired totals.  Test/bench
+// support only; callers must be quiescent (no concurrent producers).
 void ResetCounters();
 
 }  // namespace robustify::telemetry

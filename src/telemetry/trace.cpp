@@ -2,13 +2,13 @@
 
 #if ROBUSTIFY_TELEMETRY_ENABLED
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "telemetry/registry.h"
 
 namespace robustify::telemetry {
 
@@ -16,22 +16,11 @@ namespace detail {
 
 std::atomic<bool> g_tracing{false};
 
-namespace {
-
 // 32768 events * 24 bytes = 768 KiB per traced thread; old events are
 // overwritten once the window fills (flight-recorder semantics).
 constexpr std::uint32_t kRingCapacity = 1u << 15;
 
-struct TraceEvent {
-  const char* name;
-  std::int64_t ts_ns;  // steady-clock ns since the trace clock anchor
-  char phase;          // 'B', 'E', or 'i'
-};
-
 struct TraceRing {
-  explicit TraceRing(std::uint32_t tid_)
-      : tid(tid_), events(new TraceEvent[kRingCapacity]) {}
-
   void Append(const char* name, char phase, std::int64_t ts_ns) {
     events[head] = TraceEvent{name, ts_ns, phase};
     head = (head + 1) & (kRingCapacity - 1);
@@ -42,12 +31,13 @@ struct TraceRing {
     }
   }
 
-  std::uint32_t tid;
   std::uint32_t head = 0;   // next write slot
   std::uint32_t count = 0;  // valid events (<= capacity)
   std::uint64_t dropped = 0;
-  std::unique_ptr<TraceEvent[]> events;
+  std::unique_ptr<TraceEvent[]> events{new TraceEvent[kRingCapacity]};
 };
+
+namespace {
 
 // A ring's valid events, oldest first.
 std::vector<TraceEvent> Chronological(const TraceRing& ring) {
@@ -59,69 +49,6 @@ std::vector<TraceEvent> Chronological(const TraceRing& ring) {
   }
   return events;
 }
-
-// An exited thread's events, copied out of its ring into a buffer of their
-// own size: a worker that emitted two events keeps two, not the ring.
-struct RetiredRing {
-  std::uint32_t tid;
-  std::uint64_t dropped;
-  std::vector<TraceEvent> events;
-
-  std::size_t bytes() const {
-    return sizeof(RetiredRing) + events.capacity() * sizeof(TraceEvent);
-  }
-};
-
-struct TraceRegistry {
-  std::mutex mu;
-  std::vector<TraceRing*> live;
-  std::deque<RetiredRing> retired;  // oldest first
-  std::size_t retired_bytes = 0;
-  std::uint32_t next_tid = 1;
-};
-
-TraceRegistry& GetTraceRegistry() {
-  static TraceRegistry registry;
-  return registry;
-}
-
-// One clock anchor per process: timestamps are positive and shared across
-// threads (steady_clock, so per-tid monotonicity is structural).
-std::int64_t NowNs() {
-  static const std::chrono::steady_clock::time_point anchor =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - anchor)
-      .count();
-}
-
-// Owns the thread's ring while the thread lives; hands it to the retired
-// list on exit so its events survive pool teardown.
-struct RingHolder {
-  TraceRing* ring = nullptr;
-  ~RingHolder() {
-    if (ring == nullptr) return;
-    TraceRegistry& registry = GetTraceRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == ring) {
-        registry.live.erase(registry.live.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
-    registry.retired.push_back({ring->tid, ring->dropped, Chronological(*ring)});
-    registry.retired_bytes += registry.retired.back().bytes();
-    delete ring;
-    // Drop the oldest retired rings once over budget: flight recorder.
-    while (registry.retired_bytes > kMaxRetiredTraceBytes) {
-      registry.retired_bytes -= registry.retired.front().bytes();
-      registry.retired.pop_front();
-    }
-  }
-};
-
-thread_local RingHolder tls_ring;
 
 // Honor ROBUSTIFY_TRACE=1 without any call-site wiring: force-enables
 // collection for the whole process (the CI telemetry leg runs the entire
@@ -138,22 +65,36 @@ EnvTraceInit env_trace_init;
 
 }  // namespace
 
-void EmitEvent(const char* name, char phase) {
-  TraceRing* ring = tls_ring.ring;
-  if (ring == nullptr) {
-    TraceRegistry& registry = GetTraceRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    ring = new TraceRing(registry.next_tid++);
-    registry.live.push_back(ring);
-    tls_ring.ring = ring;
+void RetireRing(ThreadRecord& record, Registry& registry) {
+  if (record.ring == nullptr) return;
+  registry.retired_rings.push_back(
+      {record.tid, record.ring->dropped, Chronological(*record.ring)});
+  registry.retired_ring_bytes += registry.retired_rings.back().bytes();
+  delete record.ring;
+  record.ring = nullptr;
+  // Drop the oldest retired rings once over budget: flight recorder.
+  while (registry.retired_ring_bytes > kMaxRetiredTraceBytes) {
+    registry.retired_ring_bytes -= registry.retired_rings.front().bytes();
+    registry.retired_rings.pop_front();
   }
-  ring->Append(name, phase, NowNs());
+}
+
+void EmitEvent(const char* name, char phase) {
+  ThreadRecord& record = ThisThread();
+  if (record.ring == nullptr) {
+    Registry& registry = GetRegistry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    // A thread-exit destructor that runs after the retirer: drop the event.
+    if (record.retired) return;
+    record.ring = new TraceRing;
+  }
+  record.ring->Append(name, phase, NowNs());
 }
 
 std::size_t RetiredTraceBytes() {
-  TraceRegistry& registry = GetTraceRegistry();
+  Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  return registry.retired_bytes;
+  return registry.retired_ring_bytes;
 }
 
 }  // namespace detail
@@ -171,7 +112,7 @@ bool WriteTrace(const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
 
-  detail::TraceRegistry& registry = detail::GetTraceRegistry();
+  detail::Registry& registry = detail::GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
 
   std::fputs("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n", out);
@@ -223,11 +164,14 @@ bool WriteTrace(const std::string& path) {
     }
   };
 
-  for (const detail::RetiredRing& ring : registry.retired) {
+  for (const detail::RetiredRing& ring : registry.retired_rings) {
     emit_ring(ring.tid, ring.dropped, ring.events);
   }
-  for (const detail::TraceRing* ring : registry.live) {
-    emit_ring(ring->tid, ring->dropped, detail::Chronological(*ring));
+  for (const detail::ThreadRecord* record = registry.head; record != nullptr;
+       record = record->next) {
+    if (record->ring == nullptr) continue;
+    emit_ring(record->tid, record->ring->dropped,
+              detail::Chronological(*record->ring));
   }
 
   std::fputs("\n]}\n", out);

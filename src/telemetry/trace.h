@@ -19,6 +19,9 @@
 //
 // Collection is off unless StartTracing() runs (the --trace flags) or
 // ROBUSTIFY_TRACE=1 is set; off costs one relaxed bool load per span.
+// A thread's ring belongs to its telemetry record (telemetry.h) and is
+// allocated on its first traced event; the JSON tid is the record's tid,
+// the same number the --attr report prints for that thread.
 // Rings are fixed-capacity and overwrite their oldest events (flight
 // recorder: the most recent window survives, a run that outlives the ring
 // loses its beginning, never its end).  Events carry only a static string
@@ -42,7 +45,7 @@ namespace detail {
 
 extern std::atomic<bool> g_tracing;
 
-// Out of line: looks up (or creates) the thread's ring and appends.
+// Out of line: appends to the thread's ring, creating it on first use.
 void EmitEvent(const char* name, char phase);
 
 // When a traced thread exits, its ring's valid events are copied into a

@@ -187,11 +187,60 @@ TEST(Attribution, SelfTotalHierarchyOnNestedSpans) {
   EXPECT_EQ(self_sum, campaign.total_ns);
 }
 
+TEST(Attribution, ReportFormatAndFileWriter) {
+  telemetry::ResetAttribution();
+  telemetry::SetAttributionEnabled(true);
+  SweepCsvBytes(1, "report_t1");
+  telemetry::SetAttributionEnabled(false);
+
+  std::ostringstream report;
+  telemetry::FormatAttributionReport(telemetry::SnapshotAttribution(), report);
+  const std::string text = report.str();
+  EXPECT_NE(text.find("# wall-time attribution"), std::string::npos);
+  EXPECT_NE(text.find("campaign"), std::string::npos);
+  EXPECT_NE(text.find("trial"), std::string::npos);
+  EXPECT_NE(text.find("merged"), std::string::npos);
+
+  const std::string path = ::testing::TempDir() + "/robustify_attr_report.txt";
+  ASSERT_TRUE(telemetry::WriteAttributionReport(path));
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), text);
+  std::remove(path.c_str());
+  EXPECT_FALSE(telemetry::WriteAttributionReport(
+      "/nonexistent-dir-robustify/report.txt"));
+}
+
+#else  // !ROBUSTIFY_TELEMETRY_ENABLED
+
+// Compiled out, the API is inert: enabling is a no-op, snapshots are empty,
+// and the file writer reports failure instead of writing an empty report.
+TEST(Attribution, CompiledOutApiIsInert) {
+  telemetry::SetAttributionEnabled(true);
+  EXPECT_FALSE(telemetry::AttributionActive());
+  { telemetry::SpanScope span("campaign"); }
+  const telemetry::AttributionSnapshot snapshot =
+      telemetry::SnapshotAttribution();
+  EXPECT_TRUE(snapshot.threads.empty());
+  for (int c = 0; c < telemetry::kNumAttrCategories; ++c) {
+    EXPECT_EQ(snapshot.merged[c].count, 0u);
+  }
+  EXPECT_FALSE(telemetry::WriteAttributionReport(
+      ::testing::TempDir() + "/robustify_attr_noop.txt"));
+}
+
+#endif  // ROBUSTIFY_TELEMETRY_ENABLED
+
 // A real threaded campaign: per-thread ledgers each decompose exactly —
 // the thread's self times sum to its root category's total (campaign on
 // the submitting thread, cell on the workers), which is the strong form of
-// "child self-times sum to <= parent total".
+// "child self-times sum to <= parent total".  This test and the next are
+// defined in both builds: CI's TSan filter names them.
 TEST(Attribution, CampaignDecomposesPerThread) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#endif
   telemetry::ResetAttribution();
   telemetry::SetAttributionEnabled(true);
   CampaignCsvBytes(8, "decomp_t8");
@@ -237,6 +286,9 @@ TEST(Attribution, CampaignDecomposesPerThread) {
 }
 
 TEST(Attribution, ResetClearsEveryLedger) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#endif
   telemetry::ResetAttribution();
   telemetry::SetAttributionEnabled(true);
   SweepCsvBytes(2, "reset_t2");
@@ -256,50 +308,5 @@ TEST(Attribution, ResetClearsEveryLedger) {
     }
   }
 }
-
-TEST(Attribution, ReportFormatAndFileWriter) {
-  telemetry::ResetAttribution();
-  telemetry::SetAttributionEnabled(true);
-  SweepCsvBytes(1, "report_t1");
-  telemetry::SetAttributionEnabled(false);
-
-  std::ostringstream report;
-  telemetry::FormatAttributionReport(telemetry::SnapshotAttribution(), report);
-  const std::string text = report.str();
-  EXPECT_NE(text.find("# wall-time attribution"), std::string::npos);
-  EXPECT_NE(text.find("campaign"), std::string::npos);
-  EXPECT_NE(text.find("trial"), std::string::npos);
-  EXPECT_NE(text.find("merged"), std::string::npos);
-
-  const std::string path = ::testing::TempDir() + "/robustify_attr_report.txt";
-  ASSERT_TRUE(telemetry::WriteAttributionReport(path));
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), text);
-  std::remove(path.c_str());
-  EXPECT_FALSE(telemetry::WriteAttributionReport(
-      "/nonexistent-dir-robustify/report.txt"));
-}
-
-#else  // !ROBUSTIFY_TELEMETRY_ENABLED
-
-// Compiled out, the API is inert: enabling is a no-op, snapshots are empty,
-// and the file writer reports failure instead of writing an empty report.
-TEST(Attribution, CompiledOutApiIsInert) {
-  telemetry::SetAttributionEnabled(true);
-  EXPECT_FALSE(telemetry::AttributionActive());
-  { telemetry::SpanScope span("campaign"); }
-  const telemetry::AttributionSnapshot snapshot =
-      telemetry::SnapshotAttribution();
-  EXPECT_TRUE(snapshot.threads.empty());
-  for (int c = 0; c < telemetry::kNumAttrCategories; ++c) {
-    EXPECT_EQ(snapshot.merged[c].count, 0u);
-  }
-  EXPECT_FALSE(telemetry::WriteAttributionReport(
-      ::testing::TempDir() + "/robustify_attr_noop.txt"));
-}
-
-#endif  // ROBUSTIFY_TELEMETRY_ENABLED
 
 }  // namespace

@@ -90,15 +90,30 @@ TEST(Table, PrintsOneRowPerRateAndOneColumnPerSeries) {
   campaign::CampaignSpec spec;
   spec.fault_rates = {0.0, 0.5};
   spec.fixed_trials = 2;
-  const auto series = RunFixedSweep(spec, {{"SGD+AS,LS", FailAboveRate(0.25)}});
+  // The last two names share their first 14 characters: both must print
+  // whole, in columns wide enough for the longer one.
+  const auto series = RunFixedSweep(spec, {{"SGD+AS,LS", FailAboveRate(0.25)},
+                                           {"sort/bimodal/transient", FailAboveRate(1.0)},
+                                           {"sort/bimodal/stuck", FailAboveRate(1.0)}});
   std::ostringstream os;
   harness::PrintSweepTable(os, "title", series, harness::TableValue::kSuccessRatePct,
                            "success (%)");
   const std::string text = os.str();
   EXPECT_NE(text.find("SGD+AS,LS"), std::string::npos);
+  EXPECT_NE(text.find("sort/bimodal/transient"), std::string::npos);
+  EXPECT_NE(text.find("sort/bimodal/stuck"), std::string::npos);
   EXPECT_NE(text.find("fault_rate"), std::string::npos);
   EXPECT_NE(text.find("100.0"), std::string::npos);
   EXPECT_NE(text.find("0.5"), std::string::npos);
+  // Header, rule and both rate rows: 4 columns of 24 characters each.
+  std::istringstream lines(text);
+  std::string line;
+  std::getline(lines, line);  // title
+  std::getline(lines, line);  // value label
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.size(), 4u * 24u) << line;
+  }
 }
 
 TEST(Csv, WritesQuotedHeadersAndThrowsOnBadPath) {

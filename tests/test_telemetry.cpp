@@ -36,6 +36,7 @@
 #include "linalg/scalar.h"
 #include "service/query_service.h"
 #include "store/result_store.h"
+#include "telemetry/attribution.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -415,12 +416,32 @@ TEST(Telemetry, WriteTraceEmitsBalancedChromeJson) {
   EXPECT_EQ(begins, ends);
 }
 
+#else  // telemetry compiled out: the API must still compile and no-op
+
+TEST(Telemetry, CompiledOutApiIsInert) {
+  telemetry::Count(telemetry::Counter::kInjectorFaults, 5);
+  telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, 42);
+  telemetry::SpanScope span("trial");
+  EXPECT_FALSE(telemetry::TracingActive());
+  EXPECT_FALSE(telemetry::CountersEnabled());
+  const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
+  for (int c = 0; c < telemetry::kNumCounters; ++c) {
+    EXPECT_EQ(snap.counters[c], 0u);
+  }
+}
+
+#endif  // ROBUSTIFY_TELEMETRY_ENABLED
+
 // Exited threads keep right-sized copies of their events, bounded by
 // bytes: 256 short-lived threads that each emit one span (2 events) retain
 // about a kilobyte each, not a 768 KiB ring each; 24 threads that each
 // fill their ring still leave the retained copies under the bound; and
-// the trace written afterwards passes tools/trace_validate.py.
+// the trace written afterwards passes tools/trace_validate.py.  Defined in
+// both builds: CI's TSan filter names it.
 TEST(Telemetry, RetiredTraceRingsAreRightSizedAndBoundedByBytes) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#else
   telemetry::StartTracing();
   const auto run_threads = [](int count, int spans_each) {
     for (int started = 0; started < count; started += 8) {
@@ -454,22 +475,83 @@ TEST(Telemetry, RetiredTraceRingsAreRightSizedAndBoundedByBytes) {
                                "/tools/trace_validate.py " + path + " > /dev/null";
   EXPECT_EQ(std::system(validate.c_str()), 0) << validate;
   std::remove(path.c_str());
+#endif
 }
 
-#else  // telemetry compiled out: the API must still compile and no-op
-
-TEST(Telemetry, CompiledOutApiIsInert) {
-  telemetry::Count(telemetry::Counter::kInjectorFaults, 5);
-  telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, 42);
-  telemetry::SpanScope span("trial");
-  EXPECT_FALSE(telemetry::TracingActive());
-  EXPECT_FALSE(telemetry::CountersEnabled());
-  const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
-  for (int c = 0; c < telemetry::kNumCounters; ++c) {
-    EXPECT_EQ(snap.counters[c], 0u);
+// Ledgers and trace rings are numbered by the one thread registry: a
+// thread's `tN` row in an --attr report is tid N in the --trace JSON,
+// whichever of the two it used first.  The threads run one after another,
+// and two of them use only one of the pair, so ledgers and rings numbered
+// apart would disagree on at least one of the two threads that use both.
+// Defined in both builds: CI's TSan filter names it.
+TEST(Telemetry, AttributionAndTraceShareOneTidPerThread) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#endif
+  // Each step's thread enters a span whose ledger category no other step
+  // uses, and names itself in the trace with an instant event.
+  struct Step {
+    bool traced;
+    bool attributed;
+    const char* span;
+    const char* instant;
+  };
+  const Step steps[] = {
+      {false, true, "solve.cgne", "tid_test.ledger_only"},
+      {true, true, "solve.sgd", "tid_test.first"},
+      {true, false, "solve.cgls", "tid_test.ring_only"},
+      {true, true, "phase", "tid_test.second"},
+  };
+  telemetry::ResetAttribution();
+  for (const Step& step : steps) {
+    if (step.traced) {
+      telemetry::StartTracing();
+    } else {
+      telemetry::StopTracing();
+    }
+    telemetry::SetAttributionEnabled(step.attributed);
+    std::thread([&step] {
+      telemetry::SpanScope span(step.span);
+      telemetry::Instant(step.instant);
+    }).join();
   }
-}
+  telemetry::SetAttributionEnabled(false);
+  const telemetry::AttributionSnapshot snapshot =
+      telemetry::SnapshotAttribution();
+  const std::string path = ::testing::TempDir() + "/robustify_tid_trace.json";
+  ASSERT_TRUE(telemetry::WriteTrace(path));
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  in.close();
+  std::remove(path.c_str());
 
-#endif  // ROBUSTIFY_TELEMETRY_ENABLED
+  const auto trace_tid = [&](const char* name) {
+    const std::string prefix = std::string("{\"name\": \"") + name + "\"";
+    for (const std::string& line : lines) {
+      const std::size_t at = line.find("\"tid\": ");
+      if (line.rfind(prefix, 0) == 0 && at != std::string::npos) {
+        return std::atoi(line.c_str() + at + 7);
+      }
+    }
+    return -1;
+  };
+  const auto ledger_tid = [&](telemetry::AttrCategory category) {
+    for (const auto& ledger : snapshot.threads) {
+      if (ledger.totals[static_cast<int>(category)].count > 0) return ledger.tid;
+    }
+    return -1;
+  };
+  EXPECT_EQ(trace_tid("tid_test.ledger_only"), -1);
+  EXPECT_EQ(ledger_tid(telemetry::AttrCategory::kSolveCgls), -1);
+  EXPECT_GT(ledger_tid(telemetry::AttrCategory::kSolveCgne), 0);
+  EXPECT_GT(trace_tid("tid_test.ring_only"), 0);
+  const int first = trace_tid("tid_test.first");
+  const int second = trace_tid("tid_test.second");
+  ASSERT_GT(first, 0);
+  ASSERT_GT(second, 0);
+  EXPECT_EQ(ledger_tid(telemetry::AttrCategory::kSolveSgd), first);
+  EXPECT_EQ(ledger_tid(telemetry::AttrCategory::kPhase), second);
+}
 
 }  // namespace
