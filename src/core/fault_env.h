@@ -37,10 +37,14 @@ struct FaultEnvironment {
 
 namespace detail {
 
-// Feed the injector telemetry counters once per scope, from the same
-// ContextStats the injector already maintains for the CSVs — telemetry adds
-// nothing to the per-op path and cannot diverge from the published numbers.
-inline void CountScopeTelemetry(const faulty::ContextStats& stats) {
+// Book the injector's telemetry once per scope: the counters from the same
+// ContextStats the injector already maintains for the CSVs, and the
+// clean-run histogram the injector tallied during the scope.  Telemetry adds
+// nothing to the per-op path, no thread-record access to the per-fault
+// path, and cannot diverge from the published numbers.  A snapshot taken
+// while a scope is open leaves that scope out.
+inline void CountScopeTelemetry(const faulty::ContextStats& stats,
+                                faulty::FaultInjector& injector) {
   telemetry::Count(telemetry::Counter::kInjectorScopes);
   telemetry::Count(telemetry::Counter::kInjectorFaults, stats.faults_injected);
   telemetry::Count(telemetry::Counter::kInjectorFlops, stats.faulty_flops);
@@ -48,6 +52,8 @@ inline void CountScopeTelemetry(const faulty::ContextStats& stats) {
   telemetry::Count(telemetry::Counter::kInjectorFaultsCompare, stats.faults_compare);
   telemetry::Count(telemetry::Counter::kInjectorFaultsMemory, stats.faults_memory);
   telemetry::Count(telemetry::Counter::kInjectorWindows, stats.windows_opened);
+  telemetry::AddHistogram(telemetry::Histogram::kInjectorCleanRun,
+                          injector.CleanRunBuckets());
 }
 
 // RAII: swap the thread's injector in, restore the previous one on exit.
@@ -74,28 +80,20 @@ auto WithFaultyFpu(const FaultEnvironment& env, Fn&& fn,
   faulty::FaultInjector injector(env.fault_rate,
                                  faulty::SharedBitDistribution(env.bit_model),
                                  env.seed, env.model);
-  if constexpr (std::is_void_v<decltype(fn())>) {
-    {
-      detail::FaultScope scope(&injector);
-      std::forward<Fn>(fn)();
+  // Books the scope's stats and telemetry on the way out, also when fn
+  // throws.
+  struct Finalizer {
+    faulty::FaultInjector& injector;
+    faulty::ContextStats* stats;
+    ~Finalizer() {
+      const faulty::ContextStats final_stats = injector.stats();
+      if (stats) *stats = final_stats;
+      detail::CountScopeTelemetry(final_stats, injector);
     }
-    const faulty::ContextStats final_stats = injector.stats();
-    if (stats) *stats = final_stats;
-    detail::CountScopeTelemetry(final_stats);
-  } else {
-    struct Finalizer {
-      faulty::FaultInjector& injector;
-      faulty::ContextStats* stats;
-      ~Finalizer() {
-        const faulty::ContextStats final_stats = injector.stats();
-        if (stats) *stats = final_stats;
-        detail::CountScopeTelemetry(final_stats);
-      }
-    };
-    detail::FaultScope scope(&injector);
-    Finalizer finalize{injector, stats};
-    return std::forward<Fn>(fn)();
-  }
+  };
+  detail::FaultScope scope(&injector);
+  Finalizer finalize{injector, stats};
+  return std::forward<Fn>(fn)();
 }
 
 }  // namespace robustify::core

@@ -75,7 +75,7 @@ bool FaultInjector::StepGap() {
   const std::uint64_t gap = SampleGap();
   scheduled_ += gap + 1;
   countdown_ = gap;
-  telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
+  clean_runs_.Add(gap);
   return true;
 }
 
@@ -93,7 +93,7 @@ void FaultInjector::CountClassFault(unsigned op_class) {
   } else {
     ++faults_memory_;
   }
-  telemetry::FaultInstant();
+  telemetry::FaultInstants(1);
 }
 
 // One transient single-bit corruption attributed to `op_class`.

@@ -34,6 +34,7 @@
 #include <cstdint>
 
 #include "faulty/bit_distribution.h"
+#include "faulty/clean_run_tally.h"
 #include "faulty/fault_model.h"
 #include "faulty/gap_sampler.h"
 #include "faulty/lfsr.h"
@@ -146,36 +147,49 @@ class FaultInjector {
   // the next op), and accounts for all `ops` ops.  The caller applies each
   // fault by flipping `bit` in the result of op `offset`.  Observationally
   // identical to `ops` Execute calls: the RNG is consumed in FaultPath's
-  // order (the next gap, then this fault's bit) and the stats, counters and
-  // per-fault telemetry match.  The walk's alias-table draws are booked
-  // once, after it.  Precondition: SchedulesFaults().
+  // order (the next gap, then this fault's bit) and the stats match.  The
+  // loop makes no telemetry call: each gap is tallied as a clean run in
+  // registers (clean_run_tally.h), and the walk's gap draws and sampled
+  // `fault` trace instants are booked once, after it.  Preconditions:
+  // SchedulesFaults(), ops <= kMaxWalkOps.
+  static constexpr std::uint64_t kMaxWalkOps = CleanRunTally::kMaxWalkOps;
   template <class OnFault>
   void ScheduleFaults(std::uint64_t ops, const OnFault& on_fault) {
     // Local copies: stores the callback makes cannot alias them, so the RNG
-    // state and the bookkeeping stay in registers across the whole walk.
+    // state, the samplers and the bookkeeping stay in registers across the
+    // whole walk.
+    const GeometricGapSampler& gaps = *gaps_;
+    const BitDistribution& bits = *bits_;
     Lfsr rng = rng_;
-    std::uint64_t countdown = countdown_;
-    std::uint64_t scheduled = scheduled_;
+    const std::uint64_t first = countdown_;
+    std::uint64_t countdown = first;
+    GapTally tally = clean_runs_.OpenWalk(ops);
     std::uint64_t faults = 0;
-    std::uint64_t table_draws = 0;
     std::uint64_t at = 0;  // offset of the next unscheduled op
     while (countdown < ops - at) {
       at += countdown;
-      countdown = gaps_->Sample(rng, &table_draws);
-      scheduled += countdown + 1;  // this op plus the next clean stretch
-      telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, countdown);
-      telemetry::FaultInstant();
+      countdown = gaps.Sample(rng, tally);
       ++faults;
-      on_fault(at, bits_->sample(rng));
+      on_fault(at, bits.sample(rng));
       ++at;
     }
     rng_ = rng;
     countdown_ = countdown - (ops - at);
-    scheduled_ = scheduled;
+    // The walk executed `ops` ops; ops executed = scheduled_ - countdown_.
+    scheduled_ += ops + countdown_ - first;
     faults_ += faults;
     faults_arith_ += faults;
-    if (table_draws != 0) telemetry::Count(telemetry::Counter::kGapDrawsTable, table_draws);
+    clean_runs_.CloseWalk(tally, faults);
+    if (faults != 0) {
+      gaps.BookDraws(faults, tally);
+      telemetry::FaultInstants(faults);
+    }
   }
+
+  // The scope's clean-run histogram (injector.clean_run), kHistogramBuckets
+  // counts; null with telemetry compiled out.  core::WithFaultyFpu books it
+  // at scope exit.
+  const std::uint64_t* CleanRunBuckets() { return clean_runs_.Buckets(); }
 
   ContextStats stats() const {
     ContextStats s;
@@ -228,6 +242,9 @@ class FaultInjector {
   std::uint64_t countdown_ = 0;   // clean ops left before the next fault
   std::uint64_t scheduled_ = 0;   // ops covered by the sampled gaps
   std::uint64_t faults_ = 0;
+  // The scope's clean runs: every gap that re-arms the countdown (not the
+  // first, nor a gap suspended by a sticky window).
+  CleanRunTally clean_runs_;
 
   // ---- temporal-model state (untouched under the default model) ----------
   FaultModel model_{};

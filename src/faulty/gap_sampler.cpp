@@ -22,7 +22,6 @@ GeometricGapSampler::GeometricGapSampler(double rate) : rate_(rate) {
 // Inverse CDF from one draw: u in (0, 1] (53 uniform bits shifted into the
 // open-at-zero interval so log(u) is finite), gap = log(u) / log(1 - rate).
 std::uint64_t GeometricGapSampler::InverseCdf(std::uint64_t word) const {
-  telemetry::Count(telemetry::Counter::kGapDrawsInvCdf);
   const double u = (static_cast<double>(word >> 11) + 1.0) * 0x1.0p-53;
   const double gap = std::log(u) * inv_log1m_rate_;  // >= 0
   // Casting a double >= 2^64 is undefined; clamp far gaps to "never".

@@ -30,6 +30,7 @@
 #include <cstdint>
 
 #include "faulty/alias_table.h"
+#include "faulty/clean_run_tally.h"
 #include "faulty/lfsr.h"
 #include "telemetry/telemetry.h"
 
@@ -58,28 +59,50 @@ class GeometricGapSampler {
   bool uses_table() const { return table_; }
 
   // One gap draw from `rng`; kNever when the sampled gap exceeds 2^64.
-  // Adds the alias-table draws it made (tail redraws included) to
-  // *table_draws, for the caller to book as gap.draws.table; the
-  // inverse-CDF form books its own (rare) draw.  Forced inline: it is the
+  // Tallies the gap as a clean run into `tally` (see clean_run_tally.h): a
+  // first-draw table gap into its register lanes, any other gap, on its
+  // already-cold path, into its exact bucket.  The draws themselves are
+  // booked by BookDraws, once per run of samples.  Forced inline: it is the
   // first half of every scheduled fault, and the compiler's size heuristics
   // otherwise leave it as a call.
-  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng,
-                                               std::uint64_t* table_draws) const {
-    if (!table_) return fixed_ ? fixed_gap_ : InverseCdf(rng.next());
+  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng, GapTally& tally) const {
+    if (!table_) {
+      const std::uint64_t gap = fixed_ ? fixed_gap_ : InverseCdf(rng.next());
+      tally.AddGap(gap);
+      return gap;
+    }
+    int outcome = AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
+    tally.AddTableOutcome(outcome);  // the tail outcome adds nothing
+    if (outcome < kTableGaps) return static_cast<std::uint64_t>(outcome);
+    // Tail: gap >= 63; memorylessness restarts the draw.
     std::uint64_t base = 0;
-    for (;;) {
-      ++*table_draws;
-      const int outcome = AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
-      if (outcome < kTableGaps) return base + static_cast<std::uint64_t>(outcome);
-      base += kTableGaps;  // tail: gap >= 63; memorylessness restarts the draw
+    do {
+      base += kTableGaps;
+      ++tally.tail_draws;
+      outcome = AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
+    } while (outcome == kTableGaps);
+    const std::uint64_t gap = base + static_cast<std::uint64_t>(outcome);
+    tally.AddGap(gap);
+    return gap;
+  }
+
+  // Books the draws behind `samples` gaps sampled with `tally` as
+  // gap.draws.table (tail redraws included) or gap.draws.invcdf.
+  void BookDraws(std::uint64_t samples, const GapTally& tally) const {
+    if (table_) {
+      telemetry::Count(telemetry::Counter::kGapDrawsTable, samples + tally.tail_draws);
+    } else if (!fixed_) {
+      telemetry::Count(telemetry::Counter::kGapDrawsInvCdf, samples);
     }
   }
 
-  // One gap draw, its table draws booked right away.
+  // One gap draw, not a clean run of the fault schedule (an injector's
+  // first gap, a gap suspended by a sticky window), its draws booked right
+  // away.
   std::uint64_t Sample(Lfsr& rng) const {
-    std::uint64_t draws = 0;
-    const std::uint64_t gap = Sample(rng, &draws);
-    if (draws != 0) telemetry::Count(telemetry::Counter::kGapDrawsTable, draws);
+    GapTally tally{};
+    const std::uint64_t gap = Sample(rng, tally);
+    BookDraws(1, tally);
     return gap;
   }
 

@@ -133,6 +133,17 @@ inline constexpr int kNumAttrCategories = static_cast<int>(AttrCategory::kCount)
 const char* CounterName(Counter c);
 const char* HistogramName(Histogram h);
 
+// The bucket a value lands in: 0 for 0, else 1 + floor(log2(value)).
+constexpr int HistogramBucket(std::uint64_t value) {
+#if defined(__GNUC__) || defined(__clang__)
+  return value == 0 ? 0 : 64 - __builtin_clzll(value);
+#else
+  int b = 0;
+  for (; value != 0; value >>= 1) ++b;
+  return b;
+#endif
+}
+
 // Lower bound of a histogram bucket (0, 1, 2, 4, 8, ...).
 inline std::uint64_t HistogramBucketLowerBound(int bucket) {
   return bucket == 0 ? 0 : 1ull << (bucket - 1);
@@ -209,19 +220,6 @@ inline ThreadRecord& ThisThread() {
 // runs, never mid-trial.
 extern std::atomic<bool> g_counters_enabled;
 
-inline std::uint64_t Log2Bucket(std::uint64_t value) {
-#if defined(__GNUC__) || defined(__clang__)
-  return value == 0 ? 0 : 64 - static_cast<unsigned>(__builtin_clzll(value));
-#else
-  int b = 0;
-  while (value != 0) {
-    ++b;
-    value >>= 1;
-  }
-  return static_cast<std::uint64_t>(b);
-#endif
-}
-
 }  // namespace detail
 
 // Single-owner increment: load + store on this thread's slot (compiles to
@@ -236,8 +234,22 @@ inline void Count(Counter c, std::uint64_t n = 1) {
 inline void Observe(Histogram h, std::uint64_t value) {
   if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
   std::atomic<std::uint64_t>& slot =
-      detail::ThisThread().histograms[static_cast<int>(h)][detail::Log2Bucket(value)];
+      detail::ThisThread().histograms[static_cast<int>(h)][HistogramBucket(value)];
   slot.store(slot.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+// Adds a whole histogram's worth of observations, `counts[b]` to bucket b
+// (kHistogramBuckets entries): for a producer that tallies its own values
+// and books them once at a boundary.
+inline void AddHistogram(Histogram h, const std::uint64_t* counts) {
+  if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
+  std::atomic<std::uint64_t>* row = detail::ThisThread().histograms[static_cast<int>(h)];
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    if (counts[b] != 0) {
+      row[b].store(row[b].load(std::memory_order_relaxed) + counts[b],
+                   std::memory_order_relaxed);
+    }
+  }
 }
 
 inline bool CountersEnabled() {
@@ -251,6 +263,7 @@ void SetCountersEnabled(bool enabled);
 
 inline void Count(Counter, std::uint64_t = 1) {}
 inline void Observe(Histogram, std::uint64_t) {}
+inline void AddHistogram(Histogram, const std::uint64_t*) {}
 inline bool CountersEnabled() { return false; }
 inline void SetCountersEnabled(bool) {}
 

@@ -75,12 +75,18 @@ inline bool TracingActive() {
 void StartTracing();
 void StopTracing();
 
-// One sampled instant event per kFaultSampleEvery injected faults.  Called
-// from the injector's (already cold) fault path.
-inline void FaultInstant() {
+// The sampled instant events of `faults` more injected faults: one per
+// kFaultSampleEvery faults on this thread.  Called once per fault walk, and
+// per fault from the non-default models' (already cold) fault paths.
+inline void FaultInstants(std::uint64_t faults) {
   if (!TracingActive()) return;
-  if (++detail::tls_fault_modulus % detail::kFaultSampleEvery != 0) return;
-  detail::EmitEvent("fault", 'i');
+  const std::uint64_t before = detail::tls_fault_modulus;
+  detail::tls_fault_modulus = before + faults;
+  for (std::uint64_t n = (before + faults) / detail::kFaultSampleEvery -
+                         before / detail::kFaultSampleEvery;
+       n != 0; --n) {
+    detail::EmitEvent("fault", 'i');
+  }
 }
 
 inline void Instant(const char* name) {
@@ -121,7 +127,7 @@ class SpanScope {
 inline bool TracingActive() { return false; }
 inline void StartTracing() {}
 inline void StopTracing() {}
-inline void FaultInstant() {}
+inline void FaultInstants(std::uint64_t) {}
 inline void Instant(const char*) {}
 class SpanScope {
  public:

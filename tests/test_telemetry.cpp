@@ -30,9 +30,11 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
+#include "faulty/gap_sampler.h"
 #include "fixed_sweep.h"
 #include "harness/csv.h"
 #include "harness/trial.h"
+#include "linalg/faulty_blas.h"
 #include "linalg/scalar.h"
 #include "service/query_service.h"
 #include "store/result_store.h"
@@ -552,6 +554,130 @@ TEST(Telemetry, AttributionAndTraceShareOneTidPerThread) {
   ASSERT_GT(second, 0);
   EXPECT_EQ(ledger_tid(telemetry::AttrCategory::kSolveSgd), first);
   EXPECT_EQ(ledger_tid(telemetry::AttrCategory::kPhase), second);
+}
+
+// One fault scope that mixes bulk kernels (whose faults come from
+// mask-window walks) with scalar faulty::Real ops (one-fault walks through
+// FaultPath): `rounds` rounds of a 64x32 MatVec and 2048 scalar adds.
+// Only arithmetic ops, so every fault is one gap of the default model.
+[[maybe_unused]] faulty::ContextStats MixedScope(double rate, std::uint64_t seed, int rounds) {
+  core::FaultEnvironment env;
+  env.fault_rate = rate;
+  env.seed = seed;
+  constexpr std::size_t m = 64, n = 32;
+  std::vector<double> a(m * n, 0.5), x(n, 1.0), y(m);
+  faulty::ContextStats stats;
+  core::WithFaultyFpu(
+      env,
+      [&] {
+        faulty::Real acc(0.0);
+        for (int r = 0; r < rounds; ++r) {
+          linalg::blas::MatVecInto(m, n, a.data(), x.data(), y.data());
+          for (int i = 0; i < 2048; ++i) acc = acc + faulty::Real(1.0);
+        }
+        return linalg::AsDouble(acc);
+      },
+      &stats);
+  return stats;
+}
+
+// The clean-run histogram booked for one WithFaultyFpu scope equals one
+// built from a bare GeometricGapSampler + BitDistribution loop over the
+// injector's LFSR stream: the first gap is not a clean run, each fault
+// then draws the next gap (observed) and its bit.  Rates cover the
+// inverse-CDF form (1e-3), the table at its tail-heavy edge (1/64, 0.02),
+// the high-rate table (0.1), the fixed rate 1, and a rate-0.5 scope with
+// more than 65,535 gaps of 0 — more than one register lane holds, so a
+// missing fold of the lanes into the exact buckets fails.
+TEST(Telemetry, CleanRunHistogramIsExact) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#else
+  telemetry::SetCountersEnabled(true);
+  const faulty::BitDistribution& bits =
+      faulty::SharedBitDistribution(faulty::BitModel::kBimodal);
+  const int h = static_cast<int>(telemetry::Histogram::kInjectorCleanRun);
+  struct Case {
+    double rate;
+    int rounds;
+  };
+  for (const Case c : {Case{1e-3, 8}, Case{1.0 / 64, 4}, Case{0.02, 4}, Case{0.1, 4},
+                       Case{1.0, 1}, Case{0.5, 48}}) {
+    constexpr std::uint64_t kSeed = 4242;
+    const telemetry::CounterSnapshot before = telemetry::SnapshotCounters();
+    const faulty::ContextStats stats = MixedScope(c.rate, kSeed, c.rounds);
+    const telemetry::CounterSnapshot after = telemetry::SnapshotCounters();
+
+    const faulty::GeometricGapSampler& gaps = faulty::GeometricGapSampler::Shared(c.rate);
+    faulty::Lfsr rng(kSeed ^ 0xA5A5A5A55A5A5A5Aull);  // the injector's stream seed
+    std::uint64_t expected[telemetry::kHistogramBuckets] = {};
+    std::uint64_t ops = gaps.Sample(rng);  // the first gap: not booked
+    for (std::uint64_t f = 0; f < stats.faults_injected; ++f) {
+      const std::uint64_t gap = gaps.Sample(rng);
+      ++expected[telemetry::HistogramBucket(gap)];
+      ops += gap + 1;
+      bits.sample(rng);
+    }
+    ASSERT_GT(stats.faults_injected, 0u) << c.rate;
+    // The reference stream covers the scope's ops and no more faults.
+    ASSERT_GE(ops, stats.faulty_flops) << c.rate;
+    for (int b = 0; b < telemetry::kHistogramBuckets; ++b) {
+      EXPECT_EQ(after.histograms[h][b] - before.histograms[h][b], expected[b])
+          << "rate " << c.rate << ", bucket " << b;
+    }
+    if (c.rate == 0.5) {
+      EXPECT_GT(expected[0], 65535u) << "too few gaps to overflow a lane";
+    }
+  }
+#endif
+}
+
+// Fault walks emit their sampled `fault` instants after the walk, and
+// still one per kFaultSampleEvery faults on the thread: a traced scope
+// with N faults on a fresh thread (its sample counter at 0) leaves
+// N / kFaultSampleEvery instants on that thread's track.
+TEST(Telemetry, FaultInstantsKeepTheirCount) {
+#if !ROBUSTIFY_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out";
+#else
+  for (const double rate : {1e-3, 0.02, 0.1}) {
+    telemetry::StartTracing();
+    faulty::ContextStats stats;
+    std::thread([&] {
+      telemetry::Instant("fault_test.track");
+      stats = MixedScope(rate, 99, 40);
+    }).join();
+    const std::string path = ::testing::TempDir() + "/robustify_fault_instants.json";
+    ASSERT_TRUE(telemetry::WriteTrace(path));
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    in.close();
+    std::remove(path.c_str());
+
+    const auto tid_of = [](const std::string& line) {
+      const std::size_t at = line.find("\"tid\": ");
+      return at == std::string::npos ? -1 : std::atoi(line.c_str() + at + 7);
+    };
+    int track = -1;
+    for (const std::string& line : lines) {
+      if (line.find("{\"name\": \"fault_test.track\"") != std::string::npos) {
+        track = tid_of(line);
+      }
+    }
+    ASSERT_GT(track, 0) << "rate " << rate;
+    std::uint64_t instants = 0;
+    for (const std::string& line : lines) {
+      if (line.find("{\"name\": \"fault\", \"ph\": \"i\"") != std::string::npos &&
+          tid_of(line) == track) {
+        ++instants;
+      }
+    }
+    ASSERT_GE(stats.faults_injected, 2 * telemetry::detail::kFaultSampleEvery) << rate;
+    EXPECT_EQ(instants, stats.faults_injected / telemetry::detail::kFaultSampleEvery)
+        << "rate " << rate << ", " << stats.faults_injected << " faults";
+  }
+#endif
 }
 
 }  // namespace

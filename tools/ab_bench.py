@@ -20,6 +20,13 @@ base's IQR.  A claim of a speedup is: HEAD wins at least 9 of 10 pairs and
 its median gain exceeds the base's IQR.  Failed operations are summed per
 side; any failure is reported and makes the exit code 1.
 
+With --cli ARGS the pairs time a `robustify_cli` command instead of a
+workload: each tree builds its robustify_cli (into <tree>/.bench_build/cli/),
+and each run is the wall time of `robustify_cli ARGS`, run in a scratch
+directory, reported as the one metric wall_s:
+
+    tools/ab_bench.py BASE HEAD --cli "run fig6_5 --fixed --trials=2 --threads=1"
+
 Nothing is downloaded: the trees build with the local toolchain.
 """
 
@@ -27,10 +34,12 @@ import argparse
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,11 +77,13 @@ def resolve_tree(spec, work_dir, worktrees):
     return path
 
 
-def build(tree):
-    build_dir = os.path.join(tree, ".bench_build", "perfbench")
-    steps = [["cmake", "-S", os.path.join(tree, "perfbench"), "-B", build_dir,
-              "-DCMAKE_BUILD_TYPE=Release"],
-             ["cmake", "--build", build_dir, "--target", "perfbench_driver",
+def build(tree, cli):
+    """Builds the perfbench driver, or robustify_cli with --cli."""
+    source, name, target = ((tree, "cli", "robustify_cli") if cli else
+                            (os.path.join(tree, "perfbench"), "perfbench", "perfbench_driver"))
+    build_dir = os.path.join(tree, ".bench_build", name)
+    steps = [["cmake", "-S", source, "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release"],
+             ["cmake", "--build", build_dir, "--target", target,
               "-j", str(os.cpu_count() or 1)]]
     for step in steps:
         if subprocess.run(step, stdout=sys.stderr, stderr=sys.stderr).returncode != 0:
@@ -90,6 +101,17 @@ def run_once(tree, args):
     return json.loads(lines[-1])
 
 
+def run_cli_once(tree, args, scratch):
+    """Wall time of one robustify_cli command, as a one-metric result."""
+    cli = os.path.join(tree, ".bench_build", "cli", "robustify_cli")
+    start = time.perf_counter()
+    done = subprocess.run([cli] + shlex.split(args.cli), cwd=scratch,
+                          stdout=subprocess.DEVNULL, stderr=sys.stderr)
+    wall = time.perf_counter() - start
+    return {"metrics": {"wall_s": {"value": wall}}, "failed": int(done.returncode != 0),
+            "correct": True}
+
+
 def bootstrap_interval(ratios, rounds, rng):
     medians = []
     for _ in range(rounds):
@@ -101,7 +123,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="base tree: a directory or a git revision")
     parser.add_argument("head", help="head tree: a directory or a git revision")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", default=None)
+    parser.add_argument("--cli", default=None,
+                        help="time `robustify_cli CLI` instead of a workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None,
@@ -113,6 +137,8 @@ def main():
     args = parser.parse_args()
     if args.pairs < 1:
         fail("--pairs must be >= 1")
+    if (args.workload is None) == (args.cli is None):
+        fail("give exactly one of --workload and --cli")
 
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="ab_bench_")
     os.makedirs(work_dir, exist_ok=True)
@@ -120,20 +146,27 @@ def main():
     try:
         trees = [resolve_tree(args.base, work_dir, worktrees),
                  resolve_tree(args.head, work_dir, worktrees)]
-        with open(os.path.join(trees[1], "BENCHMARK.json")) as f:
-            benchmark = json.load(f)
-        if args.workload not in [w["name"] for w in benchmark["workloads"]]:
-            fail("unknown workload %s" % args.workload)
-        if args.seconds is None:
-            args.seconds = benchmark["run_seconds"]
+        if args.cli:
+            metrics = [{"name": "wall_s", "better": "lower"}]
+            scratch = os.path.join(work_dir, "cli_outputs")
+            os.makedirs(scratch, exist_ok=True)
+        else:
+            with open(os.path.join(trees[1], "BENCHMARK.json")) as f:
+                benchmark = json.load(f)
+            if args.workload not in [w["name"] for w in benchmark["workloads"]]:
+                fail("unknown workload %s" % args.workload)
+            if args.seconds is None:
+                args.seconds = benchmark["run_seconds"]
+            metrics = benchmark["end_to_end"]
         for tree in trees:
-            build(tree)
+            build(tree, args.cli)
 
         runs = [[], []]  # [side][pair] -> result object
         for i in range(args.pairs):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             for side in order:
-                runs[side].append(run_once(trees[side], args))
+                runs[side].append(run_cli_once(trees[side], args, scratch) if args.cli
+                                  else run_once(trees[side], args))
             print("pair %d/%d done" % (i + 1, args.pairs), file=sys.stderr)
     finally:
         for path in worktrees:
@@ -143,12 +176,15 @@ def main():
             shutil.rmtree(work_dir, ignore_errors=True)
 
     rng = random.Random(12345)
-    print("workload %s, seed %d, %g s per run, %d ABBA pairs" %
-          (args.workload, args.seed, args.seconds, args.pairs))
+    if args.cli:
+        print("robustify_cli %s, %d ABBA pairs" % (args.cli, args.pairs))
+    else:
+        print("workload %s, seed %d, %g s per run, %d ABBA pairs" %
+              (args.workload, args.seed, args.seconds, args.pairs))
     print("%-14s %12s %12s %12s %12s %8s %19s %6s %9s" %
           ("metric", "base_med", "base_iqr", "head_med", "head_iqr", "ratio",
            "ratio_95%", "wins", ">b_iqr"))
-    for metric in benchmark["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         lower = metric["better"] == "lower"
         base = [r["metrics"][name]["value"] for r in runs[0]]
@@ -169,7 +205,7 @@ def main():
           (failed[0], failed[1], correct[0], correct[1]))
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"workload": args.workload, "seed": args.seed,
+            json.dump({"workload": args.workload, "cli": args.cli, "seed": args.seed,
                        "seconds": args.seconds, "base": runs[0], "head": runs[1]}, f)
     return 0 if failed == [0, 0] and all(correct) else 1
 
