@@ -2,8 +2,8 @@
 //
 // The flight-recorder contract is that observability is (nearly) free: the
 // per-op path carries no telemetry at all, the fault walk tallies clean runs
-// in registers and books them once per scope, and the remaining sites sit
-// on cold paths.  This bench pins that down on two cells of the fig6_2
+// into the injector and books them once per scope, and the remaining sites
+// sit on cold paths.  This bench pins that down on two cells of the fig6_2
 // least-squares sweep: realistic rates (faults are rare, the countdown hot
 // path dominates) and high rates (0.05 and 0.1, where the per-fault walk
 // dominates and a per-fault telemetry call would show).  Each cell runs
@@ -14,6 +14,12 @@
 // gate measures another round of pairs and takes the median over all of
 // them (noise only ever inflates one side of a pair at random, a real cost
 // inflates every pair).
+//
+// SetCountersEnabled gates the bookings, not the clean-run tally itself:
+// the walk's one bucket increment per gap runs in both arms, so this gate
+// does not see its cost.  That cost shows only against a build with
+// telemetry compiled out, or in an A/B against an older tree
+// (tools/ab_bench.py).
 //
 // With telemetry compiled out (-DROBUSTIFY_TELEMETRY=OFF) both arms run the
 // same code and the gate passes trivially — which is itself the check that

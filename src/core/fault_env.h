@@ -44,7 +44,7 @@ namespace detail {
 // path, and cannot diverge from the published numbers.  A snapshot taken
 // while a scope is open leaves that scope out.
 inline void CountScopeTelemetry(const faulty::ContextStats& stats,
-                                faulty::FaultInjector& injector) {
+                                const faulty::FaultInjector& injector) {
   telemetry::Count(telemetry::Counter::kInjectorScopes);
   telemetry::Count(telemetry::Counter::kInjectorFaults, stats.faults_injected);
   telemetry::Count(telemetry::Counter::kInjectorFlops, stats.faulty_flops);

@@ -2,167 +2,84 @@
 // off the fault walk.
 //
 // Every gap the injector schedules is one clean-run observation.  A fault
-// walk keeps its observations in registers and the injector keeps them for
-// the whole activation scope; core::WithFaultyFpu books the scope's
-// histogram into the thread's telemetry record once, at scope exit.  So the
-// walk makes no telemetry call, no thread-local access and no
-// data-dependent branch per fault.
+// walk bumps the gap's exact uint64 bucket in the injector's own histogram,
+// through a pointer it holds for the walk, and the injector keeps the
+// histogram for the whole activation scope; core::WithFaultyFpu books it
+// into the thread's telemetry record once, at scope exit.  So the walk
+// makes no telemetry call, no thread-local access and no data-dependent
+// branch per fault.  A gap from the alias table's first draw (0..62, the
+// common case at every table rate) finds its bucket in a 64-entry table
+// indexed by the draw's outcome; every other gap — a tail gap, an
+// inverse-CDF gap, a fixed-rate gap, a gap from the per-op model step — is
+// on a cold path and computes its bucket there.
 //
-// Two tallies share the work.  A gap from the alias table's first draw
-// (0..62, the common case at every table rate) lands in histogram buckets
-// 0..6; it adds a one-hot 16-bit lane increment, looked up by the draw's
-// outcome, to eight lanes held in one register (CleanRunLanes).  Every other
-// gap — a tail gap, an inverse-CDF gap, a fixed-rate gap, a gap from the
-// per-op model step — is already on a cold path, and bumps its exact uint64
-// bucket there.  The lanes are folded into the exact buckets before any lane
-// can overflow, and when the scope's histogram is read.
-//
-// With telemetry compiled out (ROBUSTIFY_NO_TELEMETRY) the lanes, the table
-// and the buckets compile out too: every tally call is an empty inline.
+// With telemetry compiled out (ROBUSTIFY_NO_TELEMETRY) the table and the
+// buckets compile out too: every tally call is an empty inline.
 #pragma once
 
 #include <cstdint>
 
 #include "telemetry/telemetry.h"
 
-#if ROBUSTIFY_TELEMETRY_ENABLED && defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace robustify::faulty {
+
+// Gap draws that are not clean runs (an injector's first gap, a gap
+// suspended by a sticky window), and with telemetry compiled out every gap
+// draw: only the table redraws are counted, for gap.draws.table.
+struct UntalliedGaps {
+  std::uint64_t tail_draws = 0;  // table redraws after a tail outcome
+  void AddTableGap(int) {}
+  void AddGap(std::uint64_t) {}
+};
 
 #if ROBUSTIFY_TELEMETRY_ENABLED
 
 namespace detail {
 
-// outcome -> one-hot lane increment: 16-bit lane b (bits 16 * (b % 4) of
-// word b / 4) is the histogram bucket of gap `outcome`.  Outcome 63, the
-// alias table's tail slot, adds nothing: its gap is tallied exactly.
-struct alignas(16) CleanRunOneHot {
-  std::uint64_t words[64][2];
+// outcome -> histogram bucket of a first-draw table gap of `outcome`.
+struct CleanRunBucketOf {
+  std::uint8_t bucket[64];
 };
 
-constexpr CleanRunOneHot MakeCleanRunOneHot() {
-  CleanRunOneHot table{};
-  for (int outcome = 0; outcome < 63; ++outcome) {
-    const int lane = telemetry::HistogramBucket(static_cast<std::uint64_t>(outcome));
-    table.words[outcome][lane / 4] = 1ull << (16 * (lane % 4));
+constexpr CleanRunBucketOf MakeCleanRunBucketOf() {
+  CleanRunBucketOf table{};
+  for (int outcome = 0; outcome < 64; ++outcome) {
+    table.bucket[outcome] =
+        static_cast<std::uint8_t>(telemetry::HistogramBucket(static_cast<std::uint64_t>(outcome)));
   }
   return table;
 }
 
-inline constexpr CleanRunOneHot kCleanRunOneHot = MakeCleanRunOneHot();
+inline constexpr CleanRunBucketOf kCleanRunBucketOf = MakeCleanRunBucketOf();
 
 }  // namespace detail
-
-// Eight 16-bit counters, one per histogram bucket 0..7 (only 0..6 are ever
-// incremented): one SSE2 register, or a pair of uint64 words off SSE2.
-// Lane k is bits 16 * (k % 4) of word k / 4 either way.
-class CleanRunLanes {
- public:
-  // Counts one first-draw table gap; `outcome` is the draw's slot, 0..63.
-  void Add(int outcome) {
-    const std::uint64_t* one_hot = detail::kCleanRunOneHot.words[outcome];
-#if defined(__SSE2__)
-    lanes_ = _mm_add_epi16(lanes_, _mm_load_si128(reinterpret_cast<const __m128i*>(one_hot)));
-#else
-    lo_ += one_hot[0];
-    hi_ += one_hot[1];
-#endif
-  }
-
-  // Adds lane b to buckets[b] for b in 0..7 and clears the lanes.
-  void FoldInto(std::uint64_t* buckets) {
-#if defined(__SSE2__)
-    alignas(16) std::uint16_t lane[8];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lane), lanes_);
-    for (int b = 0; b < 8; ++b) buckets[b] += lane[b];
-    lanes_ = _mm_setzero_si128();
-#else
-    for (int b = 0; b < 4; ++b) {
-      buckets[b] += (lo_ >> (16 * b)) & 0xFFFF;
-      buckets[b + 4] += (hi_ >> (16 * b)) & 0xFFFF;
-    }
-    lo_ = hi_ = 0;
-#endif
-  }
-
- private:
-#if defined(__SSE2__)
-  __m128i lanes_ = _mm_setzero_si128();
-#else
-  std::uint64_t lo_ = 0;
-  std::uint64_t hi_ = 0;
-#endif
-};
 
 // What a run of gap draws leaves for telemetry, held by the caller (in
 // registers, across a fault walk).
 struct GapTally {
-  CleanRunLanes lanes;           // first-draw table gaps, buckets 0..6
-  std::uint64_t* buckets;        // exact buckets of every other gap; null
-                                 // when the draws are not clean runs
+  std::uint64_t* buckets;        // kHistogramBuckets counts the gaps land in
   std::uint64_t tail_draws = 0;  // table redraws after a tail outcome
 
-  void AddTableOutcome(int outcome) { lanes.Add(outcome); }
-  void AddGap(std::uint64_t gap) {
-    if (buckets != nullptr) ++buckets[telemetry::HistogramBucket(gap)];
-  }
+  // A first-draw table gap; `outcome` is the draw's slot, 0..62.
+  void AddTableGap(int outcome) { ++buckets[detail::kCleanRunBucketOf.bucket[outcome]]; }
+  void AddGap(std::uint64_t gap) { ++buckets[telemetry::HistogramBucket(gap)]; }
 };
 
-// One activation scope's clean-run histogram, kept by the injector.
-class CleanRunTally {
- public:
-  // A lane holds 65,535 counts, and a walk of `ops` ops schedules at most
-  // `ops` faults, so no walk may be longer than this.
-  static constexpr std::uint64_t kMaxWalkOps = 0xFFFF;
+// One histogram's worth of clean-run counts.
+struct CleanRunHistogram {
+  std::uint64_t buckets[telemetry::kHistogramBuckets] = {};
 
-  // Hands a walk of `ops` ops the lanes, folding them first when the walk
-  // could overflow one.
-  GapTally OpenWalk(std::uint64_t ops) {
-    if (ops > room_) Fold();
-    return GapTally{lanes_, buckets_};
-  }
-  // Takes the lanes back from a walk that tallied `gaps` gaps.
-  void CloseWalk(const GapTally& walk, std::uint64_t gaps) {
-    lanes_ = walk.lanes;
-    room_ -= gaps;
-  }
-  // One gap tallied on a cold path.
-  void Add(std::uint64_t gap) { ++buckets_[telemetry::HistogramBucket(gap)]; }
-
-  // The histogram so far, kHistogramBuckets counts.
-  const std::uint64_t* Buckets() {
-    Fold();
-    return buckets_;
-  }
-
- private:
-  void Fold() {
-    lanes_.FoldInto(buckets_);
-    room_ = kMaxWalkOps;
-  }
-
-  CleanRunLanes lanes_;
-  std::uint64_t room_ = kMaxWalkOps;  // lane counts left before a fold
-  std::uint64_t buckets_[telemetry::kHistogramBuckets] = {};
+  GapTally Tally() { return GapTally{buckets}; }
+  const std::uint64_t* data() const { return buckets; }
 };
 
 #else  // compiled out: nothing is tallied
 
-struct GapTally {
-  std::uint64_t tail_draws = 0;
-  void AddTableOutcome(int) {}
-  void AddGap(std::uint64_t) {}
-};
+using GapTally = UntalliedGaps;
 
-class CleanRunTally {
- public:
-  static constexpr std::uint64_t kMaxWalkOps = 0xFFFF;
-  GapTally OpenWalk(std::uint64_t) { return GapTally{}; }
-  void CloseWalk(const GapTally&, std::uint64_t) {}
-  void Add(std::uint64_t) {}
-  const std::uint64_t* Buckets() { return nullptr; }
+struct CleanRunHistogram {
+  GapTally Tally() { return GapTally{}; }
+  const std::uint64_t* data() const { return nullptr; }
 };
 
 #endif  // ROBUSTIFY_TELEMETRY_ENABLED

@@ -75,7 +75,7 @@ bool FaultInjector::StepGap() {
   const std::uint64_t gap = SampleGap();
   scheduled_ += gap + 1;
   countdown_ = gap;
-  clean_runs_.Add(gap);
+  clean_runs_.Tally().AddGap(gap);
   return true;
 }
 

@@ -148,11 +148,10 @@ class FaultInjector {
   // fault by flipping `bit` in the result of op `offset`.  Observationally
   // identical to `ops` Execute calls: the RNG is consumed in FaultPath's
   // order (the next gap, then this fault's bit) and the stats match.  The
-  // loop makes no telemetry call: each gap is tallied as a clean run in
-  // registers (clean_run_tally.h), and the walk's gap draws and sampled
-  // `fault` trace instants are booked once, after it.  Preconditions:
-  // SchedulesFaults(), ops <= kMaxWalkOps.
-  static constexpr std::uint64_t kMaxWalkOps = CleanRunTally::kMaxWalkOps;
+  // loop makes no telemetry call: each gap bumps its bucket of the scope's
+  // clean-run histogram (clean_run_tally.h), and the walk's gap draws and
+  // sampled `fault` trace instants are booked once, after it.
+  // Precondition: SchedulesFaults().
   template <class OnFault>
   void ScheduleFaults(std::uint64_t ops, const OnFault& on_fault) {
     // Local copies: stores the callback makes cannot alias them, so the RNG
@@ -163,7 +162,7 @@ class FaultInjector {
     Lfsr rng = rng_;
     const std::uint64_t first = countdown_;
     std::uint64_t countdown = first;
-    GapTally tally = clean_runs_.OpenWalk(ops);
+    GapTally tally = clean_runs_.Tally();
     std::uint64_t faults = 0;
     std::uint64_t at = 0;  // offset of the next unscheduled op
     while (countdown < ops - at) {
@@ -179,9 +178,8 @@ class FaultInjector {
     scheduled_ += ops + countdown_ - first;
     faults_ += faults;
     faults_arith_ += faults;
-    clean_runs_.CloseWalk(tally, faults);
     if (faults != 0) {
-      gaps.BookDraws(faults, tally);
+      gaps.BookDraws(faults, tally.tail_draws);
       telemetry::FaultInstants(faults);
     }
   }
@@ -189,7 +187,7 @@ class FaultInjector {
   // The scope's clean-run histogram (injector.clean_run), kHistogramBuckets
   // counts; null with telemetry compiled out.  core::WithFaultyFpu books it
   // at scope exit.
-  const std::uint64_t* CleanRunBuckets() { return clean_runs_.Buckets(); }
+  const std::uint64_t* CleanRunBuckets() const { return clean_runs_.data(); }
 
   ContextStats stats() const {
     ContextStats s;
@@ -244,7 +242,7 @@ class FaultInjector {
   std::uint64_t faults_ = 0;
   // The scope's clean runs: every gap that re-arms the countdown (not the
   // first, nor a gap suspended by a sticky window).
-  CleanRunTally clean_runs_;
+  CleanRunHistogram clean_runs_;
 
   // ---- temporal-model state (untouched under the default model) ----------
   FaultModel model_{};

@@ -59,21 +59,25 @@ class GeometricGapSampler {
   bool uses_table() const { return table_; }
 
   // One gap draw from `rng`; kNever when the sampled gap exceeds 2^64.
-  // Tallies the gap as a clean run into `tally` (see clean_run_tally.h): a
-  // first-draw table gap into its register lanes, any other gap, on its
-  // already-cold path, into its exact bucket.  The draws themselves are
-  // booked by BookDraws, once per run of samples.  Forced inline: it is the
-  // first half of every scheduled fault, and the compiler's size heuristics
-  // otherwise leave it as a call.
-  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng, GapTally& tally) const {
+  // Tallies the gap as a clean run into `tally` (a GapTally, or an
+  // UntalliedGaps for a gap that is not one; see clean_run_tally.h): a
+  // first-draw table gap through the outcome's bucket table, any other gap,
+  // on its already-cold path, through its computed bucket.  The draws
+  // themselves are booked by BookDraws, once per run of samples.  Forced
+  // inline: it is the first half of every scheduled fault, and the
+  // compiler's size heuristics otherwise leave it as a call.
+  template <class Tally>
+  ROBUSTIFY_ALWAYS_INLINE std::uint64_t Sample(Lfsr& rng, Tally& tally) const {
     if (!table_) {
       const std::uint64_t gap = fixed_ ? fixed_gap_ : InverseCdf(rng.next());
       tally.AddGap(gap);
       return gap;
     }
     int outcome = AliasSelect(rng.next(), stay_threshold_.data(), alias_.data());
-    tally.AddTableOutcome(outcome);  // the tail outcome adds nothing
-    if (outcome < kTableGaps) return static_cast<std::uint64_t>(outcome);
+    if (outcome < kTableGaps) {
+      tally.AddTableGap(outcome);
+      return static_cast<std::uint64_t>(outcome);
+    }
     // Tail: gap >= 63; memorylessness restarts the draw.
     std::uint64_t base = 0;
     do {
@@ -86,11 +90,11 @@ class GeometricGapSampler {
     return gap;
   }
 
-  // Books the draws behind `samples` gaps sampled with `tally` as
-  // gap.draws.table (tail redraws included) or gap.draws.invcdf.
-  void BookDraws(std::uint64_t samples, const GapTally& tally) const {
+  // Books the draws behind `samples` gaps, `tail_draws` table redraws
+  // among them, as gap.draws.table or gap.draws.invcdf.
+  void BookDraws(std::uint64_t samples, std::uint64_t tail_draws) const {
     if (table_) {
-      telemetry::Count(telemetry::Counter::kGapDrawsTable, samples + tally.tail_draws);
+      telemetry::Count(telemetry::Counter::kGapDrawsTable, samples + tail_draws);
     } else if (!fixed_) {
       telemetry::Count(telemetry::Counter::kGapDrawsInvCdf, samples);
     }
@@ -100,9 +104,9 @@ class GeometricGapSampler {
   // first gap, a gap suspended by a sticky window), its draws booked right
   // away.
   std::uint64_t Sample(Lfsr& rng) const {
-    GapTally tally{};
+    UntalliedGaps tally;
     const std::uint64_t gap = Sample(rng, tally);
-    BookDraws(1, tally);
+    BookDraws(1, tally.tail_draws);
     return gap;
   }
 

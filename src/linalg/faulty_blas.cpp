@@ -133,8 +133,6 @@ struct PerOp {
 // never allocates.  All zero between windows: each window re-zeroes the
 // slots it scattered into before the next one schedules.
 thread_local std::uint64_t tls_masks[kMaskWindowOps];
-static_assert(kMaskWindowOps <= FaultInjector::kMaxWalkOps,
-              "a mask window is one ScheduleFaults walk");
 
 // Runs the whole-element clean prefix the schedule guarantees, starting at
 // element *i; returns false when that finishes the call.

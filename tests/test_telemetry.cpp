@@ -587,8 +587,7 @@ TEST(Telemetry, AttributionAndTraceShareOneTidPerThread) {
 // then draws the next gap (observed) and its bit.  Rates cover the
 // inverse-CDF form (1e-3), the table at its tail-heavy edge (1/64, 0.02),
 // the high-rate table (0.1), the fixed rate 1, and a rate-0.5 scope with
-// more than 65,535 gaps of 0 — more than one register lane holds, so a
-// missing fold of the lanes into the exact buckets fails.
+// more than 65,535 gaps of 0, so a tally kept in 16-bit counters fails.
 TEST(Telemetry, CleanRunHistogramIsExact) {
 #if !ROBUSTIFY_TELEMETRY_ENABLED
   GTEST_SKIP() << "telemetry compiled out";
@@ -626,7 +625,7 @@ TEST(Telemetry, CleanRunHistogramIsExact) {
           << "rate " << c.rate << ", bucket " << b;
     }
     if (c.rate == 0.5) {
-      EXPECT_GT(expected[0], 65535u) << "too few gaps to overflow a lane";
+      EXPECT_GT(expected[0], 65535u) << "too few gaps to overflow a 16-bit count";
     }
   }
 #endif
